@@ -57,7 +57,7 @@ from .contfrac import (
     expand,
     tilde_h_series,
 )
-from .hanzeng import hanzeng_C, hanzeng_barc, substitute_x
+from .hanzeng import hanzeng_C, hanzeng_barc
 from .verify import CheckReport, CheckResult, crosscheck
 
 __version__ = "1.0.0"
@@ -111,7 +111,6 @@ __all__ = [
     "q_binomial",
     "q_factorial",
     "q_int",
-    "substitute_x",
     "tilde_h",
     "tilde_h_series",
     "weighted_path_sum",

@@ -3,9 +3,13 @@ two contraction transforms between Stieltjes and Jacobi forms.
 
 A J-fraction has levels 1/(1 - gamma_k s - lambda_{k+1} s^2 * next); an
 S-fraction has levels 1/(1 - c_k s * next) under a constant head c_0; the
-affine form adds a constant plus a linear-headed J-style tail.  Expansion
-is bottom-up in the ring of truncated power series with exact polynomial
-coefficients and needs only inversion of series with constant term 1.
+affine form adds a constant plus a linear-headed J-style tail.
+
+Expansion is a path sum (Flajolet, Combinatorial aspects of continued
+fractions, 1980): a J-fraction's s^n coefficient sums weighted Motzkin paths
+of length n, an S-fraction's sums weighted Dyck paths of length 2n, both in
+one sweep of motzkin.path_sums.  The truncation order alone fixes which
+levels are evaluated; there is no separate depth.
 
 Four named fractions are provided: the two q-fractions generating the
 reversed polynomials, the integer fraction generating h(n), and the
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .exactalg import IntPoly, ONE, PowerSeries, q_binomial
+from .motzkin import WeightSystem, path_sums
 
 CoeffGen = Callable[[int], IntPoly]
 
@@ -57,62 +62,52 @@ class AffineSFraction:
 CFSpec = Union[JFraction, SFraction, AffineSFraction]
 
 
-def _memoized(gen: CoeffGen) -> CoeffGen:
-    cache: dict[int, IntPoly] = {}
-
-    def get(k: int) -> IntPoly:
-        if k not in cache:
-            cache[k] = _as_poly(gen(k))
-        return cache[k]
-
-    return get
+def _levels(gen: CoeffGen, first: int, count: int) -> list[IntPoly]:
+    """gen(first), gen(first + 1), ... as count polynomials."""
+    return [_as_poly(gen(k)) for k in range(first, first + count)]
 
 
-def _expand_j_tail(gamma: CoeffGen, lam: CoeffGen, depth: int, order: int) -> PowerSeries:
-    tail = PowerSeries.one(order)
-    for k in range(depth - 1, -1, -1):
-        den = PowerSeries.one(order) - PowerSeries.one(order).scale(gamma(k)).shift_s(1)
-        den = den - tail.scale(lam(k + 1)).shift_s(2)
-        tail = den.inverse()
-    return tail
+def _j_sums(gamma: CoeffGen, lam: CoeffGen, order: int) -> list:
+    """Coefficients of 1/(1 - gamma(0) s - lam(1) s^2/(1 - ...)) through
+    s^order: Motzkin path sums with flat steps at height m weighing
+    gamma(m) and each rise-fall pair from m weighing lam(m + 1)."""
+    levels = order // 2 + 1  # no path of length <= order climbs higher
+    gammas, lams = _levels(gamma, 0, levels), _levels(lam, 1, levels)
+    return path_sums(
+        order, WeightSystem(alpha=lams.__getitem__, beta=lambda m: 1, gamma=gammas.__getitem__)
+    )
 
 
-def expand(spec: CFSpec, order: int, depth: int | None = None) -> PowerSeries:
-    """Truncated series of the fraction through s^order.
+def expand(spec: CFSpec, order: int) -> PowerSeries:
+    """Truncated series of the fraction through s^order, as path sums.
 
-    The default evaluation depth is chosen so that every discarded level can
-    only touch coefficients beyond the truncation order: J-fractions use
-    depth ceil(order/2) + 1, S-fractions depth order + 1.  Passing a larger
-    depth must not change any returned coefficient (tested, not assumed).
+    A J-fraction's s^n coefficient is the weighted Motzkin path sum of
+    length n; an S-fraction's is the weighted Dyck path sum of length 2n,
+    each fall to height m weighing c(m + 1).  One sweep of
+    motzkin.path_sums yields every coefficient through the order, and only
+    levels a path of that length can reach are evaluated.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     if isinstance(spec, JFraction):
-        depth = (order + 1) // 2 + 1 if depth is None else depth
-        series = _expand_j_tail(_memoized(spec.gamma), _memoized(spec.lam), depth, order)
-        return series.scale(spec.head)
+        sums = _j_sums(spec.gamma, spec.lam, order)
+        return PowerSeries(order, [spec.head * v for v in sums])
     if isinstance(spec, SFraction):
-        depth = order + 1 if depth is None else depth
-        c = _memoized(spec.c)
-        tail = PowerSeries.one(order)
-        for k in range(depth, 0, -1):
-            den = PowerSeries.one(order) - tail.scale(c(k)).shift_s(1)
-            tail = den.inverse()
-        return tail.scale(spec.c0)
+        cs = _levels(spec.c, 1, order)
+        dyck = WeightSystem(alpha=lambda m: 1, beta=cs.__getitem__, gamma=lambda m: 0)
+        sums = path_sums(2 * order, dyck)
+        return PowerSeries(order, [spec.c0 * v for v in sums[::2]])
     if isinstance(spec, AffineSFraction):
-        depth = (order + 1) // 2 + 1 if depth is None else depth
-        gamma, lam = _memoized(spec.gamma), _memoized(spec.lam)
         # the tail's outermost level holds gamma(1), with lam(1) s^2 below it
-        tail = _expand_j_tail(lambda k: gamma(k + 1), lam, depth, order)
-        head = PowerSeries.one(order).scale(spec.head)
-        return head + tail.scale(spec.linear).shift_s(1)
+        tail = _j_sums(lambda k: spec.gamma(k + 1), spec.lam, order - 1) if order else []
+        return PowerSeries(order, [spec.head] + [spec.linear * v for v in tail])
     raise TypeError(f"not a continued-fraction spec: {spec!r}")
 
 
 def contract_S_to_J(spec: SFraction) -> JFraction:
     """Pairwise contraction: gamma_0 = c1, gamma_k = c_{2k} + c_{2k+1},
     lambda_k = c_{2k-1} c_{2k}.  Expansions agree to every order."""
-    c = _memoized(spec.c)
+    c = spec.c
 
     def gamma(k: int) -> IntPoly:
         return c(1) if k == 0 else c(2 * k) + c(2 * k + 1)
@@ -126,7 +121,7 @@ def contract_S_to_J(spec: SFraction) -> JFraction:
 def contract_S_to_J_affine(spec: SFraction) -> AffineSFraction:
     """Off-diagonal contraction: head c0, linear c0*c1, then
     gamma'_k = c_{2k-1} + c_{2k} and lambda'_k = c_{2k} c_{2k+1}."""
-    c = _memoized(spec.c)
+    c = spec.c
 
     def gamma(k: int) -> IntPoly:
         return c(2 * k - 1) + c(2 * k)
@@ -207,32 +202,50 @@ def tilde_h_series(order: int, via: str = "f1") -> PowerSeries:
     return expand(NAMED_FRACTIONS[via](), order)
 
 
+_SPEC_KEYS = {"preset": {"preset"}, "J": {"kind", "gamma", "lambda"}, "S": {"kind", "c0", "c"}}
+
+
+def _int_list(data: dict, key: str) -> list[int]:
+    values = data.get(key, [])
+    if type(values) is not list or any(type(v) is not int for v in values):
+        raise ValueError(f"spec field {key!r} must be a list of integers")
+    return values
+
+
 def spec_from_dict(data: dict) -> CFSpec:
     """Build a spec from a parsed description.
 
     Accepts {"preset": name}, {"kind": "J", "gamma": [...], "lambda": [...]}
     or {"kind": "S", "c0": int, "c": [...]}.  Listed coefficients are integers
     indexed from the fraction's first depth; depths beyond the list are zero,
-    which terminates the fraction.
+    which terminates the fraction.  Any other key, and any value that is not
+    a plain int (bools, floats and strings included), raises ValueError.
     """
-    if "preset" in data:
+    if type(data) is not dict:
+        raise ValueError("spec must be a JSON object")
+    kind = "preset" if "preset" in data else data.get("kind")
+    if type(kind) is not str or kind not in _SPEC_KEYS:
+        raise ValueError("spec must contain 'preset' or kind 'J'/'S'")
+    unknown = set(data) - _SPEC_KEYS[kind]
+    if unknown:
+        raise ValueError(f"unknown spec keys {sorted(unknown)}")
+    if kind == "preset":
         name = data["preset"]
-        if name not in NAMED_FRACTIONS:
+        if type(name) is not str or name not in NAMED_FRACTIONS:
             raise ValueError(f"unknown preset {name!r}")
         return NAMED_FRACTIONS[name]()
-    kind = data.get("kind")
     if kind == "J":
-        gammas = [int(v) for v in data.get("gamma", [])]
-        lams = [int(v) for v in data.get("lambda", [])]
+        gammas = _int_list(data, "gamma")
+        lams = _int_list(data, "lambda")
         return JFraction(
             gamma=lambda k: IntPoly((gammas[k],)) if k < len(gammas) else IntPoly(),
             lam=lambda k: IntPoly((lams[k - 1],)) if 1 <= k <= len(lams) else IntPoly(),
         )
-    if kind == "S":
-        cs = [int(v) for v in data.get("c", [])]
-        c0 = int(data.get("c0", 1))
-        return SFraction(
-            c=lambda k: IntPoly((cs[k - 1],)) if 1 <= k <= len(cs) else IntPoly(),
-            c0=IntPoly((c0,)),
-        )
-    raise ValueError("spec must contain 'preset' or kind 'J'/'S'")
+    cs = _int_list(data, "c")
+    c0 = data.get("c0", 1)
+    if type(c0) is not int:
+        raise ValueError("spec field 'c0' must be an integer")
+    return SFraction(
+        c=lambda k: IntPoly((cs[k - 1],)) if 1 <= k <= len(cs) else IntPoly(),
+        c0=IntPoly((c0,)),
+    )

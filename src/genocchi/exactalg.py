@@ -570,10 +570,6 @@ class PowerSeries:
         raise AttributeError("PowerSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls(order, (ZERO,) * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls(order, (ONE,) + (ZERO,) * order)
 
@@ -586,14 +582,6 @@ class PowerSeries:
         if self.order != other.order:
             raise ValueError("power series truncation orders differ")
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check_order(other)
         out = [ZERO] * (self.order + 1)
@@ -604,19 +592,6 @@ class PowerSeries:
                 b = other.coeffs[j]
                 if not b.is_zero:
                     out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.order, out)
-
-    def scale(self, p) -> "PowerSeries":
-        p = p if isinstance(p, IntPoly) else IntPoly((p,))
-        return PowerSeries(self.order, tuple(c * p for c in self.coeffs))
-
-    def shift_s(self, k: int) -> "PowerSeries":
-        """Multiply by s^k, truncating at the same order."""
-        if k < 0:
-            raise ValueError("series shift must be nonnegative")
-        if k > self.order:
-            return PowerSeries.zero(self.order)
-        out = (ZERO,) * k + self.coeffs[: self.order + 1 - k]
         return PowerSeries(self.order, out)
 
     def inverse(self) -> "PowerSeries":
@@ -632,11 +607,6 @@ class PowerSeries:
                     acc = acc + a * inv[n - i]
             inv[n] = -acc
         return PowerSeries(self.order, inv)
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(order, self.coeffs[: order + 1])
 
     def evaluate_q(self, value: Coefficient) -> list:
         """Specialize q in every coefficient, e.g. value=1 for counting."""

@@ -26,11 +26,6 @@ _ONE_PLUS_QX = BivarPoly((ONE, Q))
 _DIVISOR = BivarPoly((ONE, Q - ONE))  # 1 + qx - x
 
 
-def substitute_x(p: BivarPoly, s: BivarPoly) -> BivarPoly:
-    """Compose p with x -> s, leaving the q-coefficients alone."""
-    return p.substitute_x(s)
-
-
 @lru_cache(maxsize=None)
 def hanzeng_C(n: int) -> BivarPoly:
     """The n-th recurrence polynomial in x and q."""
@@ -39,7 +34,7 @@ def hanzeng_C(n: int) -> BivarPoly:
     if n == 1:
         return BivarPoly((ONE,))
     prev = hanzeng_C(n - 1)
-    shifted = substitute_x(prev, _ONE_PLUS_QX)
+    shifted = prev.substitute_x(_ONE_PLUS_QX)
     bracket = _ONE_PLUS_QX * shifted - _X * prev
     try:
         quotient = bivar_exact_div_by_unit_const(bracket, _DIVISOR)

@@ -24,10 +24,9 @@ DEFAULT_CAPS = {
 def cap_for(model: str) -> int:
     env = os.environ.get(ENV_VAR)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
+        if not env.strip().isdecimal():
+            raise ValueError(f"{ENV_VAR} must be a nonnegative integer, got {env!r}")
+        return int(env)
     return DEFAULT_CAPS[model]
 
 

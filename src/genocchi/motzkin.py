@@ -7,7 +7,8 @@ Three independent routes live here:
     single power of q restores an ordinary polynomial.
 
 Path sums over a generic weight system are computed by level-indexed dynamic
-programming; explicit enumeration stays available for termwise checks.
+programming (path_sums, which also expands every continued fraction);
+explicit enumeration stays available for termwise checks.
 """
 
 from __future__ import annotations
@@ -121,26 +122,40 @@ def path_weight(path: MotzkinPath, ws: WeightSystem):
     return acc
 
 
-def weighted_path_sum(n: int, ws: WeightSystem):
-    """Sum of path weights over all length-n paths, by transfer-matrix DP.
+def path_sums(order: int, ws: WeightSystem) -> list:
+    """Sums of path weights for every length 0..order, in one transfer-matrix
+    sweep: entry n is the sum over all length-n paths.
 
-    Works for any exact coefficient kind closed under + and * (int,
-    Fraction, IntPoly, LaurentPoly); the int 1 seeds the empty product.
+    After k steps heights are capped at order - k, since a higher path
+    cannot return to 0 by step order.  Steps of zero weight are skipped, so
+    a length with no path of nonzero weight sums to the int 0.  Works for any
+    exact coefficient kind closed under + and * (int, Fraction, IntPoly,
+    LaurentPoly); the int 1 seeds the empty product.
     """
-    if n < 0:
+    if order < 0:
         raise ValueError("path length must be nonnegative")
-    limits.check_cap("motzkin", n)
     level: dict[int, object] = {0: 1}
-    for k in range(n):
+    sums: list = [1]
+    for k in range(order):
         nxt: dict[int, object] = {}
-        top = n - k - 1
+        top = order - k - 1
         for h, acc in level.items():
             for h2 in (h - 1, h, h + 1):
                 if 0 <= h2 <= top:
-                    term = acc * ws.step_weight(h, h2)
+                    w = ws.step_weight(h, h2)
+                    if not w:
+                        continue
+                    term = acc * w
                     nxt[h2] = nxt[h2] + term if h2 in nxt else term
         level = nxt
-    return level[0]
+        sums.append(level.get(0, 0))
+    return sums
+
+
+def weighted_path_sum(n: int, ws: WeightSystem):
+    """Sum of path weights over all length-n paths (see path_sums)."""
+    limits.check_cap("motzkin", n)
+    return path_sums(n, ws)[n]
 
 
 def integer_weight_system() -> WeightSystem:

@@ -4,6 +4,17 @@ Runs every independent route to h(n), h_n(q), the reversed polynomials and
 the generating-function identities, and collects one pass/fail/skipped line
 per check.  Failures are reported, never raised; the CLI turns a nonzero
 failure count into a nonzero exit status.
+
+Each identity compares two code paths that share no route-specific code
+(motzkin.path_sums and IntPoly arithmetic are shared substrate):
+  series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
+                    path sweep vs tilde_h's explicit fermionic path enumeration
+  contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
+                    contraction (S-fractions never expand via contract_S_to_J)
+  q1-hn-series      Motzkin walk of f1 at q=1 vs Dyck walk of the integer hn
+  viennot-doubling  Dyck walk vs the Seidel triangle
+  hq-three-way      Dellac vs fermionic enumeration vs Laurent-weight sweep
+  counts-agree      every enumeration and the integer-weight sweep vs Seidel
 """
 
 from __future__ import annotations
@@ -41,13 +52,6 @@ CROSSCHECK_MAX_N = 8
 CONTRACTION_ORDER = 10
 RANDOM_INSTANCES = 100
 DIVISIBILITY_MAX_N = 12
-
-# per-model caps are data: checks consult this table to trim their ranges
-MODEL_CAPS = {
-    "dumont": DUMONT_MAX_N,
-    "triangles": TRIANGLE_MAX_N,
-    "divisibility": DIVISIBILITY_MAX_N,
-}
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     run("counts-agree", f"n=1..{n_max}", counts_agree)
 
     # (2) brute-force oracles on their own ranges
-    dmax = min(n_max, MODEL_CAPS["dumont"])
+    dmax = min(n_max, DUMONT_MAX_N)
     run(
         "dumont-oracle",
         f"n=1..{dmax}",
@@ -149,7 +153,7 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
         ],
     )
 
-    tmax = min(n_max, MODEL_CAPS["triangles"])
+    tmax = min(n_max, TRIANGLE_MAX_N)
     run(
         "triangle-pairs-oracle",
         f"n=1..{tmax}",
@@ -229,7 +233,7 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     run("viennot-doubling", f"n=0..{n_max}", viennot_doubling)
 
     # (7) power-of-two divisibility
-    dvmax = MODEL_CAPS["divisibility"]
+    dvmax = DIVISIBILITY_MAX_N
     run(
         "divisibility",
         f"n=1..{dvmax}",

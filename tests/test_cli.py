@@ -192,6 +192,17 @@ def test_missing_spec_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_coercible_spec_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    for data in ({"kind": "S", "c": [1.9, True, "3"]}, {"kind": "J", "gamma": [1], "c": [2]}):
+        spec.write_text(json.dumps(data), encoding="utf-8")
+        assert run(["series", "custom", "--spec", str(spec), "--order", "3"]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+    spec.write_text(json.dumps({"kind": "J", "gamma": [1, 2], "lambda": [1]}), encoding="utf-8")
+    assert run(["series", "custom", "--spec", str(spec), "--order", "3"]) == 0
+    assert capsys.readouterr().out.split() == ["1", "1", "2", "5"]
+
+
 def test_resource_limit_exits_3(capsys):
     assert run(["count", "dumont", "--n", "5"]) == 3
     assert run(["enumerate", "dellac", "--n", "9"]) == 3

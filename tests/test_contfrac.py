@@ -18,7 +18,7 @@ from genocchi.contfrac import (
     tilde_h_series,
 )
 from genocchi.exactalg import IntPoly, ONE, q_binomial
-from genocchi.motzkin import WeightSystem, tilde_h, weighted_path_sum
+from genocchi.motzkin import WeightSystem, collect_motzkin, path_weight, tilde_h
 from genocchi.seidel import h_sequence, median_sequence
 
 
@@ -82,10 +82,15 @@ def test_f2_coefficient_law():
 @pytest.mark.parametrize("name", sorted(NAMED_FRACTIONS))
 @pytest.mark.parametrize("order", range(11))
 def test_depth_stability(name, order):
+    # expanding deeper leaves the lower coefficients unchanged
     spec = NAMED_FRACTIONS[name]()
-    default = expand(spec, order)
-    base_depth = (order + 1) // 2 + 1 if isinstance(spec, JFraction) else order + 1
-    assert expand(spec, order, depth=base_depth + 3) == default
+    deeper = expand(spec, order + 3)
+    assert expand(spec, order).coeffs == deeper.coeffs[: order + 1]
+
+
+def test_expansion_is_not_capped_like_an_enumeration(monkeypatch):
+    monkeypatch.setenv("GENOCCHI_MAX_N", "2")
+    assert const_list(expand(fraction_hn(), 20)) == h_sequence(21)
 
 
 def test_negative_order_rejected():
@@ -124,22 +129,28 @@ def test_q1_specialization_matches_plain_fraction():
 
 
 # ---------------------------------------------------------------------------
-# Flajolet: J-fraction coefficients are weighted path sums
+# Flajolet: J-fraction coefficients are weighted path sums, checked here
+# against explicit path enumeration rather than the transfer sweep
 # ---------------------------------------------------------------------------
 
 
-def test_expansion_matches_weighted_path_sums_for_f1():
+def enumerated_path_sum(n, ws):
+    total = sum((path_weight(p, ws) for p in collect_motzkin(n)), IntPoly())
+    return total if isinstance(total, IntPoly) else ONE * total
+
+
+def j_weights(spec):
     # gamma comes from the fraction; the lambdas split as alpha(k) = lam(k+1),
     # beta = 1, since only the product alpha*beta enters
+    return WeightSystem(alpha=lambda m: spec.lam(m + 1), beta=lambda m: ONE, gamma=spec.gamma)
+
+
+def test_expansion_matches_weighted_path_sums_for_f1():
     spec = fraction_f1()
-    ws = WeightSystem(
-        alpha=lambda m: spec.lam(m + 1), beta=lambda m: ONE, gamma=spec.gamma
-    )
     series = expand(spec, 8)
+    ws = j_weights(spec)
     for n in range(9):
-        total = weighted_path_sum(n, ws)
-        total = total if isinstance(total, IntPoly) else ONE * total
-        assert series.coefficient(n) == total
+        assert series.coefficient(n) == enumerated_path_sum(n, ws)
 
 
 def test_expansion_matches_weighted_path_sums_random():
@@ -153,19 +164,16 @@ def test_expansion_matches_weighted_path_sums_random():
     ws = WeightSystem(alpha=lambda m: lams[m], beta=lambda m: 1, gamma=lambda m: gammas[m])
     series = expand(spec, 6)
     for n in range(7):
-        assert series.coefficient(n).constant_term == weighted_path_sum(n, ws)
+        assert series.coefficient(n) == enumerated_path_sum(n, ws)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_FRACTIONS))
 def test_every_named_fraction_is_a_weighted_path_sum(name):
     spec = NAMED_FRACTIONS[name]()
-    j = spec if isinstance(spec, JFraction) else contract_S_to_J(spec)
-    ws = WeightSystem(alpha=lambda m: j.lam(m + 1), beta=lambda m: ONE, gamma=j.gamma)
+    ws = j_weights(spec if isinstance(spec, JFraction) else contract_S_to_J(spec))
     series = expand(spec, 8)
     for n in range(9):
-        total = weighted_path_sum(n, ws)
-        total = total if isinstance(total, IntPoly) else ONE * total
-        assert series.coefficient(n) == total
+        assert series.coefficient(n) == enumerated_path_sum(n, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +251,24 @@ def test_spec_from_dict_rejects_garbage():
         spec_from_dict({"kind": "X"})
     with pytest.raises(TypeError):
         expand(object(), 3)
+
+
+def test_spec_from_dict_is_strict():
+    # no silent coercion of values, no ignored keys
+    for data in (
+        {"kind": "S", "c": [1.9, True, "3"]},
+        {"kind": "S", "c": [1], "c0": True},
+        {"kind": "S", "c": 5},
+        {"kind": "S", "c": [1], "extra": 0},
+        {"kind": "J", "gamma": [1], "c": [1]},
+        {"kind": "J", "lambda": [2.0]},
+        {"kind": ["S"]},
+        {"preset": ["hn"]},
+        {"preset": "hn", "c": [1]},
+        [1, 2],
+    ):
+        with pytest.raises(ValueError):
+            spec_from_dict(data)
 
 
 def test_affine_spec_direct_construction():

@@ -102,9 +102,10 @@ def test_env_cap_override(monkeypatch):
     assert enumerate_dellac(3) == 7
     with pytest.raises(ResourceLimitError):
         enumerate_dellac(4)
-    monkeypatch.setenv("GENOCCHI_MAX_N", "not-a-number")
-    with pytest.raises(ValueError):
-        enumerate_dellac(2)
+    for bad in ("not-a-number", "-5"):
+        monkeypatch.setenv("GENOCCHI_MAX_N", bad)
+        with pytest.raises(ValueError):
+            enumerate_dellac(2)
 
 
 def test_rendering_and_json():
