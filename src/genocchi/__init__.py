@@ -22,29 +22,28 @@ from .exactalg import (
     q_int,
 )
 from .seidel import (
-    SeidelTriangle,
-    build_triangle,
     genocchi_first,
     h_sequence,
     median_genocchi,
     normalized_h,
+    seidel_columns,
 )
-from .dellac import DellacConfig, dellac_length, enumerate_dellac, h_poly_dellac
+from .dellac import DellacConfig, dellac_length, h_poly_dellac, iter_dellac
 from .admissible import (
     AdmissibleSequence,
     GammaGraph,
     count_closed_column_graded,
-    enumerate_admissible,
     is_closed_in_gamma,
+    iter_admissible,
 )
 from .oracles import TrianglePair, count_dumont, count_triangle_pairs
 from .motzkin import (
     MotzkinPath,
     WeightSystem,
-    enumerate_motzkin,
     h_motzkin_rational,
     h_poly_fermionic,
     h_poly_laurent,
+    iter_motzkin,
     tilde_h,
     weighted_path_sum,
 )
@@ -79,11 +78,9 @@ __all__ = [
     "PowerSeries",
     "ResourceLimitError",
     "SFraction",
-    "SeidelTriangle",
     "TrianglePair",
     "WeightSystem",
     "bivar_exact_div_by_unit_const",
-    "build_triangle",
     "contract_S_to_J",
     "contract_S_to_J_affine",
     "count_closed_column_graded",
@@ -91,9 +88,6 @@ __all__ = [
     "count_triangle_pairs",
     "crosscheck",
     "dellac_length",
-    "enumerate_admissible",
-    "enumerate_dellac",
-    "enumerate_motzkin",
     "expand",
     "genocchi_first",
     "h_motzkin_rational",
@@ -104,6 +98,9 @@ __all__ = [
     "hanzeng_C",
     "hanzeng_barc",
     "is_closed_in_gamma",
+    "iter_admissible",
+    "iter_dellac",
+    "iter_motzkin",
     "median_genocchi",
     "normalized_h",
     "poly_exact_div",
@@ -111,6 +108,7 @@ __all__ = [
     "q_binomial",
     "q_factorial",
     "q_int",
+    "seidel_columns",
     "tilde_h",
     "tilde_h_series",
     "weighted_path_sum",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import limits
 
@@ -64,29 +64,24 @@ class AdmissibleSequence:
         return " | ".join(",".join(str(e) for e in s) for s in self.sets()) or "()"
 
 
-def enumerate_admissible(
-    n: int, visit: Callable[[AdmissibleSequence], None] | None = None
-) -> int:
-    """Visit every admissible sequence once and return the count.
+def iter_admissible(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every admissible sequence once as its mask tuple I_1..I_{n-1}.
 
     Construction runs downward from I_{n-1}: the containment condition makes
     the candidates for I_l exactly the l-subsets of I_{l+1} plus the element
     l+1, so no post-filtering is needed.  For n = 1 the single empty sequence
-    is visited.
+    is yielded.  The arguments are checked here, before the first item is
+    asked for.
     """
     if n < 1:
         raise ValueError("n must be positive")
     limits.check_cap("admissible", n)
 
-    count = 0
     stack: list[int] = []  # masks for I_{n-1}, I_{n-2}, ...
 
-    def descend(l: int) -> None:
-        nonlocal count
+    def descend(l: int):
         if l == 0:
-            count += 1
-            if visit is not None:
-                visit(AdmissibleSequence(n, tuple(reversed(stack))))
+            yield tuple(reversed(stack))
             return
         if l == n - 1:
             pool = range(1, n + 1)
@@ -94,17 +89,10 @@ def enumerate_admissible(
             pool = sorted(set(_elems(stack[-1])) | {l + 1})
         for combo in combinations(pool, l):
             stack.append(_mask(combo))
-            descend(l - 1)
+            yield from descend(l - 1)
             stack.pop()
 
-    descend(n - 1)
-    return count
-
-
-def collect_admissible(n: int) -> list[AdmissibleSequence]:
-    out: list[AdmissibleSequence] = []
-    enumerate_admissible(n, out.append)
-    return out
+    return descend(n - 1)
 
 
 @dataclass(frozen=True)
@@ -151,7 +139,7 @@ def count_closed_column_graded(n: int) -> int:
 
     Builds the subset column by column (ascending l), extending only when all
     arrows leaving the previous column land in the candidate column.  This
-    walks the constraint in the opposite direction from enumerate_admissible,
+    walks the constraint in the opposite direction from iter_admissible,
     so the two counts check each other.
     """
     if n < 1:

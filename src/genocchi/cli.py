@@ -15,15 +15,16 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from typing import Sequence
 
 from .contfrac import NAMED_FRACTIONS, expand, spec_from_dict
-from .dellac import enumerate_dellac
-from .admissible import enumerate_admissible
+from .dellac import DellacConfig, iter_dellac
+from .admissible import AdmissibleSequence, iter_admissible
 from .errors import ResourceLimitError
 from .exactalg import IntPoly, PowerSeries
 from .hanzeng import hanzeng_barc
-from .motzkin import enumerate_motzkin, h_poly_fermionic, tilde_h
+from .motzkin import MotzkinPath, h_poly_fermionic, iter_motzkin, tilde_h
 from .oracles import count_dumont, count_triangle_pairs
 from .seidel import genocchi_first_sequence, h_sequence, median_sequence
 from .verify import CROSSCHECK_MAX_N, crosscheck
@@ -87,27 +88,25 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    limit = args.limit if args.limit is not None else None
-    shown = 0
-
-    def emit(text_render: str, json_dict: dict) -> None:
-        nonlocal shown
-        if limit is not None and shown >= limit:
-            return
-        shown += 1
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be nonnegative")
+    walk, build = {
+        "dellac": (iter_dellac, lambda n, item: DellacConfig(n, item[0])),
+        "admissible": (iter_admissible, AdmissibleSequence),
+        "motzkin": (iter_motzkin, lambda n, heights: MotzkinPath(heights)),
+    }[args.model]
+    items = walk(args.n)
+    total = 0
+    for item in islice(items, args.limit):
+        total += 1
+        obj = build(args.n, item)
         if args.json:
-            print(_dump(json_dict))
+            print(_dump(obj.json_dict()))
         else:
-            print(text_render)
+            print(obj.render())
             if args.model == "dellac":
                 print()
-
-    if args.model == "dellac":
-        total = enumerate_dellac(args.n, lambda c: emit(c.render(), c.json_dict()))
-    elif args.model == "admissible":
-        total = enumerate_admissible(args.n, lambda a: emit(a.render(), a.json_dict()))
-    else:
-        total = enumerate_motzkin(args.n, lambda p: emit(p.render(), p.json_dict()))
+    total += sum(1 for _ in items)
 
     if args.json:
         print(_dump({"total": str(total)}))

@@ -4,13 +4,15 @@ generating polynomial.
 A configuration on an n-column, 2n-row grid marks two boxes per column and
 one per row, with every marked box (l, j) satisfying l <= j <= n + l.  The
 number of configurations is h(n); the generating polynomial of the length
-statistic is the q-analogue h_n(q).
+statistic is the q-analogue h_n(q).  The enumeration yields plain row-pair
+tuples and keeps the length statistic as it walks; DellacConfig validates a
+configuration only where one is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import limits
 from .exactalg import IntPoly
@@ -59,13 +61,16 @@ def _row_window(n: int, col: int) -> tuple[int, int]:
     return col, n + col
 
 
-def enumerate_dellac(n: int, visit: Callable[[DellacConfig], None] | None = None) -> int:
-    """Visit every configuration once, in lexicographic order of the
-    flattened row-pair sequence, and return the count.
+def iter_dellac(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """Yield every configuration once as (columns, length), in lexicographic
+    order of the flattened row-pair sequence.
 
     Backtracks column by column, picking two unused rows inside the column's
     band; a branch dies as soon as some row at or below the current column
-    index is still unused (no later column can reach it).
+    index is still unused (no later column can reach it).  The length grows
+    as the walk descends: rows a < b in column col add one inversion for
+    every row above a, and every row above b, used by an earlier column.
+    The arguments are checked here, before the first item is asked for.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
@@ -73,36 +78,25 @@ def enumerate_dellac(n: int, visit: Callable[[DellacConfig], None] | None = None
 
     used = bytearray(2 * n + 2)
     chosen: list[tuple[int, int]] = []
-    count = 0
 
-    def descend(col: int) -> None:
-        nonlocal count
+    def descend(col: int, length: int):
         if col > n:
-            count += 1
-            if visit is not None:
-                visit(DellacConfig(n, tuple(chosen)))
+            yield tuple(chosen), length
             return
         lo, hi = _row_window(n, col)
         free = [j for j in range(lo, min(hi, 2 * n) + 1) if not used[j]]
         for a_idx, a in enumerate(free):
             if a > col and not used[col]:
                 break  # row col is reachable by this column only; it would go dead
+            with_a = length + sum(used[a + 1 :])
             for b in free[a_idx + 1 :]:
                 used[a] = used[b] = 1
                 chosen.append((a, b))
-                descend(col + 1)
+                yield from descend(col + 1, with_a + sum(used[b + 1 :]))
                 chosen.pop()
                 used[a] = used[b] = 0
 
-    descend(1)
-    return count
-
-
-def collect_dellac(n: int) -> list[DellacConfig]:
-    """Materialize the full enumeration; intended for small n."""
-    out: list[DellacConfig] = []
-    enumerate_dellac(n, out.append)
-    return out
+    return descend(1, 0)
 
 
 def dellac_length(config: DellacConfig) -> int:
@@ -119,11 +113,7 @@ def dellac_length(config: DellacConfig) -> int:
 def h_poly_dellac(n: int) -> IntPoly:
     """Generating polynomial of the length statistic over all configurations."""
     counts: dict[int, int] = {}
-
-    def tally(config: DellacConfig) -> None:
-        stat = dellac_length(config)
+    for _, stat in iter_dellac(n):
         counts[stat] = counts.get(stat, 0) + 1
-
-    enumerate_dellac(n, tally)
     top = max(counts)
     return IntPoly(tuple(counts.get(i, 0) for i in range(top + 1)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InexactDivisionError, InternalInconsistencyError
+from .errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
 from .exactalg import (
     BivarPoly,
     IntPoly,
@@ -20,6 +20,8 @@ from .exactalg import (
     bivar_exact_div_by_unit_const,
     poly_exact_div,
 )
+
+HANZENG_MAX_N = 48  # each step grows both degrees, so the cost climbs steeply past this
 
 _X = BivarPoly((IntPoly(), ONE))
 _ONE_PLUS_QX = BivarPoly((ONE, Q))
@@ -31,6 +33,8 @@ def hanzeng_C(n: int) -> BivarPoly:
     """The n-th recurrence polynomial in x and q."""
     if n < 1:
         raise ValueError("index must be positive")
+    if n > HANZENG_MAX_N:
+        raise ResourceLimitError(f"Han-Zeng recurrence capped at n={HANZENG_MAX_N}")
     if n == 1:
         return BivarPoly((ONE,))
     prev = hanzeng_C(n - 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import limits
 from .errors import InternalInconsistencyError
@@ -59,40 +59,28 @@ class MotzkinPath:
         return {"n": self.n, "heights": list(self.heights)}
 
 
-def enumerate_motzkin(
-    n: int, visit: Callable[[MotzkinPath], None] | None = None
-) -> int:
-    """Visit every length-n path once (next height tried in order
-    fall < level < rise) and return the count."""
+def iter_motzkin(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the height tuple of every length-n path once (next height tried
+    in order fall < level < rise).  The arguments are checked here, before
+    the first item is asked for."""
     if n < 0:
         raise ValueError("path length must be nonnegative")
     limits.check_cap("motzkin", n)
-    count = 0
     heights = [0]
 
-    def step(k: int) -> None:
-        nonlocal count
+    def step(k: int):
         if k == n:
             if heights[-1] == 0:
-                count += 1
-                if visit is not None:
-                    visit(MotzkinPath(tuple(heights)))
+                yield tuple(heights)
             return
         h = heights[-1]
         for nxt in (h - 1, h, h + 1):
             if 0 <= nxt <= n - k - 1:
                 heights.append(nxt)
-                step(k + 1)
+                yield from step(k + 1)
                 heights.pop()
 
-    step(0)
-    return count
-
-
-def collect_motzkin(n: int) -> list[MotzkinPath]:
-    out: list[MotzkinPath] = []
-    enumerate_motzkin(n, out.append)
-    return out
+    return step(0)
 
 
 @dataclass(frozen=True)
@@ -187,15 +175,12 @@ def h_motzkin_rational(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     total = Fraction(0)
-
-    def add(path: MotzkinPath) -> None:
-        nonlocal total
+    for f in iter_motzkin(n):
         num = 1
-        for f in path.heights:
-            num *= (1 + f) * (1 + f)
-        total += Fraction(num, 1 << path.rises_plus_falls())
-
-    enumerate_motzkin(n, add)
+        for v in f:
+            num *= (1 + v) * (1 + v)
+        rises_plus_falls = sum(1 for a, b in zip(f, f[1:]) if a != b)
+        total += Fraction(num, 1 << rises_plus_falls)
     if total.denominator != 1:
         raise InternalInconsistencyError(f"rational path sum for n={n} is {total}")
     return total.numerator
@@ -221,10 +206,7 @@ def h_poly_fermionic(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("n must be positive")
     total = IntPoly()
-
-    def add(path: MotzkinPath) -> None:
-        nonlocal total
-        f = path.heights
+    for f in iter_motzkin(n):
         expo = fermionic_exponent(f)
         if expo < 0:
             raise InternalInconsistencyError(
@@ -235,8 +217,6 @@ def h_poly_fermionic(n: int) -> IntPoly:
             term = term * q_binomial_or_zero(1 + f[k - 1], f[k])
             term = term * q_binomial_or_zero(1 + f[k + 1], f[k])
         total = total + term.shift(expo)
-
-    enumerate_motzkin(n, add)
     return total
 
 

@@ -7,108 +7,86 @@ from the bottom up.  The two edges give the Genocchi numbers of the first
 kind g(n, 2n-1) and the median Genocchi numbers H(2n-1) = g(1, 2n); the
 normalized values h(n) = H(2n+1) / 2^n are integers (Barsky-Dumont), which
 this module asserts rather than proves.
+
+Columns are produced as running sums of the one before, so a sweep through
+N columns costs O(N^2) additions and keeps a single column alive.  Nothing
+is cached: every call sweeps afresh from g(1,1).
 """
 
 from __future__ import annotations
 
-import threading
+from itertools import accumulate, islice
+from typing import Iterator
 
 from .errors import InternalInconsistencyError
 
 
-class SeidelTriangle:
-    """Immutable triangle of g(k, n) values through a fixed number of columns."""
+def seidel_columns(n_columns: int) -> Iterator[tuple[int, ...]]:
+    """Yield columns 1..n_columns, each bottom row first.
 
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: tuple):
-        object.__setattr__(self, "columns", columns)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeidelTriangle is immutable")
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    def column(self, n: int) -> tuple:
-        """Column n (1-based), entries bottom row first."""
-        if not 1 <= n <= self.width:
-            raise ValueError(f"column {n} not built (width {self.width})")
-        return self.columns[n - 1]
-
-    def entry(self, k: int, n: int) -> int:
-        col = self.column(n)
-        if not 1 <= k <= len(col):
-            raise ValueError(f"row {k} out of range for column {n}")
-        return col[k - 1]
-
-
-def build_triangle(n_columns: int) -> SeidelTriangle:
-    """Fill the triangle through the requested column count."""
+    An even column holds the suffix sums of the previous column; an odd
+    column holds its prefix sums, with the top entry repeating the total.
+    The argument is checked here, before the first column is asked for.
+    """
     if n_columns < 1:
         raise ValueError("need at least one column")
-    cols = [(1,)]
+    return _sweep(n_columns)
+
+
+def _sweep(n_columns: int) -> Iterator[tuple[int, ...]]:
+    col: tuple[int, ...] = (1,)
+    yield col
     for n in range(2, n_columns + 1):
-        prev = cols[-1]
-        height = (n + 1) // 2
         if n % 2 == 0:
-            col = tuple(sum(prev[k:]) for k in range(height))
+            col = tuple(accumulate(reversed(col)))[::-1]
         else:
-            # the top entry of an odd column sums the whole previous column
-            col = tuple(sum(prev[: min(k + 1, len(prev))]) for k in range(height))
-        cols.append(col)
-    return SeidelTriangle(tuple(cols))
+            col = tuple(accumulate(col))
+            col += (col[-1],)
+        yield col
 
 
-_cache_lock = threading.Lock()
-_cache = build_triangle(4)
+def genocchi_first_sequence(count: int) -> list[int]:
+    """Genocchi numbers of the first kind g(n, 2n-1) for n = 1..count."""
+    if count < 1:
+        return []
+    return [col[-1] for col in islice(seidel_columns(2 * count - 1), 0, None, 2)]
 
 
-def _triangle(n_columns: int) -> SeidelTriangle:
-    global _cache
-    if _cache.width < n_columns:
-        with _cache_lock:
-            if _cache.width < n_columns:
-                _cache = build_triangle(max(n_columns, 2 * _cache.width))
-    return _cache
+def median_sequence(count: int) -> list[int]:
+    """H(1), H(3), ..., H(2*count - 1)."""
+    if count < 1:
+        return []
+    return [col[0] for col in islice(seidel_columns(2 * count), 1, None, 2)]
+
+
+def h_sequence(count: int) -> list[int]:
+    """h(0), h(1), ..., h(count-1)."""
+    values = []
+    for n, big in enumerate(median_sequence(count)):
+        if big % (1 << n):
+            raise InternalInconsistencyError(
+                f"H({2 * n + 1}) = {big} is not divisible by 2^{n}"
+            )
+        values.append(big >> n)
+    return values
 
 
 def genocchi_first(n: int) -> int:
     """Genocchi number of the first kind, the edge entry g(n, 2n-1)."""
     if n < 1:
         raise ValueError("index must be positive")
-    return _triangle(2 * n - 1).entry(n, 2 * n - 1)
+    return genocchi_first_sequence(n)[-1]
 
 
 def median_genocchi(n: int) -> int:
     """Median Genocchi number H(2n-1) = g(1, 2n)."""
     if n < 1:
         raise ValueError("index must be positive")
-    return _triangle(2 * n).entry(1, 2 * n)
+    return median_sequence(n)[-1]
 
 
 def normalized_h(n: int) -> int:
     """Normalized median Genocchi number h(n) = H(2n+1) / 2^n."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    big = median_genocchi(n + 1)
-    if big % (1 << n):
-        raise InternalInconsistencyError(
-            f"H({2 * n + 1}) = {big} is not divisible by 2^{n}"
-        )
-    return big >> n
-
-
-def h_sequence(count: int) -> list[int]:
-    """h(0), h(1), ..., h(count-1)."""
-    return [normalized_h(n) for n in range(count)]
-
-
-def median_sequence(count: int) -> list[int]:
-    """H(1), H(3), ..., H(2*count - 1)."""
-    return [median_genocchi(n) for n in range(1, count + 1)]
-
-
-def genocchi_first_sequence(count: int) -> list[int]:
-    return [genocchi_first(n) for n in range(1, count + 1)]
+    return h_sequence(n + 1)[-1]

@@ -3,38 +3,41 @@ import pytest
 from genocchi.admissible import (
     AdmissibleSequence,
     GammaGraph,
-    collect_admissible,
     count_closed_column_graded,
-    enumerate_admissible,
     is_closed_in_gamma,
+    iter_admissible,
 )
 from genocchi.errors import ResourceLimitError
 from genocchi.seidel import normalized_h
 
 
+def sequences(n):
+    return [AdmissibleSequence(n, masks) for masks in iter_admissible(n)]
+
+
 def test_n1_is_the_empty_sequence():
-    seqs = collect_admissible(1)
+    seqs = sequences(1)
     assert len(seqs) == 1
     assert seqs[0].sets() == ()
 
 
 def test_n2_lists_both_singletons():
-    seqs = collect_admissible(2)
+    seqs = sequences(2)
     assert sorted(s.sets() for s in seqs) == [((1,),), ((2,),)]
 
 
 def test_n3_count():
-    assert enumerate_admissible(3) == 7
+    assert sum(1 for _ in iter_admissible(3)) == 7
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_counts_match_the_triangle(n):
-    assert enumerate_admissible(n) == normalized_h(n)
+    assert sum(1 for _ in iter_admissible(n)) == normalized_h(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_closed_subset_count_agrees(n):
-    assert count_closed_column_graded(n) == enumerate_admissible(n)
+    assert count_closed_column_graded(n) == sum(1 for _ in iter_admissible(n))
 
 
 def test_closed_subset_golden_values():
@@ -57,15 +60,15 @@ def test_validation_enforces_sizes_and_containment():
 
 
 def test_containment_condition_on_the_visited_stream():
-    for seq in collect_admissible(5):
+    for seq in sequences(5):
         sets = [set(s) for s in seq.sets()]
         for l in range(len(sets) - 1):
             assert sets[l] <= sets[l + 1] | {l + 2}
 
 
 def test_visit_order_is_deterministic():
-    a = [s.sets() for s in collect_admissible(5)]
-    b = [s.sets() for s in collect_admissible(5)]
+    a = [s.sets() for s in sequences(5)]
+    b = [s.sets() for s in sequences(5)]
     assert a == b
 
 
@@ -73,7 +76,7 @@ def test_subset_map_is_injective_and_lands_on_closed_sets():
     n = 5
     graph = GammaGraph(n)
     images = set()
-    for seq in collect_admissible(n):
+    for seq in sequences(n):
         vertices = frozenset(
             (l, j) for l, s in enumerate(seq.sets(), start=1) for j in s
         )
@@ -105,10 +108,11 @@ def test_gamma_graph_arrows_match_the_rule():
 
 
 def test_resource_limit_and_domain_errors():
+    # the enumeration's checks fire at the call, before anything is iterated
     with pytest.raises(ResourceLimitError):
-        enumerate_admissible(9)
+        iter_admissible(9)
     with pytest.raises(ValueError):
-        enumerate_admissible(0)
+        iter_admissible(0)
     with pytest.raises(ResourceLimitError):
         count_closed_column_graded(9)
 

@@ -1,4 +1,9 @@
+import io
 import json
+from contextlib import redirect_stdout
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
 
 from genocchi import dellac
 from genocchi.cli import run
@@ -6,6 +11,18 @@ from genocchi.cli import run
 
 def lines_of(capsys):
     return capsys.readouterr().out.splitlines()
+
+
+def output_lines(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(argv) == 0
+    return buf.getvalue().splitlines()
+
+
+@lru_cache(maxsize=None)
+def unlimited_json(model, n):
+    return tuple(output_lines(["enumerate", model, "--n", str(n), "--json"]))
 
 
 def test_seq_h_golden(capsys):
@@ -77,6 +94,30 @@ def test_enumerate_dellac_json_stream(capsys):
     first = json.loads(out[0])
     assert first == {"n": 3, "columns": [[1, 2], [3, 4], [5, 6]]}
     assert json.loads(out[-1]) == {"total": "7"}
+
+
+def test_enumerate_limit_zero_prints_only_the_total(capsys):
+    assert run(["enumerate", "dellac", "--n", "3", "--limit", "0"]) == 0
+    assert lines_of(capsys) == ["total 7"]
+
+
+def test_negative_limit_exits_2(capsys):
+    assert run(["enumerate", "dellac", "--n", "3", "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --limit must be nonnegative\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(["dellac", "admissible", "motzkin"]),
+    n=st.integers(min_value=1, max_value=5),
+    k=st.integers(min_value=0, max_value=400),
+)
+def test_limit_prints_a_prefix_and_the_full_total(model, n, k):
+    full = unlimited_json(model, n)
+    limited = output_lines(["enumerate", model, "--n", str(n), "--limit", str(k), "--json"])
+    assert limited == list(full[: min(k, len(full) - 1)]) + [full[-1]]
 
 
 def test_enumerate_admissible_and_motzkin(capsys):
@@ -206,7 +247,10 @@ def test_coercible_spec_exits_2(tmp_path, capsys):
 def test_resource_limit_exits_3(capsys):
     assert run(["count", "dumont", "--n", "5"]) == 3
     assert run(["enumerate", "dellac", "--n", "9"]) == 3
-    capsys.readouterr()
+    assert run(["poly", "barc", "--n", "1200"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: Han-Zeng recurrence capped at n=48"
+    )
 
 
 def test_env_cap_reaches_the_cli(monkeypatch, capsys):

@@ -18,7 +18,7 @@ from genocchi.contfrac import (
     tilde_h_series,
 )
 from genocchi.exactalg import IntPoly, ONE, q_binomial
-from genocchi.motzkin import WeightSystem, collect_motzkin, path_weight, tilde_h
+from genocchi.motzkin import MotzkinPath, WeightSystem, iter_motzkin, path_weight, tilde_h
 from genocchi.seidel import h_sequence, median_sequence
 
 
@@ -135,7 +135,7 @@ def test_q1_specialization_matches_plain_fraction():
 
 
 def enumerated_path_sum(n, ws):
-    total = sum((path_weight(p, ws) for p in collect_motzkin(n)), IntPoly())
+    total = sum((path_weight(MotzkinPath(h), ws) for h in iter_motzkin(n)), IntPoly())
     return total if isinstance(total, IntPoly) else ONE * total
 
 

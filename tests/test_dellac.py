@@ -2,10 +2,9 @@ import pytest
 
 from genocchi.dellac import (
     DellacConfig,
-    collect_dellac,
     dellac_length,
-    enumerate_dellac,
     h_poly_dellac,
+    iter_dellac,
 )
 from genocchi.errors import ResourceLimitError
 from genocchi.exactalg import IntPoly
@@ -23,20 +22,23 @@ CATALOGUE_3 = [
 ]
 
 
+def configs(n):
+    return [DellacConfig(n, columns) for columns, _ in iter_dellac(n)]
+
+
 def test_single_column_case_is_forced():
-    configs = collect_dellac(1)
-    assert [c.columns for c in configs] == [((1, 2),)]
-    assert dellac_length(configs[0]) == 0
+    assert list(iter_dellac(1)) == [(((1, 2),), 0)]
+    assert dellac_length(configs(1)[0]) == 0
 
 
 def test_three_column_catalogue():
-    got = [c.columns for c in collect_dellac(3)]
+    got = [columns for columns, _ in iter_dellac(3)]
     assert sorted(got) == sorted(CATALOGUE_3)
 
 
 def test_enumeration_order_is_lexicographic_and_stable():
-    first = [c.columns for c in collect_dellac(4)]
-    second = [c.columns for c in collect_dellac(4)]
+    first = [columns for columns, _ in iter_dellac(4)]
+    second = [columns for columns, _ in iter_dellac(4)]
     assert first == second
     flattened = [tuple(j for pair in cols for j in pair) for cols in first]
     assert flattened == sorted(flattened)
@@ -44,7 +46,7 @@ def test_enumeration_order_is_lexicographic_and_stable():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_counts_match_the_triangle(n):
-    assert enumerate_dellac(n) == normalized_h(n)
+    assert sum(1 for _ in iter_dellac(n)) == normalized_h(n)
 
 
 def test_length_statistic_golden_values():
@@ -52,7 +54,7 @@ def test_length_statistic_golden_values():
     assert dellac_length(staircase) == 0
     crossing = DellacConfig(3, ((1, 4), (2, 5), (3, 6)))
     assert dellac_length(crossing) == 3
-    lengths = sorted(dellac_length(c) for c in collect_dellac(3))
+    lengths = sorted(dellac_length(c) for c in configs(3))
     assert lengths == [0, 1, 1, 2, 2, 2, 3]
 
 
@@ -83,29 +85,30 @@ def test_validation_rejects_bad_configurations():
         DellacConfig(2, ((1, 4), (2, 3)))  # row 4 outside column 1's band
 
 
-def test_visitor_sees_valid_objects():
-    seen = []
-    total = enumerate_dellac(4, seen.append)
-    assert total == len(seen) == 38
-    assert all(isinstance(c, DellacConfig) for c in seen)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_yielded_configurations_validate_and_carry_their_length(n):
+    # the walk's incremental length against the O(n^2) reference count
+    for columns, length in iter_dellac(n):
+        assert length == dellac_length(DellacConfig(n, columns))
 
 
 def test_resource_limit():
+    # the checks fire at the call, before anything is iterated
     with pytest.raises(ResourceLimitError):
-        enumerate_dellac(9)
+        iter_dellac(9)
     with pytest.raises(ValueError):
-        enumerate_dellac(0)
+        iter_dellac(0)
 
 
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("GENOCCHI_MAX_N", "3")
-    assert enumerate_dellac(3) == 7
+    assert sum(1 for _ in iter_dellac(3)) == 7
     with pytest.raises(ResourceLimitError):
-        enumerate_dellac(4)
+        iter_dellac(4)
     for bad in ("not-a-number", "-5"):
         monkeypatch.setenv("GENOCCHI_MAX_N", bad)
         with pytest.raises(ValueError):
-            enumerate_dellac(2)
+            iter_dellac(2)
 
 
 def test_rendering_and_json():

@@ -1,7 +1,8 @@
 import pytest
 
+from genocchi.errors import ResourceLimitError
 from genocchi.exactalg import BivarPoly, IntPoly, ONE, Q
-from genocchi.hanzeng import hanzeng_C, hanzeng_barc
+from genocchi.hanzeng import HANZENG_MAX_N, hanzeng_C, hanzeng_barc
 from genocchi.motzkin import tilde_h
 from genocchi.seidel import normalized_h
 
@@ -58,3 +59,12 @@ def test_domain_errors():
         hanzeng_C(0)
     with pytest.raises(ValueError):
         hanzeng_barc(0)
+
+
+def test_recurrence_is_bounded():
+    # raised before any recursion, so a huge index cannot exhaust the stack
+    for n in (HANZENG_MAX_N + 1, 1200):
+        with pytest.raises(ResourceLimitError):
+            hanzeng_C(n)
+        with pytest.raises(ResourceLimitError):
+            hanzeng_barc(n)

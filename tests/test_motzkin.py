@@ -10,13 +10,12 @@ from genocchi.dellac import h_poly_dellac
 from genocchi.motzkin import (
     MotzkinPath,
     WeightSystem,
-    collect_motzkin,
-    enumerate_motzkin,
     fermionic_exponent,
     h_motzkin_rational,
     h_poly_fermionic,
     h_poly_laurent,
     integer_weight_system,
+    iter_motzkin,
     laurent_weight_system,
     path_weight,
     q_binomial_or_zero,
@@ -28,6 +27,10 @@ from genocchi.seidel import normalized_h
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]
 
 H5_POLY = IntPoly((1, 4, 12, 25, 43, 57, 62, 50, 30, 10, 1))
+
+
+def paths(n):
+    return [MotzkinPath(heights) for heights in iter_motzkin(n)]
 
 
 def motzkin_by_convolution(top):
@@ -43,18 +46,18 @@ def test_counts_match_convolution_recurrence():
     oracle = motzkin_by_convolution(12)
     assert oracle == MOTZKIN_NUMBERS
     for n in range(11):
-        assert enumerate_motzkin(n) == oracle[n]
+        assert sum(1 for _ in iter_motzkin(n)) == oracle[n]
 
 
 def test_path_listing_for_n3():
-    paths = [p.heights for p in collect_motzkin(3)]
-    assert sorted(paths) == [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0)]
-    assert paths == [p.heights for p in collect_motzkin(3)]  # deterministic
+    listed = list(iter_motzkin(3))
+    assert sorted(listed) == [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0)]
+    assert listed == list(iter_motzkin(3))  # deterministic
 
 
 def test_empty_path():
-    assert enumerate_motzkin(0) == 1
-    assert collect_motzkin(0)[0].heights == (0,)
+    assert list(iter_motzkin(0)) == [(0,)]
+    assert paths(0)[0].heights == (0,)
 
 
 def test_path_validation():
@@ -97,7 +100,7 @@ def test_dp_equals_explicit_enumeration():
     tables = [{m: rng.randint(-4, 4) for m in range(8)} for _ in range(3)]
     ws = WeightSystem(tables[0].__getitem__, tables[1].__getitem__, tables[2].__getitem__)
     for n in range(7):
-        explicit = sum(path_weight(p, ws) for p in collect_motzkin(n))
+        explicit = sum(path_weight(p, ws) for p in paths(n))
         assert weighted_path_sum(n, ws) == explicit
 
 
@@ -108,7 +111,7 @@ def test_dp_equals_explicit_enumeration():
 
 def test_rational_terms_for_n3():
     ws_terms = []
-    for p in collect_motzkin(3):
+    for p in paths(3):
         num = 1
         for f in p.heights:
             num *= (1 + f) ** 2
@@ -132,7 +135,7 @@ def test_rational_terms_match_integer_weights_pathwise():
     # and the rise/fall count is always even on a closed path
     ws = integer_weight_system()
     for n in range(1, 9):
-        for p in collect_motzkin(n):
+        for p in paths(n):
             assert p.rises_plus_falls() % 2 == 0
             num = 1
             for f in p.heights:
@@ -160,7 +163,7 @@ def test_fermionic_equals_dellac_statistic(n):
 
 def test_exponent_nonnegative_and_shift_identity():
     for n in range(1, 11):
-        for p in collect_motzkin(n):
+        for p in paths(n):
             f = p.heights
             expo = fermionic_exponent(f)
             assert expo >= 0
@@ -241,8 +244,11 @@ def test_tilde_golden_values():
 
 
 def test_resource_limits():
+    # the enumeration's checks fire at the call, before anything is iterated
     with pytest.raises(ResourceLimitError):
-        enumerate_motzkin(15)
+        iter_motzkin(15)
+    with pytest.raises(ValueError):
+        iter_motzkin(-1)
     with pytest.raises(ResourceLimitError):
         weighted_path_sum(15, integer_weight_system())
     with pytest.raises(ValueError):

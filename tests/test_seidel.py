@@ -1,13 +1,13 @@
 import pytest
 
 from genocchi.seidel import (
-    build_triangle,
     genocchi_first,
     genocchi_first_sequence,
     h_sequence,
     median_genocchi,
     median_sequence,
     normalized_h,
+    seidel_columns,
 )
 
 # first ten columns, bottom row first, as printed in the standard triangle
@@ -40,35 +40,35 @@ def independent_triangle(n_columns):
 
 
 def test_first_ten_columns_match_the_printed_triangle():
-    tri = build_triangle(10)
-    assert list(tri.columns) == [tuple(col) for col in TRIANGLE_10]
+    assert list(seidel_columns(10)) == [tuple(col) for col in TRIANGLE_10]
 
 
 def test_named_entry_sums():
-    tri = build_triangle(10)
-    assert tri.entry(3, 9) == 138 == 56 + 48 + 34
-    assert tri.entry(2, 8) == 48 == 14 + 17 + 17
-    assert tri.column(1) == (1,)
+    cols = list(seidel_columns(10))
+    assert cols[9 - 1][3 - 1] == 138 == 56 + 48 + 34
+    assert cols[8 - 1][2 - 1] == 48 == 14 + 17 + 17
+    assert cols[0] == (1,)
 
 
 def test_column_sum_consistency_through_24():
-    tri = build_triangle(24)
+    cols = list(seidel_columns(24))
+    assert len(cols) == 24
     for n in range(2, 25):
-        prev = tri.column(n - 1)
+        prev = cols[n - 2]
         height = (n + 1) // 2
         if n % 2 == 0:
             rebuilt = tuple(sum(prev[k - 1 :]) for k in range(1, height + 1))
         else:
             rebuilt = tuple(sum(prev[: min(k, len(prev))]) for k in range(1, height + 1))
-        assert tri.column(n) == rebuilt
+        assert cols[n - 1] == rebuilt
 
 
 def test_matches_independent_implementation():
-    g = independent_triangle(20)
-    tri = build_triangle(20)
-    for n in range(1, 21):
-        for k in range(1, (n + 1) // 2 + 1):
-            assert tri.entry(k, n) == g[(k, n)]
+    g = independent_triangle(30)
+    for n, col in enumerate(seidel_columns(30), start=1):
+        assert len(col) == (n + 1) // 2
+        for k, value in enumerate(col, start=1):
+            assert value == g[(k, n)]
 
 
 def test_genocchi_first_golden():
@@ -97,21 +97,10 @@ def test_divisibility_through_12():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        build_triangle(0)
+        seidel_columns(0)  # fires at the call, before anything is iterated
     with pytest.raises(ValueError):
         genocchi_first(0)
     with pytest.raises(ValueError):
         median_genocchi(0)
     with pytest.raises(ValueError):
         normalized_h(-1)
-    with pytest.raises(ValueError):
-        build_triangle(4).entry(3, 4)
-
-
-def test_cache_growth_is_safe_under_threads():
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(normalized_h, [20] * 16))
-    assert len(set(results)) == 1
-    assert results[0] == normalized_h(20)
