@@ -32,6 +32,12 @@ from .verify import CROSSCHECK_MAX_N, crosscheck
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
+# fixed bounds, checked before any work: not far past 900 terms the values
+# outgrow Python's 4300-digit limit on int-to-str conversion, and the cost of
+# a q-fraction expansion climbs steeply with the order
+SEQ_MAX_COUNT = 900
+SERIES_MAX_ORDER = 64
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -65,6 +71,8 @@ def _print_series(series: PowerSeries, as_json: bool) -> None:
 def _cmd_seq(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be positive")
+    if args.count > SEQ_MAX_COUNT:
+        raise ResourceLimitError(f"seq --count capped at {SEQ_MAX_COUNT}, got {args.count}")
     values = {
         "h": h_sequence,
         "H": median_sequence,
@@ -91,7 +99,7 @@ def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
     walk, build = {
-        "dellac": (iter_dellac, lambda n, item: DellacConfig(n, item[0])),
+        "dellac": (iter_dellac, DellacConfig),
         "admissible": (iter_admissible, AdmissibleSequence),
         "motzkin": (iter_motzkin, lambda n, heights: MotzkinPath(heights)),
     }[args.model]
@@ -122,6 +130,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.order > SERIES_MAX_ORDER:
+        raise ResourceLimitError(f"series --order capped at {SERIES_MAX_ORDER}, got {args.order}")
     if args.name == "custom":
         if not args.spec:
             raise ValueError("series custom requires --spec FILE")

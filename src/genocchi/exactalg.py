@@ -272,13 +272,19 @@ def q_binomial(m: int, n: int) -> IntPoly:
 
     Computed by the q-Pascal recurrence, which is division-free and keeps
     every intermediate value integral.  Degree is n*(m-n); the value at
-    q=1 is the ordinary binomial coefficient.
+    q=1 is the ordinary binomial coefficient.  The rows are built in a loop,
+    so no recursion depth grows with m.
     """
     if n < 0 or m < 0 or n > m:
         raise ValueError(f"q_binomial requires 0 <= n <= m, got m={m}, n={n}")
-    if n == 0 or n == m:
-        return ONE
-    return q_binomial(m - 1, n - 1) + q_binomial(m - 1, n).shift(n)
+    n = min(n, m - n)  # [m choose n]_q = [m choose m-n]_q; a shorter row is cheaper
+    # after j passes row[i] = [i+j choose i]_q, by
+    # [i+j choose i]_q = [i+j-1 choose i-1]_q + q^i [i+j-1 choose i]_q
+    row = [ONE] * (n + 1)
+    for _ in range(m - n):
+        for i in range(1, n + 1):
+            row[i] = row[i - 1] + row[i].shift(i)
+    return row[n]
 
 
 # ---------------------------------------------------------------------------

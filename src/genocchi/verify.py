@@ -13,8 +13,10 @@ Each identity compares two code paths that share no route-specific code
                     contraction (S-fractions never expand via contract_S_to_J)
   q1-hn-series      Motzkin walk of f1 at q=1 vs Dyck walk of the integer hn
   viennot-doubling  Dyck walk vs the Seidel triangle
-  hq-three-way      Dellac vs fermionic enumeration vs Laurent-weight sweep
-  counts-agree      every enumeration and the integer-weight sweep vs Seidel
+  hq-three-way      Dellac used-row transfer sweep (h_poly_dellac) vs fermionic
+                    enumeration vs Laurent-weight sweep
+  counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
+                    transfer sweep and the integer-weight sweep vs Seidel
 """
 
 from __future__ import annotations

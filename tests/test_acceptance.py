@@ -92,7 +92,7 @@ def test_criterion_03_six_way_count_agreement():
 
 
 def test_criterion_04_dellac_catalogue():
-    configs = [DellacConfig(3, columns) for columns, _ in iter_dellac(3)]
+    configs = [DellacConfig(3, columns) for columns in iter_dellac(3)]
     assert {c.columns for c in configs} == CATALOGUE_3
     assert sorted(dellac_length(c) for c in configs) == [0, 1, 1, 2, 2, 2, 3]
     assert h_poly_dellac(3) == IntPoly((1, 2, 3, 1))

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from genocchi.admissible import (
@@ -38,6 +40,21 @@ def test_counts_match_the_triangle(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_closed_subset_count_agrees(n):
     assert count_closed_column_graded(n) == sum(1 for _ in iter_admissible(n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_closed_subset_count_matches_brute_force(n):
+    # every column-graded subset, tested for closure vertex by vertex
+    graph = GammaGraph(n)
+    columns = [combinations(range(1, n + 1), l) for l in range(1, n)]
+    closed = sum(
+        1
+        for choice in product(*columns)
+        if is_closed_in_gamma(
+            [(l, j) for l, col in enumerate(choice, start=1) for j in col], graph
+        )
+    )
+    assert count_closed_column_graded(n) == closed
 
 
 def test_closed_subset_golden_values():
@@ -115,6 +132,8 @@ def test_resource_limit_and_domain_errors():
         iter_admissible(0)
     with pytest.raises(ResourceLimitError):
         count_closed_column_graded(9)
+    with pytest.raises(ValueError):
+        count_closed_column_graded(0)
 
 
 def test_json_shape():

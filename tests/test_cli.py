@@ -6,7 +6,7 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 from genocchi import dellac
-from genocchi.cli import run
+from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, run
 
 
 def lines_of(capsys):
@@ -251,6 +251,27 @@ def test_resource_limit_exits_3(capsys):
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: Han-Zeng recurrence capped at n=48"
     )
+
+
+def test_seq_count_is_bounded(capsys):
+    # H has the largest terms of the three sequences
+    assert run(["seq", "H", "--count", str(SEQ_MAX_COUNT), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["values"]) == SEQ_MAX_COUNT
+    for name in ("H", "h", "genocchi1"):
+        assert run(["seq", name, "--count", str(SEQ_MAX_COUNT + 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seq --count capped at 900, got {SEQ_MAX_COUNT + 1}\n"
+
+
+def test_series_order_is_bounded(capsys):
+    assert run(["series", "hn", "--order", str(SERIES_MAX_ORDER)]) == 0
+    assert len(capsys.readouterr().out.split()) == SERIES_MAX_ORDER + 1
+    for name in ("f1", "custom"):  # refused before the spec file is looked for
+        assert run(["series", name, "--order", str(SERIES_MAX_ORDER + 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: series --order capped at 64, got {SERIES_MAX_ORDER + 1}\n"
 
 
 def test_env_cap_reaches_the_cli(monkeypatch, capsys):

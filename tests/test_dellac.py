@@ -23,22 +23,22 @@ CATALOGUE_3 = [
 
 
 def configs(n):
-    return [DellacConfig(n, columns) for columns, _ in iter_dellac(n)]
+    return [DellacConfig(n, columns) for columns in iter_dellac(n)]
 
 
 def test_single_column_case_is_forced():
-    assert list(iter_dellac(1)) == [(((1, 2),), 0)]
+    assert list(iter_dellac(1)) == [((1, 2),)]
     assert dellac_length(configs(1)[0]) == 0
 
 
 def test_three_column_catalogue():
-    got = [columns for columns, _ in iter_dellac(3)]
+    got = list(iter_dellac(3))
     assert sorted(got) == sorted(CATALOGUE_3)
 
 
 def test_enumeration_order_is_lexicographic_and_stable():
-    first = [columns for columns, _ in iter_dellac(4)]
-    second = [columns for columns, _ in iter_dellac(4)]
+    first = list(iter_dellac(4))
+    second = list(iter_dellac(4))
     assert first == second
     flattened = [tuple(j for pair in cols for j in pair) for cols in first]
     assert flattened == sorted(flattened)
@@ -85,26 +85,32 @@ def test_validation_rejects_bad_configurations():
         DellacConfig(2, ((1, 4), (2, 3)))  # row 4 outside column 1's band
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_yielded_configurations_validate_and_carry_their_length(n):
-    # the walk's incremental length against the O(n^2) reference count
-    for columns, length in iter_dellac(n):
-        assert length == dellac_length(DellacConfig(n, columns))
+    # the transfer sweep against the walk's objects and the O(n^2) reference count
+    tally = {}
+    for cfg in configs(n):
+        length = dellac_length(cfg)
+        tally[length] = tally.get(length, 0) + 1
+    assert h_poly_dellac(n) == IntPoly(tally.get(i, 0) for i in range(max(tally) + 1))
 
 
 def test_resource_limit():
     # the checks fire at the call, before anything is iterated
-    with pytest.raises(ResourceLimitError):
-        iter_dellac(9)
-    with pytest.raises(ValueError):
-        iter_dellac(0)
+    for fn in (iter_dellac, h_poly_dellac):
+        with pytest.raises(ResourceLimitError):
+            fn(9)
+        with pytest.raises(ValueError):
+            fn(0)
 
 
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("GENOCCHI_MAX_N", "3")
     assert sum(1 for _ in iter_dellac(3)) == 7
-    with pytest.raises(ResourceLimitError):
-        iter_dellac(4)
+    assert h_poly_dellac(3) == IntPoly((1, 2, 3, 1))
+    for fn in (iter_dellac, h_poly_dellac):
+        with pytest.raises(ResourceLimitError):
+            fn(4)
     for bad in ("not-a-number", "-5"):
         monkeypatch.setenv("GENOCCHI_MAX_N", bad)
         with pytest.raises(ValueError):

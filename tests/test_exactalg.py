@@ -144,6 +144,12 @@ def test_q_binomial_golden_values():
     assert q_binomial(4, 2) == P(1, 1, 2, 1, 1)
 
 
+def test_q_binomial_needs_no_recursion_depth():
+    q_binomial.cache_clear()  # a cold cache: no smaller values to lean on
+    assert q_binomial(3000, 1) == IntPoly((1,) * 3000)
+    assert q_binomial(3000, 2999) == IntPoly((1,) * 3000)
+
+
 def test_q_binomial_rejects_bad_indices():
     with pytest.raises(ValueError):
         q_binomial(2, 3)

@@ -85,6 +85,15 @@ def test_corrupted_window_is_detected(monkeypatch):
     assert "n=3" in counts.detail
 
 
+def test_corrupted_window_fails_the_polynomial_check(monkeypatch):
+    # the transfer sweep reads the same band: no configuration fits at n=1
+    monkeypatch.setattr(dellac, "_row_window", lambda n, col: (col, n + col - 1))
+    report = crosscheck(3)
+    three_way = next(c for c in report.checks if c.name == "hq-three-way")
+    assert three_way.status == "fail"
+    assert "dellac/fermionic n=1: 0 != 1" in three_way.detail
+
+
 def test_skipped_status_when_a_model_is_capped(monkeypatch):
     monkeypatch.setenv("GENOCCHI_MAX_N", "2")
     report = crosscheck(3)
