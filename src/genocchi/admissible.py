@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import limits
+from .walk import layered_walk
 
 
 def _mask(elems: Iterable[int]) -> int:
@@ -66,57 +67,24 @@ class AdmissibleSequence:
         return " | ".join(",".join(str(e) for e in s) for s in self.sets()) or "()"
 
 
-# the walk lists the choices of I_1..I_3 once per pool (I_4 plus the element
-# 4); at n = 8 those lists peak near 0.5 MB and the walk runs about five
-# times faster than one that descends to every leaf
-_SHARED_LEVELS = 3
-
-
 def iter_admissible(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every admissible sequence once as its mask tuple I_1..I_{n-1}.
 
-    Construction runs downward from I_{n-1}: the containment condition makes
-    the candidates for I_l exactly the l-subsets of I_{l+1} plus the element
-    l+1, so no post-filtering is needed.  Pools and subsets are bitmasks.
-    The choices of I_1..I_l for l <= _SHARED_LEVELS depend only on the pool,
-    so they are listed once per pool, within this call, and yielded in front
-    of every suffix that reaches it.  For n = 1 the single empty sequence is
-    yielded.  The arguments are checked here, before the first item is
-    asked for.
+    A layered walk down from I_{n-1}, reversed, whose state is the pool:
+    the candidates for I_l are exactly the l-subsets of I_{l+1} plus l+1,
+    as bitmasks.  For n = 1 the single empty sequence is yielded.  The
+    arguments are checked here, before the first item is asked for.
     """
     if n < 1:
         raise ValueError("n must be positive")
     limits.check_cap("admissible", n)
 
-    def subsets(pool: int, l: int) -> Iterator[int]:
-        # the l-element subsets of the pool, as masks, in lexicographic order
-        return map(sum, combinations([1 << j for j in range(1, n + 1) if pool >> j & 1], l))
+    def choices(level: int, pool: int):
+        l = n - 1 - level  # I_l: the l-subsets of the pool, in lexicographic order
+        for mask in map(sum, combinations([1 << j for j in range(1, n + 1) if pool >> j & 1], l)):
+            yield mask, mask | 1 << l
 
-    heads: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def completions(l: int, pool: int) -> list[tuple[int, ...]]:
-        # every choice of I_1..I_l inside this pool, in walk order
-        if l == 0:
-            return [()]
-        key = (l, pool)
-        if key not in heads:
-            heads[key] = [
-                head + (mask,)
-                for mask in subsets(pool, l)
-                for head in completions(l - 1, mask | 1 << l)
-            ]
-        return heads[key]
-
-    def descend(l: int, pool: int, suffix: tuple[int, ...]):
-        # pool: the mask of I_{l+1} plus the element l+1; suffix: I_{l+1}..I_{n-1}
-        if l <= _SHARED_LEVELS:
-            for head in completions(l, pool):
-                yield head + suffix
-            return
-        for mask in subsets(pool, l):
-            yield from descend(l - 1, mask | 1 << l, (mask,) + suffix)
-
-    return descend(n - 1, _mask(range(1, n + 1)), ())
+    return (run[::-1] for run in layered_walk(n - 1, _mask(range(1, n + 1)), choices))
 
 
 @dataclass(frozen=True)

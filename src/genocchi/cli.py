@@ -5,14 +5,16 @@ Subcommands: seq (integer sequences), poly (q-polynomials), enumerate
 (continued-fraction expansions), verify (the cross-check matrix).
 
 Exit status: 0 success, 1 verification failures, 2 usage error, 3 resource
-limit exceeded.  All output is deterministic; JSON payloads use decimal
-strings for big integers and round-trip byte-identically.
+limit exceeded, 141 (128 + SIGPIPE) when the reader closes stdout early.
+All output is deterministic; JSON payloads use decimal strings for big
+integers and round-trip byte-identically.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from itertools import islice
@@ -31,6 +33,7 @@ from .verify import CROSSCHECK_MAX_N, crosscheck
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+BROKEN_PIPE = 141
 
 # fixed bounds, checked before any work: not far past 900 terms the values
 # outgrow Python's 4300-digit limit on int-to-str conversion, and the cost of
@@ -215,6 +218,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
+    except BrokenPipeError:
+        # keep the flush at exit quiet, and exit as SIGPIPE would have
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ValueError, OSError) as exc:  # includes malformed JSON spec files
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -24,11 +24,9 @@ from typing import Callable, Union
 from .exactalg import IntPoly, ONE, PowerSeries, q_binomial
 from .motzkin import WeightSystem, path_sums
 
-CoeffGen = Callable[[int], IntPoly]
-
-
-def _as_poly(v) -> IntPoly:
-    return v if isinstance(v, IntPoly) else IntPoly((v,))
+# path_sums takes either kind, and PowerSeries makes every result an IntPoly
+Coeff = Union[int, IntPoly]
+CoeffGen = Callable[[int], Coeff]
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class JFraction:
 
     gamma: CoeffGen
     lam: CoeffGen
-    head: IntPoly = field(default_factory=lambda: ONE)
+    head: Coeff = field(default_factory=lambda: ONE)
 
 
 @dataclass(frozen=True)
@@ -46,15 +44,15 @@ class SFraction:
     """Head constant c0 and partial numerators c(k) for k >= 1."""
 
     c: CoeffGen
-    c0: IntPoly = field(default_factory=lambda: ONE)
+    c0: Coeff = field(default_factory=lambda: ONE)
 
 
 @dataclass(frozen=True)
 class AffineSFraction:
     """head + linear * s / (1 - gamma(1) s - lam(1) s^2 / (1 - ...))."""
 
-    head: IntPoly
-    linear: IntPoly
+    head: Coeff
+    linear: Coeff
     gamma: CoeffGen
     lam: CoeffGen
 
@@ -62,17 +60,13 @@ class AffineSFraction:
 CFSpec = Union[JFraction, SFraction, AffineSFraction]
 
 
-def _levels(gen: CoeffGen, first: int, count: int) -> list[IntPoly]:
-    """gen(first), gen(first + 1), ... as count polynomials."""
-    return [_as_poly(gen(k)) for k in range(first, first + count)]
-
-
 def _j_sums(gamma: CoeffGen, lam: CoeffGen, order: int) -> list:
     """Coefficients of 1/(1 - gamma(0) s - lam(1) s^2/(1 - ...)) through
     s^order: Motzkin path sums with flat steps at height m weighing
     gamma(m) and each rise-fall pair from m weighing lam(m + 1)."""
     levels = order // 2 + 1  # no path of length <= order climbs higher
-    gammas, lams = _levels(gamma, 0, levels), _levels(lam, 1, levels)
+    gammas = [gamma(k) for k in range(levels)]
+    lams = [lam(k) for k in range(1, levels + 1)]
     return path_sums(
         order, WeightSystem(alpha=lams.__getitem__, beta=lambda m: 1, gamma=gammas.__getitem__)
     )
@@ -93,7 +87,7 @@ def expand(spec: CFSpec, order: int) -> PowerSeries:
         sums = _j_sums(spec.gamma, spec.lam, order)
         return PowerSeries(order, [spec.head * v for v in sums])
     if isinstance(spec, SFraction):
-        cs = _levels(spec.c, 1, order)
+        cs = [spec.c(k) for k in range(1, order + 1)]
         dyck = WeightSystem(alpha=lambda m: 1, beta=cs.__getitem__, gamma=lambda m: 0)
         sums = path_sums(2 * order, dyck)
         return PowerSeries(order, [spec.c0 * v for v in sums[::2]])
@@ -169,9 +163,9 @@ def fraction_hn() -> SFraction:
     """Integer S-fraction generating h(n): numerators 1,1,3,3,6,6,10,10,...
     (each triangular number twice)."""
 
-    def c(k: int) -> IntPoly:
+    def c(k: int) -> int:
         m = (k + 1) // 2
-        return IntPoly((m * (m + 1) // 2,))
+        return m * (m + 1) // 2
 
     return SFraction(c=c)
 
@@ -180,9 +174,9 @@ def fraction_viennot() -> SFraction:
     """Integer S-fraction generating the median numbers: numerators
     1,1,4,4,9,9,... (each square twice)."""
 
-    def c(k: int) -> IntPoly:
+    def c(k: int) -> int:
         m = (k + 1) // 2
-        return IntPoly((m * m,))
+        return m * m
 
     return SFraction(c=c)
 
@@ -238,14 +232,14 @@ def spec_from_dict(data: dict) -> CFSpec:
         gammas = _int_list(data, "gamma")
         lams = _int_list(data, "lambda")
         return JFraction(
-            gamma=lambda k: IntPoly((gammas[k],)) if k < len(gammas) else IntPoly(),
-            lam=lambda k: IntPoly((lams[k - 1],)) if 1 <= k <= len(lams) else IntPoly(),
+            gamma=lambda k: gammas[k] if k < len(gammas) else 0,
+            lam=lambda k: lams[k - 1] if 1 <= k <= len(lams) else 0,
         )
     cs = _int_list(data, "c")
     c0 = data.get("c0", 1)
     if type(c0) is not int:
         raise ValueError("spec field 'c0' must be an integer")
     return SFraction(
-        c=lambda k: IntPoly((cs[k - 1],)) if 1 <= k <= len(cs) else IntPoly(),
-        c0=IntPoly((c0,)),
+        c=lambda k: cs[k - 1] if 1 <= k <= len(cs) else 0,
+        c0=c0,
     )

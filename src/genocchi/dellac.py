@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 from . import limits
 from .exactalg import ONE, ZERO, IntPoly
+from .walk import layered_walk
 
 
 @dataclass(frozen=True)
@@ -78,51 +79,22 @@ def _column_pairs(n: int, col: int, used: int) -> Iterable[tuple[int, int]]:
     return [(a, b) for i, a in enumerate(free) if a <= col for b in free[i + 1 :]]
 
 
-# the walk lists the completions of its last three columns once per used-row
-# mask; at n = 8 those lists peak near 0.1 MB and the walk runs about ten
-# times faster than one that descends to every leaf
-_SHARED_COLUMNS = 3
-
-
 def iter_dellac(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield every configuration once as its columns tuple, in lexicographic
     order of the flattened row-pair sequence.
 
-    Backtracks column by column through _column_pairs.  What can fill the
-    last _SHARED_COLUMNS columns depends only on the rows already used, so
-    those completions are listed once per used-row mask, within this call,
-    and yielded behind every prefix that reaches the mask.  The walk yields
-    objects only: h_poly_dellac computes the length polynomial without it.
-    The arguments are checked here, before the first item is asked for.
+    A layered walk over the columns whose state is the used-row mask; it
+    yields objects only (h_poly_dellac needs no walk).  The arguments are
+    checked here, before the first item is asked for.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
     limits.check_cap("dellac", n)
 
-    tails: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+    def choices(level: int, used: int):
+        return ((p, used | 1 << p[0] | 1 << p[1]) for p in _column_pairs(n, level + 1, used))
 
-    def completions(col: int, used: int) -> list[tuple[tuple[int, int], ...]]:
-        # every way to fill columns col..n from this mask, in walk order
-        if col > n:
-            return [()]
-        key = (col, used)
-        if key not in tails:
-            tails[key] = [
-                (pair,) + rest
-                for pair in _column_pairs(n, col, used)
-                for rest in completions(col + 1, used | 1 << pair[0] | 1 << pair[1])
-            ]
-        return tails[key]
-
-    def descend(col: int, used: int, prefix: tuple[tuple[int, int], ...]):
-        if col > n - _SHARED_COLUMNS:
-            for tail in completions(col, used):
-                yield prefix + tail
-            return
-        for pair in _column_pairs(n, col, used):
-            yield from descend(col + 1, used | 1 << pair[0] | 1 << pair[1], prefix + (pair,))
-
-    return descend(1, 0, ())
+    return layered_walk(n, 0, choices)
 
 
 def dellac_length(config: DellacConfig) -> int:

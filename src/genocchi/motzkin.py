@@ -26,6 +26,7 @@ from .exactalg import (
     poly_reverse,
     q_binomial,
 )
+from .walk import layered_walk
 
 
 @dataclass(frozen=True)
@@ -60,27 +61,17 @@ class MotzkinPath:
 
 
 def iter_motzkin(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the height tuple of every length-n path once (next height tried
-    in order fall < level < rise).  The arguments are checked here, before
-    the first item is asked for."""
+    """Yield the height tuple of every length-n path once, by a layered walk
+    on the height (tried fall < level < rise, at most n - k after step k).
+    The arguments are checked here, before the first item is asked for."""
     if n < 0:
         raise ValueError("path length must be nonnegative")
     limits.check_cap("motzkin", n)
-    heights = [0]
 
-    def step(k: int):
-        if k == n:
-            if heights[-1] == 0:
-                yield tuple(heights)
-            return
-        h = heights[-1]
-        for nxt in (h - 1, h, h + 1):
-            if 0 <= nxt <= n - k - 1:
-                heights.append(nxt)
-                yield from step(k + 1)
-                heights.pop()
+    def choices(k: int, h: int):
+        return ((f, f) for f in (h - 1, h, h + 1) if 0 <= f <= n - k - 1)
 
-    return step(0)
+    return ((0,) + heights for heights in layered_walk(n, 0, choices))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ per check.  Failures are reported, never raised; the CLI turns a nonzero
 failure count into a nonzero exit status.
 
 Each identity compares two code paths that share no route-specific code
-(motzkin.path_sums and IntPoly arithmetic are shared substrate):
+(motzkin.path_sums, IntPoly arithmetic and walk.layered_walk, under the
+three walks but not the sweeps, are shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
                     path sweep vs tilde_h's explicit fermionic path enumeration
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
@@ -16,15 +17,17 @@ Each identity compares two code paths that share no route-specific code
   hq-three-way      Dellac used-row transfer sweep (h_poly_dellac) vs fermionic
                     enumeration vs Laurent-weight sweep
   counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
-                    transfer sweep and the integer-weight sweep vs Seidel
+                    transfer sweep and the integer-weight sweep vs Seidel,
+                    each walked object validated through OBJECTS_MAX_N
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
-from .admissible import count_closed_column_graded, iter_admissible
+from .admissible import AdmissibleSequence, count_closed_column_graded, iter_admissible
 from .contfrac import (
     SFraction,
     contract_S_to_J,
@@ -35,15 +38,16 @@ from .contfrac import (
     fraction_hn,
     fraction_viennot,
 )
-from .dellac import h_poly_dellac, iter_dellac
+from .dellac import DellacConfig, h_poly_dellac, iter_dellac
 from .errors import ResourceLimitError
-from .exactalg import IntPoly
 from .hanzeng import hanzeng_barc
 from .motzkin import (
+    MotzkinPath,
     h_motzkin_rational,
     h_poly_fermionic,
     h_poly_laurent,
     integer_weight_system,
+    iter_motzkin,
     tilde_h,
     weighted_path_sum,
 )
@@ -54,6 +58,8 @@ CROSSCHECK_MAX_N = 8
 CONTRACTION_ORDER = 10
 RANDOM_INSTANCES = 100
 DIVISIBILITY_MAX_N = 12
+# through this n counts-agree also validates every walked object
+OBJECTS_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -121,21 +127,39 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
 
     _details: dict[str, str] = {}
 
+    # one tilde_h(n) per n for the series and Han-Zeng checks; the lambda reads
+    # the module's tilde_h when a check first asks, so a patched name is seen
+    reversed_poly = cache(lambda n: tilde_h(n))
+
     # (1) every counting model agrees with the triangle
     def counts_agree() -> list[str]:
         problems = []
         ws = integer_weight_system()
+
+        def walked(label: str, walk, build, n: int) -> int:
+            if n > OBJECTS_MAX_N:
+                return sum(1 for _ in walk(n))
+            items = list(walk(n))
+            try:
+                if len({build(n, item) for item in items}) < len(items):
+                    problems.append(f"{label} n={n}: the walk repeats items")
+            except ValueError as exc:
+                problems.append(f"{label} n={n}: invalid item: {exc}")
+            return len(items)
+
         for n in range(1, n_max + 1):
             expected = normalized_h(n)
             for label, got in (
-                ("dellac", sum(1 for _ in iter_dellac(n))),
-                ("admissible", sum(1 for _ in iter_admissible(n))),
+                ("dellac", walked("dellac", iter_dellac, DellacConfig, n)),
+                ("admissible", walked("admissible", iter_admissible, AdmissibleSequence, n)),
                 ("closed-subsets", count_closed_column_graded(n)),
                 ("motzkin-rational", h_motzkin_rational(n)),
                 ("motzkin-weights", weighted_path_sum(n, ws)),
             ):
                 if got != expected:
                     problems.append(_mismatch(f"{label} n={n}", got, expected))
+            if n <= OBJECTS_MAX_N:
+                walked("motzkin", iter_motzkin, lambda n, heights: MotzkinPath(heights), n)
         _details["counts-agree"] = "h-values: " + ",".join(
             str(normalized_h(n)) for n in range(n_max + 1)
         )
@@ -184,9 +208,9 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
         def check() -> list[str]:
             series = expand({"f1": fraction_f1, "f2": fraction_f2}[via](), n_max)
             return [
-                _mismatch(f"n={n}", series.coefficient(n), tilde_h(n))
+                _mismatch(f"n={n}", series.coefficient(n), reversed_poly(n))
                 for n in range(n_max + 1)
-                if series.coefficient(n) != tilde_h(n)
+                if series.coefficient(n) != reversed_poly(n)
             ]
 
         return check
@@ -199,9 +223,9 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
         "hanzeng-reversal",
         f"n=0..{n_max}",
         lambda: [
-            _mismatch(f"n={n}", hanzeng_barc(n + 1), tilde_h(n))
+            _mismatch(f"n={n}", hanzeng_barc(n + 1), reversed_poly(n))
             for n in range(n_max + 1)
-            if hanzeng_barc(n + 1) != tilde_h(n)
+            if hanzeng_barc(n + 1) != reversed_poly(n)
         ],
     )
 
@@ -270,7 +294,7 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
         for trial in range(RANDOM_INSTANCES):
             values = [rng.randint(1, 5) for _ in range(2 * CONTRACTION_ORDER + 2)]
             spec = SFraction(
-                c=lambda k, v=tuple(values): IntPoly((v[k - 1],)) if k <= len(v) else IntPoly()
+                c=lambda k, v=tuple(values): v[k - 1] if k <= len(v) else 0
             )
             reference = expand(spec, CONTRACTION_ORDER)
             if expand(contract_S_to_J(spec), CONTRACTION_ORDER) != reference:

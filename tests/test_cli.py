@@ -1,12 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from genocchi import dellac
 from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def lines_of(capsys):
@@ -283,3 +289,18 @@ def test_env_cap_reaches_the_cli(monkeypatch, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the output outgrows the pipe, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genocchi.cli", "enumerate", "motzkin", "--n", "14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.stdout.readline() == b"0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -1,6 +1,6 @@
 import pytest
 
-from genocchi import dellac
+from genocchi import dellac, verify
 from genocchi.verify import CROSSCHECK_MAX_N, CheckReport, crosscheck
 
 EXPECTED_CHECKS = {
@@ -92,6 +92,25 @@ def test_corrupted_window_fails_the_polynomial_check(monkeypatch):
     three_way = next(c for c in report.checks if c.name == "hq-three-way")
     assert three_way.status == "fail"
     assert "dellac/fermionic n=1: 0 != 1" in three_way.detail
+
+
+def shift_elements(walk):
+    return (tuple(m << 1 for m in masks) for masks in walk)
+
+
+def repeat_first(walk):
+    first = next(walk)
+    return (first for _ in [first, *walk])
+
+
+@pytest.mark.parametrize("corrupt", [shift_elements, repeat_first])
+def test_count_preserving_walk_corruption_is_detected(monkeypatch, corrupt):
+    # the count stays right, so only the validated objects can expose the walk
+    iter_admissible = verify.iter_admissible
+    monkeypatch.setattr(verify, "iter_admissible", lambda n: corrupt(iter_admissible(n)))
+    counts = next(c for c in crosscheck(4).checks if c.name == "counts-agree")
+    assert counts.status == "fail"
+    assert "admissible n=4" in counts.detail
 
 
 def test_skipped_status_when_a_model_is_capped(monkeypatch):
