@@ -67,6 +67,20 @@ class AdmissibleSequence:
         return " | ".join(",".join(str(e) for e in s) for s in self.sets()) or "()"
 
 
+def layers(n: int):
+    """The walk behind iter_admissible, unchecked: (depth, root, choices)
+    for I_{n-1}..I_1 from the pool {1..n}; the candidates for I_l are the
+    l-subsets of the pool, in lexicographic order, and I_l plus l+1 is the
+    next pool."""
+
+    def choices(level: int, pool: int):
+        l = n - 1 - level
+        for mask in map(sum, combinations([1 << j for j in range(1, n + 1) if pool >> j & 1], l)):
+            yield mask, mask | 1 << l
+
+    return n - 1, _mask(range(1, n + 1)), choices
+
+
 def iter_admissible(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every admissible sequence once as its mask tuple I_1..I_{n-1}.
 
@@ -78,13 +92,7 @@ def iter_admissible(n: int) -> Iterator[tuple[int, ...]]:
     if n < 1:
         raise ValueError("n must be positive")
     limits.check_cap("admissible", n)
-
-    def choices(level: int, pool: int):
-        l = n - 1 - level  # I_l: the l-subsets of the pool, in lexicographic order
-        for mask in map(sum, combinations([1 << j for j in range(1, n + 1) if pool >> j & 1], l)):
-            yield mask, mask | 1 << l
-
-    return (run[::-1] for run in layered_walk(n - 1, _mask(range(1, n + 1)), choices))
+    return (run[::-1] for run in layered_walk(*layers(n)))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ Subcommands: seq (integer sequences), poly (q-polynomials), enumerate
 (continued-fraction expansions), verify (the cross-check matrix).
 
 Exit status: 0 success, 1 verification failures, 2 usage error, 3 resource
-limit exceeded, 141 (128 + SIGPIPE) when the reader closes stdout early.
+limit exceeded, 4 internal error (a broken identity or any other uncaught
+exception, reported as one `internal error:` line), 141 (128 + SIGPIPE)
+when the reader closes stdout early.
 All output is deterministic; JSON payloads use decimal strings for big
 integers and round-trip byte-identically.
 """
@@ -20,6 +22,7 @@ import time
 from itertools import islice
 from typing import Sequence
 
+from . import admissible, dellac, motzkin
 from .contfrac import NAMED_FRACTIONS, expand, spec_from_dict
 from .dellac import DellacConfig, iter_dellac
 from .admissible import AdmissibleSequence, iter_admissible
@@ -30,9 +33,11 @@ from .motzkin import MotzkinPath, h_poly_fermionic, iter_motzkin, tilde_h
 from .oracles import count_dumont, count_triangle_pairs
 from .seidel import genocchi_first_sequence, h_sequence, median_sequence
 from .verify import CROSSCHECK_MAX_N, crosscheck
+from .walk import layered_sweep
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+INTERNAL_ERROR = 4
 BROKEN_PIPE = 141
 
 # fixed bounds, checked before any work: not far past 900 terms the values
@@ -101,14 +106,13 @@ def _cmd_poly(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
-    walk, build = {
-        "dellac": (iter_dellac, DellacConfig),
-        "admissible": (iter_admissible, AdmissibleSequence),
-        "motzkin": (iter_motzkin, lambda n, heights: MotzkinPath(heights)),
+    walk, layers, build = {
+        "dellac": (iter_dellac, dellac.layers, DellacConfig),
+        "admissible": (iter_admissible, admissible.layers, AdmissibleSequence),
+        "motzkin": (iter_motzkin, motzkin.layers, lambda n, heights: MotzkinPath(heights)),
     }[args.model]
-    items = walk(args.n)
     total = 0
-    for item in islice(items, args.limit):
+    for item in islice(walk(args.n), args.limit):
         total += 1
         obj = build(args.n, item)
         if args.json:
@@ -117,7 +121,10 @@ def _cmd_enumerate(args) -> int:
             print(obj.render())
             if args.model == "dellac":
                 print()
-    total += sum(1 for _ in items)
+    if args.limit is not None:
+        # the walk's own layers, swept: nothing past the limit is visited
+        swept = layered_sweep(*layers(args.n), lambda level, state, item, count: count)
+        total = sum(swept.values())
 
     if args.json:
         print(_dump({"total": str(total)}))
@@ -225,6 +232,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # includes malformed JSON spec files
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

@@ -5,8 +5,8 @@ A configuration on an n-column, 2n-row grid marks two boxes per column and
 one per row, with every marked box (l, j) satisfying l <= j <= n + l.  The
 number of configurations is h(n); the generating polynomial of the length
 statistic is the q-analogue h_n(q).  The walk yields plain row-pair tuples
-and nothing else; the polynomial comes from a transfer sweep over used-row
-masks that visits no configuration.  Both follow the same column rule.
+and nothing else; the polynomial comes from a transfer sweep of the same
+layers over used-row masks, which visits no configuration.
 DellacConfig validates a configuration only where one is built.
 """
 
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from . import limits
 from .exactalg import ONE, ZERO, IntPoly
-from .walk import layered_walk
+from .walk import layered_sweep, layered_walk
 
 
 @dataclass(frozen=True)
@@ -79,22 +79,30 @@ def _column_pairs(n: int, col: int, used: int) -> Iterable[tuple[int, int]]:
     return [(a, b) for i, a in enumerate(free) if a <= col for b in free[i + 1 :]]
 
 
+def layers(n: int):
+    """The walk behind iter_dellac, unchecked: (depth, root, choices) for n
+    columns from the empty used-row mask, each column marking a pair from
+    _column_pairs."""
+
+    def choices(level: int, used: int):
+        return ((p, used | 1 << p[0] | 1 << p[1]) for p in _column_pairs(n, level + 1, used))
+
+    return n, 0, choices
+
+
 def iter_dellac(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield every configuration once as its columns tuple, in lexicographic
     order of the flattened row-pair sequence.
 
     A layered walk over the columns whose state is the used-row mask; it
-    yields objects only (h_poly_dellac needs no walk).  The arguments are
-    checked here, before the first item is asked for.
+    yields objects only (h_poly_dellac sums the same layers without a
+    walk).  The arguments are checked here, before the first item is asked
+    for.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
     limits.check_cap("dellac", n)
-
-    def choices(level: int, used: int):
-        return ((p, used | 1 << p[0] | 1 << p[1]) for p in _column_pairs(n, level + 1, used))
-
-    return layered_walk(n, 0, choices)
+    return layered_walk(*layers(n))
 
 
 def dellac_length(config: DellacConfig) -> int:
@@ -111,22 +119,19 @@ def dellac_length(config: DellacConfig) -> int:
 def h_poly_dellac(n: int) -> IntPoly:
     """Generating polynomial of the length statistic over all configurations.
 
-    A forward transfer sweep over columns 1..n whose state is the used-row
-    mask, carrying the length polynomial of every partial configuration
-    that reaches it.  Marking rows a < b in column col adds one inversion
-    for every row above a, and every row above b, that is already used.
-    The zero polynomial comes back when no configuration exists.
+    The layers of iter_dellac, swept forward over columns 1..n: each
+    used-row mask carries the length polynomial of every partial
+    configuration that reaches it.  Marking rows a < b next to the mask
+    adds one inversion for every row above a, and every row above b, that
+    is already used.  The zero polynomial comes back when no configuration
+    exists.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
     limits.check_cap("dellac", n)
-    states = {0: ONE}
-    for col in range(1, n + 1):
-        reached: dict[int, IntPoly] = {}
-        for used, poly in states.items():
-            for a, b in _column_pairs(n, col, used):
-                step = (used >> (a + 1)).bit_count() + (used >> (b + 1)).bit_count()
-                key = used | 1 << a | 1 << b
-                reached[key] = reached.get(key, ZERO) + poly.shift(step)
-        states = reached
-    return sum(states.values(), ZERO)
+
+    def extend(level: int, used: int, pair: tuple[int, int], total: IntPoly) -> IntPoly:
+        a, b = pair
+        return total.shift((used >> (a + 1)).bit_count() + (used >> (b + 1)).bit_count())
+
+    return sum(layered_sweep(*layers(n), extend, ONE).values(), ZERO)

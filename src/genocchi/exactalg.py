@@ -16,6 +16,7 @@ Rationals are fractions.Fraction, which already maintains the canonical form
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -88,15 +89,12 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly([*map(operator.add, a, b), *a[len(b) :]])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly(map(operator.neg, self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)

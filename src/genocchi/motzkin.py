@@ -1,14 +1,18 @@
 """Motzkin paths and the path-sum formulas for h(n) and h_n(q).
 
 Three independent routes live here:
-  * an exact-rational weighted sum (squares of heights over powers of two),
-  * a q-binomial product formula summed over paths, and
+  * an exact-rational weighted sum (squares of heights over powers of two)
+    over the walked paths,
+  * a q-binomial product formula summed over paths by a transfer sweep of
+    the walk's layers over pairs of consecutive heights (walk.layered_sweep),
+    and
   * the same sum rewritten through Laurent-polynomial step weights, where a
     single power of q restores an ordinary polynomial.
 
 Path sums over a generic weight system are computed by level-indexed dynamic
 programming (path_sums, which also expands every continued fraction);
-explicit enumeration stays available for termwise checks.
+explicit enumeration stays available for termwise checks, and
+fermionic_exponent is the per-path reference the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from .exactalg import (
     IntPoly,
     LaurentPoly,
     ONE,
+    ZERO,
     poly_reverse,
     q_binomial,
 )
-from .walk import layered_walk
+from .walk import layered_sweep, layered_walk
 
 
 @dataclass(frozen=True)
@@ -60,18 +65,25 @@ class MotzkinPath:
         return {"n": self.n, "heights": list(self.heights)}
 
 
-def iter_motzkin(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the height tuple of every length-n path once, by a layered walk
-    on the height (tried fall < level < rise, at most n - k after step k).
-    The arguments are checked here, before the first item is asked for."""
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
-    limits.check_cap("motzkin", n)
+def layers(n: int):
+    """The walk behind iter_motzkin, unchecked: (depth, root, choices) for n
+    steps from height 0, step k going to a height within 1 of the last
+    (tried fall < level < rise) and at most n - k - 1."""
 
     def choices(k: int, h: int):
         return ((f, f) for f in (h - 1, h, h + 1) if 0 <= f <= n - k - 1)
 
-    return ((0,) + heights for heights in layered_walk(n, 0, choices))
+    return n, 0, choices
+
+
+def iter_motzkin(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the height tuple of every length-n path once, by a layered walk
+    on the height.  The arguments are checked here, before the first item
+    is asked for."""
+    if n < 0:
+        raise ValueError("path length must be nonnegative")
+    limits.check_cap("motzkin", n)
+    return ((0,) + heights for heights in layered_walk(*layers(n)))
 
 
 @dataclass(frozen=True)
@@ -193,22 +205,35 @@ def fermionic_exponent(heights: tuple[int, ...]) -> int:
 
 def h_poly_fermionic(n: int) -> IntPoly:
     """h_n(q) as the sum over paths of q^exponent times two q-binomial
-    products (lower index neighbors the heights on either side)."""
+    products (lower index neighbors the heights on either side).
+
+    The summand of index k couples (f_{k-1}, f_k, f_{k+1}), so the sum is a
+    sweep of the iter_motzkin layers over the height pair (f_{k-1}, f_k):
+    the edge to f_{k+1} multiplies by
+    [1+f_{k-1} choose f_k]_q [1+f_{k+1} choose f_k]_q and shifts by
+    (k - f_k)(1 - f_k + f_{k+1}).  Index 0 carries no factor.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    total = IntPoly()
-    for f in iter_motzkin(n):
-        expo = fermionic_exponent(f)
+    limits.check_cap("motzkin", n)
+    depth, _, step = layers(n)
+
+    def choices(k: int, pair: tuple[int, int]):
+        return ((f, (pair[1], f)) for f, _ in step(k, pair[1]))
+
+    def extend(k: int, pair: tuple[int, int], after: int, total: IntPoly) -> IntPoly:
+        if k == 0:
+            return total
+        before, h = pair
+        expo = (k - h) * (1 - h + after)
         if expo < 0:
             raise InternalInconsistencyError(
-                f"negative exponent {expo} for heights {f}"
+                f"negative exponent {expo} at step {k} for heights {before} {h} {after}"
             )
-        term = ONE
-        for k in range(1, n):
-            term = term * q_binomial_or_zero(1 + f[k - 1], f[k])
-            term = term * q_binomial_or_zero(1 + f[k + 1], f[k])
-        total = total + term.shift(expo)
-    return total
+        factor = q_binomial_or_zero(1 + before, h) * q_binomial_or_zero(1 + after, h)
+        return (total * factor).shift(expo)
+
+    return sum(layered_sweep(depth, (0, 0), choices, extend, ONE).values(), ZERO)
 
 
 def h_poly_laurent(n: int) -> IntPoly:

@@ -6,16 +6,19 @@ per check.  Failures are reported, never raised; the CLI turns a nonzero
 failure count into a nonzero exit status.
 
 Each identity compares two code paths that share no route-specific code
-(motzkin.path_sums, IntPoly arithmetic and walk.layered_walk, under the
-three walks but not the sweeps, are shared substrate):
+(motzkin.path_sums, IntPoly arithmetic, walk.layered_walk under the three
+walks and walk.layered_sweep under the Dellac and fermionic sweeps are
+shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
-                    path sweep vs tilde_h's explicit fermionic path enumeration
+                    path sweep vs tilde_h's fermionic pair-state sweep
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
                     contraction (S-fractions never expand via contract_S_to_J)
   q1-hn-series      Motzkin walk of f1 at q=1 vs Dyck walk of the integer hn
   viennot-doubling  Dyck walk vs the Seidel triangle
+  hanzeng-reversal  the Han-Zeng recurrence in shift-and-add steps vs
+                    tilde_h's fermionic pair-state sweep
   hq-three-way      Dellac used-row transfer sweep (h_poly_dellac) vs fermionic
-                    enumeration vs Laurent-weight sweep
+                    pair-state sweep vs Laurent-weight sweep
   counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
                     transfer sweep and the integer-weight sweep vs Seidel,
                     each walked object validated through OBJECTS_MAX_N
@@ -26,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Iterator
 
 from .admissible import AdmissibleSequence, count_closed_column_graded, iter_admissible
 from .contfrac import (
@@ -112,14 +116,18 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     report = CheckReport(n_max=n_max, seed=seed)
 
     def run(name: str, rng_text: str, fn) -> None:
+        # fn() yields problems one at a time, so a check that raises keeps
+        # every problem it found before the exception
+        problems: list[str] = []
         try:
-            problems = fn()
+            problems.extend(fn())
         except ResourceLimitError as exc:
-            report.checks.append(CheckResult(name, rng_text, "skipped", str(exc)))
-            return
+            if not problems:
+                report.checks.append(CheckResult(name, rng_text, "skipped", str(exc)))
+                return
+            problems.append(repr(exc))
         except Exception as exc:  # a crashed check is a failed check
-            report.checks.append(CheckResult(name, rng_text, "fail", repr(exc)))
-            return
+            problems.append(repr(exc))
         if problems:
             report.checks.append(CheckResult(name, rng_text, "fail", "; ".join(problems)))
         else:
@@ -132,38 +140,41 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     reversed_poly = cache(lambda n: tilde_h(n))
 
     # (1) every counting model agrees with the triangle
-    def counts_agree() -> list[str]:
-        problems = []
+    def counts_agree() -> Iterator[str]:
         ws = integer_weight_system()
 
-        def walked(label: str, walk, build, n: int) -> int:
+        def walked(label: str, walk, build, n: int):
+            # yields the walk's problems, returns its count
             if n > OBJECTS_MAX_N:
                 return sum(1 for _ in walk(n))
             items = list(walk(n))
             try:
                 if len({build(n, item) for item in items}) < len(items):
-                    problems.append(f"{label} n={n}: the walk repeats items")
+                    yield f"{label} n={n}: the walk repeats items"
             except ValueError as exc:
-                problems.append(f"{label} n={n}: invalid item: {exc}")
+                yield f"{label} n={n}: invalid item: {exc}"
             return len(items)
 
         for n in range(1, n_max + 1):
             expected = normalized_h(n)
+            dellac_count = yield from walked("dellac", iter_dellac, DellacConfig, n)
+            admissible_count = yield from walked(
+                "admissible", iter_admissible, AdmissibleSequence, n
+            )
             for label, got in (
-                ("dellac", walked("dellac", iter_dellac, DellacConfig, n)),
-                ("admissible", walked("admissible", iter_admissible, AdmissibleSequence, n)),
+                ("dellac", dellac_count),
+                ("admissible", admissible_count),
                 ("closed-subsets", count_closed_column_graded(n)),
                 ("motzkin-rational", h_motzkin_rational(n)),
                 ("motzkin-weights", weighted_path_sum(n, ws)),
             ):
                 if got != expected:
-                    problems.append(_mismatch(f"{label} n={n}", got, expected))
+                    yield _mismatch(f"{label} n={n}", got, expected)
             if n <= OBJECTS_MAX_N:
-                walked("motzkin", iter_motzkin, lambda n, heights: MotzkinPath(heights), n)
+                yield from walked("motzkin", iter_motzkin, lambda n, f: MotzkinPath(f), n)
         _details["counts-agree"] = "h-values: " + ",".join(
             str(normalized_h(n)) for n in range(n_max + 1)
         )
-        return problems
 
     run("counts-agree", f"n=1..{n_max}", counts_agree)
 
@@ -172,46 +183,42 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     run(
         "dumont-oracle",
         f"n=1..{dmax}",
-        lambda: [
+        lambda: (
             _mismatch(f"n={n}", count_dumont(n), normalized_h(n))
             for n in range(1, dmax + 1)
             if count_dumont(n) != normalized_h(n)
-        ],
+        ),
     )
 
     tmax = min(n_max, TRIANGLE_MAX_N)
     run(
         "triangle-pairs-oracle",
         f"n=1..{tmax}",
-        lambda: [
+        lambda: (
             _mismatch(f"n={n}", count_triangle_pairs(n), normalized_h(n + 1))
             for n in range(1, tmax + 1)
             if count_triangle_pairs(n) != normalized_h(n + 1)
-        ],
+        ),
     )
 
     # (3) the three q-polynomial routes coincide
-    def three_way() -> list[str]:
-        problems = []
+    def three_way() -> Iterator[str]:
         for n in range(1, n_max + 1):
             a, b, c = h_poly_dellac(n), h_poly_fermionic(n), h_poly_laurent(n)
             if a != b:
-                problems.append(_mismatch(f"dellac/fermionic n={n}", a, b))
+                yield _mismatch(f"dellac/fermionic n={n}", a, b)
             if b != c:
-                problems.append(_mismatch(f"fermionic/laurent n={n}", b, c))
-        return problems
+                yield _mismatch(f"fermionic/laurent n={n}", b, c)
 
     run("hq-three-way", f"n=1..{n_max}", three_way)
 
     # (4) both named q-fractions generate the reversed polynomials
     def series_check(via: str):
-        def check() -> list[str]:
+        def check() -> Iterator[str]:
             series = expand({"f1": fraction_f1, "f2": fraction_f2}[via](), n_max)
-            return [
-                _mismatch(f"n={n}", series.coefficient(n), reversed_poly(n))
-                for n in range(n_max + 1)
-                if series.coefficient(n) != reversed_poly(n)
-            ]
+            for n in range(n_max + 1):
+                if series.coefficient(n) != reversed_poly(n):
+                    yield _mismatch(f"n={n}", series.coefficient(n), reversed_poly(n))
 
         return check
 
@@ -222,39 +229,33 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     run(
         "hanzeng-reversal",
         f"n=0..{n_max}",
-        lambda: [
+        lambda: (
             _mismatch(f"n={n}", hanzeng_barc(n + 1), reversed_poly(n))
             for n in range(n_max + 1)
             if hanzeng_barc(n + 1) != reversed_poly(n)
-        ],
+        ),
     )
 
     # (6) q = 1 chain
-    def q1_series() -> list[str]:
+    def q1_series() -> Iterator[str]:
         at_one = expand(fraction_f1(), n_max).evaluate_q(1)
         plain = expand(fraction_hn(), n_max).evaluate_q(1)
-        return [
-            _mismatch(f"n={n}", at_one[n], plain[n])
-            for n in range(n_max + 1)
-            if at_one[n] != plain[n]
-        ]
+        for n in range(n_max + 1):
+            if at_one[n] != plain[n]:
+                yield _mismatch(f"n={n}", at_one[n], plain[n])
 
     run("q1-hn-series", f"n=0..{n_max}", q1_series)
 
-    def viennot_doubling() -> list[str]:
+    def viennot_doubling() -> Iterator[str]:
         series = expand(fraction_viennot(), n_max).evaluate_q(1)
-        problems = []
         if series[0] != 1:
-            problems.append(_mismatch("n=0", series[0], 1))
+            yield _mismatch("n=0", series[0], 1)
         for n in range(1, n_max + 1):
             expected = median_genocchi(n)
             if series[n] != expected:
-                problems.append(_mismatch(f"n={n}", series[n], expected))
+                yield _mismatch(f"n={n}", series[n], expected)
             if expected != (1 << (n - 1)) * normalized_h(n - 1):
-                problems.append(
-                    _mismatch(f"doubling n={n}", expected, (1 << (n - 1)) * normalized_h(n - 1))
-                )
-        return problems
+                yield _mismatch(f"doubling n={n}", expected, (1 << (n - 1)) * normalized_h(n - 1))
 
     run("viennot-doubling", f"n=0..{n_max}", viennot_doubling)
 
@@ -263,34 +264,31 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     run(
         "divisibility",
         f"n=1..{dvmax}",
-        lambda: [
+        lambda: (
             f"H({2 * n + 1}) not divisible by 2^{n}"
             for n in range(1, dvmax + 1)
             if median_genocchi(n + 1) % (1 << n)
-        ],
+        ),
     )
 
     # (8) contraction transforms on the named fractions and on random instances
-    def contraction_named() -> list[str]:
-        problems = []
+    def contraction_named() -> Iterator[str]:
         f2 = fraction_f2()
         contracted = expand(contract_S_to_J(f2), CONTRACTION_ORDER)
         if contracted != expand(f2, CONTRACTION_ORDER):
-            problems.append("pairwise contraction of the q-fraction disagrees")
+            yield "pairwise contraction of the q-fraction disagrees"
         if contracted != expand(fraction_f1(), CONTRACTION_ORDER):
-            problems.append("contracted q-fraction does not recover the J-form")
+            yield "contracted q-fraction does not recover the J-form"
         vi = fraction_viennot()
         if expand(contract_S_to_J_affine(vi), CONTRACTION_ORDER) != expand(
             vi, CONTRACTION_ORDER
         ):
-            problems.append("affine contraction of the median fraction disagrees")
-        return problems
+            yield "affine contraction of the median fraction disagrees"
 
     run("contraction-named", f"order={CONTRACTION_ORDER}", contraction_named)
 
-    def contraction_random() -> list[str]:
+    def contraction_random() -> Iterator[str]:
         rng = random.Random(seed)
-        problems = []
         for trial in range(RANDOM_INSTANCES):
             values = [rng.randint(1, 5) for _ in range(2 * CONTRACTION_ORDER + 2)]
             spec = SFraction(
@@ -298,11 +296,10 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             )
             reference = expand(spec, CONTRACTION_ORDER)
             if expand(contract_S_to_J(spec), CONTRACTION_ORDER) != reference:
-                problems.append(f"pairwise contraction fails on trial {trial}")
+                yield f"pairwise contraction fails on trial {trial}"
             if expand(contract_S_to_J_affine(spec), CONTRACTION_ORDER) != reference:
-                problems.append(f"affine contraction fails on trial {trial}")
+                yield f"affine contraction fails on trial {trial}"
         _details["contraction-random"] = f"{RANDOM_INSTANCES} instances, seed={seed}"
-        return problems
 
     run("contraction-random", f"order={CONTRACTION_ORDER}", contraction_random)
 

@@ -1,8 +1,9 @@
-"""The walk under the Dellac, admissible and Motzkin enumerators: one
-choice per level, from a small state (used-row mask, pool, height)."""
+"""The walk under the Dellac, admissible and Motzkin enumerators, and the
+sweep that sums it: one choice per level, from a small state (used-row
+mask, pool, height, or a pair of heights)."""
 
 from functools import cache
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 # the last three levels are listed once per state: at n = 8 those lists peak
 # near 0.5 MB, and the walks run five to ten times faster than leaf by leaf
@@ -41,3 +42,28 @@ def layered_walk(depth: int, root: Hashable, choices: Callable[..., Iterable]) -
                 yield prefix + tail
         else:
             stack.pop()
+
+
+def layered_sweep(
+    depth: int,
+    root: Hashable,
+    choices: Callable[..., Iterable],
+    extend: Callable[..., Any],
+    unit: Any = 1,
+) -> dict:
+    """Fold the walk of layered_walk level by level into {state: total}.
+
+    The root carries unit; extend(level, state, item, total) carries the
+    total of a state along one edge, and totals that reach the same state
+    add.  With extend returning total unchanged, the totals count the runs
+    of layered_walk that end in each state, without visiting one.
+    """
+    states = {root: unit}
+    for level in range(depth):
+        reached: dict = {}
+        for state, total in states.items():
+            for item, nxt in choices(level, state):
+                term = extend(level, state, item, total)
+                reached[nxt] = reached[nxt] + term if nxt in reached else term
+        states = reached
+    return states

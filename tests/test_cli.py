@@ -7,10 +7,12 @@ from contextlib import redirect_stdout
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from genocchi import dellac
+from genocchi import cli, dellac, iter_admissible, iter_dellac, iter_motzkin
 from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, run
+from genocchi.errors import InternalInconsistencyError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -124,6 +126,24 @@ def test_limit_prints_a_prefix_and_the_full_total(model, n, k):
     full = unlimited_json(model, n)
     limited = output_lines(["enumerate", model, "--n", str(n), "--limit", str(k), "--json"])
     assert limited == list(full[: min(k, len(full) - 1)]) + [full[-1]]
+
+
+WALKS = {"dellac": iter_dellac, "admissible": iter_admissible, "motzkin": iter_motzkin}
+
+
+@pytest.mark.parametrize("model", sorted(WALKS))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_swept_limit_total_equals_the_walked_count(model, n):
+    # under --limit the total comes from a sweep of the walk's layers
+    total = output_lines(["enumerate", model, "--n", str(n), "--limit", "0"])
+    assert total == [f"total {sum(1 for _ in WALKS[model](n))}"]
+
+
+def test_limited_total_needs_no_walk(monkeypatch):
+    # about 1.3e26 paths: only a sweep can count them
+    monkeypatch.setenv("GENOCCHI_MAX_N", "100")
+    out = output_lines(["enumerate", "motzkin", "--n", "60", "--limit", "1"])
+    assert out == [" ".join(["0"] * 61), "total 128453535912993825479057919"]
 
 
 def test_enumerate_admissible_and_motzkin(capsys):
@@ -256,6 +276,19 @@ def test_resource_limit_exits_3(capsys):
     assert run(["poly", "barc", "--n", "1200"]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: Han-Zeng recurrence capped at n=48"
+    )
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(n):
+        raise InternalInconsistencyError(f"C_{n}(1, q) is not divisible by (1+q)^{n - 1}")
+
+    monkeypatch.setattr(cli, "hanzeng_barc", broken)
+    assert run(["poly", "barc", "--n", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: InternalInconsistencyError: C_5(1, q) is not divisible by (1+q)^4\n"
     )
 
 

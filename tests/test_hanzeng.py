@@ -43,7 +43,7 @@ def test_normalized_polynomials_golden(n, coeffs):
     assert hanzeng_barc(n) == IntPoly(coeffs)
 
 
-@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("n", range(0, 15))
 def test_identity_with_reversed_polynomials(n):
     assert hanzeng_barc(n + 1) == tilde_h(n)
 

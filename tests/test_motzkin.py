@@ -156,9 +156,26 @@ def test_fermionic_golden_values():
     assert h_poly_fermionic(5) == H5_POLY
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_fermionic_equals_dellac_statistic(n):
     assert h_poly_fermionic(n) == h_poly_dellac(n)
+
+
+def fermionic_by_paths(n):
+    """The q-binomial product formula summed path by path."""
+    total = IntPoly()
+    for f in iter_motzkin(n):
+        term = ONE
+        for k in range(1, n):
+            term = term * q_binomial_or_zero(1 + f[k - 1], f[k])
+            term = term * q_binomial_or_zero(1 + f[k + 1], f[k])
+        total = total + term.shift(fermionic_exponent(f))
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sweep_equals_the_per_path_sum(n):
+    assert h_poly_fermionic(n) == fermionic_by_paths(n)
 
 
 def test_exponent_nonnegative_and_shift_identity():
@@ -220,7 +237,7 @@ def test_laurent_golden_values():
     assert h_poly_laurent(4) == IntPoly((1, 3, 7, 10, 10, 6, 1))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_laurent_equals_fermionic(n):
     assert h_poly_laurent(n) == h_poly_fermionic(n)
 
@@ -253,5 +270,7 @@ def test_resource_limits():
         weighted_path_sum(15, integer_weight_system())
     with pytest.raises(ValueError):
         h_poly_fermionic(0)
+    with pytest.raises(ResourceLimitError):
+        h_poly_fermionic(15)
     with pytest.raises(ValueError):
         h_motzkin_rational(0)

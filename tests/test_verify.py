@@ -1,6 +1,8 @@
 import pytest
 
-from genocchi import dellac, verify
+from genocchi import dellac, hanzeng, verify
+from genocchi.errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
+from genocchi.exactalg import ZERO, IntPoly
 from genocchi.verify import CROSSCHECK_MAX_N, CheckReport, crosscheck
 
 EXPECTED_CHECKS = {
@@ -92,6 +94,39 @@ def test_corrupted_window_fails_the_polynomial_check(monkeypatch):
     three_way = next(c for c in report.checks if c.name == "hq-three-way")
     assert three_way.status == "fail"
     assert "dellac/fermionic n=1: 0 != 1" in three_way.detail
+
+
+def over_one_plus_qx(b):
+    # the Han-Zeng division with the wrong divisor 1 + qx
+    u, quotient = ZERO, []
+    for c in b:
+        u = c - u.shift(1)
+        quotient.append(u)
+    if quotient.pop():
+        raise InexactDivisionError("bivariate division leaves a remainder")
+    return quotient
+
+
+def test_wrong_hanzeng_divisor_fails_the_reversal_check(monkeypatch):
+    monkeypatch.setattr(hanzeng, "_over_divisor", over_one_plus_qx)
+    by_name = {c.name: c for c in crosscheck(3).checks}
+    assert by_name["hanzeng-reversal"].status == "fail"
+    assert "InternalInconsistencyError('recurrence step n=2" in by_name["hanzeng-reversal"].detail
+    assert by_name["hq-three-way"].status == "pass"
+
+
+@pytest.mark.parametrize("error", [InternalInconsistencyError, ResourceLimitError])
+def test_a_raising_check_keeps_its_problems(monkeypatch, error):
+    # wrong for n < 2, raising from n = 2: both the mismatches and the error are reported
+    def barc(n):
+        if n > 2:
+            raise error("gave up")
+        return IntPoly((5,))
+
+    monkeypatch.setattr(verify, "hanzeng_barc", barc)
+    check = next(c for c in crosscheck(3).checks if c.name == "hanzeng-reversal")
+    assert check.status == "fail"
+    assert check.detail == f"n=0: 5 != 1; n=1: 5 != 1; {error.__name__}('gave up')"
 
 
 def shift_elements(walk):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genocchi import iter_admissible, iter_dellac, iter_motzkin
-from genocchi.walk import SHARED_LEVELS, layered_walk
+from genocchi.walk import SHARED_LEVELS, layered_sweep, layered_walk
 
 STATES = range(3)
 
@@ -13,9 +13,9 @@ edge = st.tuples(st.sampled_from(STATES), st.integers(0, 3), st.sampled_from(STA
 tables = st.lists(st.lists(edge, max_size=4), max_size=SHARED_LEVELS + 3)
 
 
-def naive_walk(table, root):
+def naive_chains(table, root):
     """Every chain of edges from root, one edge per level, in product order."""
-    runs = []
+    chains = []
     for edges in product(*table):
         state = root
         for s, _, nxt in edges:
@@ -23,8 +23,12 @@ def naive_walk(table, root):
                 break
             state = nxt
         else:
-            runs.append(tuple(item for _, item, _ in edges))
-    return runs
+            chains.append(edges)
+    return chains
+
+
+def naive_walk(table, root):
+    return [tuple(item for _, item, _ in edges) for edges in naive_chains(table, root)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -34,6 +38,31 @@ def test_walk_matches_a_filtered_product(table, root):
         return ((item, nxt) for s, item, nxt in table[level] if s == state)
 
     assert list(layered_walk(len(table), root, choices)) == naive_walk(table, root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables, root=st.sampled_from(STATES), salt=st.integers(-9, 9))
+def test_sweep_sums_the_walk(table, root, salt):
+    def choices(level, state):
+        return ((item, nxt) for s, item, nxt in table[level] if s == state)
+
+    def weight(level, state, item):  # zero and negative weights included
+        return (salt * (7 * level + 3 * state + item)) % 7 - 2
+
+    depth = len(table)
+    counted = layered_sweep(depth, root, choices, lambda level, state, item, total: total)
+    assert sum(counted.values()) == len(list(layered_walk(depth, root, choices)))
+
+    weighted = layered_sweep(
+        depth, root, choices, lambda level, state, item, total: total * weight(level, state, item)
+    )
+    expected = 0
+    for edges in naive_chains(table, root):
+        term = 1
+        for level, (s, item, _) in enumerate(edges):
+            term *= weight(level, s, item)
+        expected += term
+    assert sum(weighted.values()) == expected
 
 
 @pytest.mark.parametrize(
