@@ -10,11 +10,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .exactalg import (
-    BivarPoly,
     IntPoly,
     LaurentPoly,
     PowerSeries,
-    bivar_exact_div_by_unit_const,
     poly_exact_div,
     poly_reverse,
     q_binomial,
@@ -54,7 +52,6 @@ from .contfrac import (
     contract_S_to_J,
     contract_S_to_J_affine,
     expand,
-    tilde_h_series,
 )
 from .hanzeng import hanzeng_C, hanzeng_barc
 from .verify import CheckReport, CheckResult, crosscheck
@@ -64,7 +61,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AdmissibleSequence",
     "AffineSFraction",
-    "BivarPoly",
     "CheckReport",
     "CheckResult",
     "DellacConfig",
@@ -80,7 +76,6 @@ __all__ = [
     "SFraction",
     "TrianglePair",
     "WeightSystem",
-    "bivar_exact_div_by_unit_const",
     "contract_S_to_J",
     "contract_S_to_J_affine",
     "count_closed_column_graded",
@@ -110,6 +105,5 @@ __all__ = [
     "q_int",
     "seidel_columns",
     "tilde_h",
-    "tilde_h_series",
     "weighted_path_sum",
 ]

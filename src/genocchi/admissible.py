@@ -102,11 +102,6 @@ class GammaGraph:
 
     n: int
 
-    def vertices(self) -> Iterator[tuple[int, int]]:
-        for l in range(1, self.n):
-            for j in range(1, self.n + 1):
-                yield (l, j)
-
     def has_vertex(self, v: tuple[int, int]) -> bool:
         l, j = v
         return 1 <= l <= self.n - 1 and 1 <= j <= self.n
@@ -117,12 +112,6 @@ class GammaGraph:
         if l + 1 <= self.n - 1 and l + 1 != j:
             return (l + 1, j)
         return None
-
-    def arrows(self) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-        for v in self.vertices():
-            t = self.arrow_target(v)
-            if t is not None:
-                yield (v, t)
 
 
 def is_closed_in_gamma(subset: Iterable[tuple[int, int]], graph: GammaGraph) -> bool:

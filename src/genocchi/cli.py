@@ -167,8 +167,15 @@ def _cmd_verify(args) -> int:
     return 1 if report.failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's own error line without the usage block, so that every
+        # usage error is one line; subcommand parsers inherit this class
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="genocchi",
         description="Median Genocchi numbers and their q-analogues, exactly.",
     )

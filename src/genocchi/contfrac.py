@@ -189,13 +189,6 @@ NAMED_FRACTIONS: dict[str, Callable[[], CFSpec]] = {
 }
 
 
-def tilde_h_series(order: int, via: str = "f1") -> PowerSeries:
-    """Generating series of the reversed polynomials through s^order."""
-    if via not in ("f1", "f2"):
-        raise ValueError(f"via must be 'f1' or 'f2', got {via!r}")
-    return expand(NAMED_FRACTIONS[via](), order)
-
-
 _SPEC_KEYS = {"preset": {"preset"}, "J": {"kind", "gamma", "lambda"}, "S": {"kind", "c0", "c"}}
 
 

@@ -7,7 +7,6 @@ and no floating point appears anywhere.
 Types:
   IntPoly     dense polynomial in q, ascending coefficients, no trailing zeros
   LaurentPoly IntPoly shifted by an integer exponent offset (negative powers ok)
-  BivarPoly   polynomial in x whose coefficients are IntPoly values in q
   PowerSeries truncated series in s with IntPoly coefficients
 
 Rationals are fractions.Fraction, which already maintains the canonical form
@@ -66,12 +65,6 @@ class IntPoly:
     def constant_term(self) -> int:
         return self.coefficient(0)
 
-    @property
-    def leading_coefficient(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod
@@ -120,18 +113,6 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __call__(self, value: Coefficient) -> Coefficient:
         acc = 0
@@ -314,19 +295,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    @classmethod
-    def from_poly(cls, p: IntPoly) -> "LaurentPoly":
-        return cls(0, p)
-
     @property
     def is_zero(self) -> bool:
         return self.body.is_zero
-
-    @property
-    def min_exponent(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero Laurent polynomial has no exponents")
-        return self.offset
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k (k may be negative)."""
@@ -359,15 +330,6 @@ class LaurentPoly:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.offset, -self.body)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -404,151 +366,6 @@ class LaurentPoly:
         if self.offset == 0:
             return str(self.body)
         return f"q^{self.offset}*({self.body})"
-
-
-# ---------------------------------------------------------------------------
-# Bivariate polynomials in x over IntPoly coefficients
-# ---------------------------------------------------------------------------
-
-
-def _trim_polys(polys: list) -> tuple:
-    while polys and polys[-1].is_zero:
-        polys.pop()
-    return tuple(polys)
-
-
-class BivarPoly:
-    """Polynomial in x whose coefficients are IntPoly values in q.
-
-    x_coeffs[i] is the q-polynomial coefficient of x^i; the last stored
-    coefficient is nonzero.
-    """
-
-    __slots__ = ("x_coeffs",)
-
-    def __init__(self, x_coeffs: Iterable = ()):
-        polys = [c if isinstance(c, IntPoly) else IntPoly((c,)) for c in x_coeffs]
-        object.__setattr__(self, "x_coeffs", _trim_polys(polys))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivarPoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.x_coeffs
-
-    @property
-    def x_degree(self) -> int:
-        if not self.x_coeffs:
-            raise ValueError("x-degree of the zero polynomial is undefined")
-        return len(self.x_coeffs) - 1
-
-    def x_coefficient(self, i: int) -> IntPoly:
-        return self.x_coeffs[i] if 0 <= i < len(self.x_coeffs) else ZERO
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, BivarPoly):
-            return other
-        if isinstance(other, (IntPoly, int)):
-            return BivarPoly((other,))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.x_coeffs, other.x_coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BivarPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BivarPoly(tuple(-c for c in self.x_coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.x_coeffs, other.x_coeffs
-        if not a or not b:
-            return BivarPoly()
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca.is_zero:
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-        return BivarPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.x_coeffs == other.x_coeffs
-
-    def __hash__(self):
-        # x-constant values hash like the IntPoly they equal
-        if len(self.x_coeffs) < 2:
-            return hash(self.x_coeffs[0] if self.x_coeffs else 0)
-        return hash(self.x_coeffs)
-
-    def substitute_x(self, s: "BivarPoly") -> "BivarPoly":
-        """Compose with x -> s(x), leaving q-coefficients untouched (Horner)."""
-        result = BivarPoly()
-        for c in reversed(self.x_coeffs):
-            result = result * s + BivarPoly((c,))
-        return result
-
-    def at_x_one(self) -> IntPoly:
-        """Evaluate at x = 1, yielding a polynomial in q."""
-        total = ZERO
-        for c in self.x_coeffs:
-            total = total + c
-        return total
-
-    def __repr__(self):
-        return f"BivarPoly({self.x_coeffs!r})"
-
-
-def bivar_exact_div_by_unit_const(num: BivarPoly, den: BivarPoly) -> BivarPoly:
-    """Exact division of bivariate polynomials, ascending in powers of x.
-
-    Requires the divisor's x-constant coefficient to be the unit polynomial 1,
-    which makes every quotient step division-free.  Raises
-    InexactDivisionError if the remainder is not exactly zero.
-    """
-    if den.is_zero or den.x_coefficient(0) != ONE:
-        raise ValueError("divisor must have x-constant coefficient 1")
-    if num.is_zero:
-        return BivarPoly()
-    bound = num.x_degree - den.x_degree
-    if bound < 0:
-        raise InexactDivisionError("bivariate division leaves a remainder")
-    rem = list(num.x_coeffs) + [ZERO] * (den.x_degree + 1)
-    quot = [ZERO] * (bound + 1)
-    for i in range(bound + 1):
-        c = rem[i]
-        if c.is_zero:
-            continue
-        quot[i] = c
-        for j, dj in enumerate(den.x_coeffs):
-            rem[i + j] = rem[i + j] - c * dj
-    if any(not c.is_zero for c in rem):
-        raise InexactDivisionError("bivariate division leaves a remainder")
-    return BivarPoly(quot)
 
 
 # ---------------------------------------------------------------------------

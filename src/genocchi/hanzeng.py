@@ -6,15 +6,16 @@ division-free; exactness is asserted at runtime).  Evaluating at x = 1 and
 stripping the factor (1+q)^(n-1) yields polynomials whose value at q = 1 is
 h(n-1) and which coincide with the reversed polynomials shifted by one index.
 
-Every factor in the step has x-coefficients 1, q or q - 1, so the step runs
-on the x-coefficient lists with q-shifts and additions only: no general
-polynomial product is formed.
+A recurrence value is its x-coefficient tuple: entry i is the q-polynomial
+coefficient of x^i.  Every factor in the step has x-coefficients 1, q or
+q - 1, so the step runs on those lists with q-shifts and additions only: no
+general polynomial product is formed.
 """
 
 from __future__ import annotations
 
 from .errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
-from .exactalg import BivarPoly, IntPoly, ONE, Q, ZERO, poly_exact_div
+from .exactalg import IntPoly, ONE, Q, ZERO, poly_exact_div
 
 HANZENG_MAX_N = 48  # each step grows both degrees, so the cost climbs steeply past this
 
@@ -38,21 +39,27 @@ def _over_divisor(b: list[IntPoly]) -> list[IntPoly]:
     return quotient
 
 
+def _substitute(c: list[IntPoly]) -> list[IntPoly]:
+    """Substitute x -> 1 + qx by Horner: sum c_i (1 + qx)^i, as x-coefficients."""
+    out: list[IntPoly] = []
+    for a in reversed(c):
+        out = _times_one_plus_qx(out)
+        out[0] = out[0] + a
+    return out
+
+
 def _step(prev: list[IntPoly]) -> list[IntPoly]:
     """C_n from C_{n-1}: (1 + qx) (C_{n-1}(1 + qx) (1 + qx) - x C_{n-1}(x))
     divided by 1 + qx - x."""
-    shifted: list[IntPoly] = []
-    for c in reversed(prev):  # Horner: x -> 1 + qx
-        shifted = _times_one_plus_qx(shifted)
-        shifted[0] = shifted[0] + c
-    bracket = _times_one_plus_qx(shifted)
+    bracket = _times_one_plus_qx(_substitute(prev))
     for i, c in enumerate(prev, start=1):
         bracket[i] = bracket[i] - c
     return _times_one_plus_qx(_over_divisor(bracket))
 
 
-def hanzeng_C(n: int) -> BivarPoly:
-    """The n-th recurrence polynomial in x and q."""
+def hanzeng_C(n: int) -> tuple[IntPoly, ...]:
+    """The n-th recurrence polynomial in x and q, as its x-coefficient tuple
+    (n entries, the last one nonzero)."""
     if n < 1:
         raise ValueError("index must be positive")
     if n > HANZENG_MAX_N:
@@ -65,7 +72,7 @@ def hanzeng_C(n: int) -> BivarPoly:
             raise InternalInconsistencyError(
                 f"recurrence step n={k} is not divisible by 1 + qx - x"
             ) from exc
-    return BivarPoly(coeffs)
+    return tuple(coeffs)
 
 
 def hanzeng_barc(n: int) -> IntPoly:
@@ -74,7 +81,7 @@ def hanzeng_barc(n: int) -> IntPoly:
     is h(n-1)."""
     if n < 1:
         raise ValueError("index must be positive")
-    at_one = hanzeng_C(n).at_x_one()
+    at_one = sum(hanzeng_C(n), ZERO)
     try:
         for _ in range(n - 1):
             at_one = poly_exact_div(at_one, ONE + Q)

@@ -240,11 +240,8 @@ def h_poly_laurent(n: int) -> IntPoly:
     """h_n(q) as the Laurent-weight path sum multiplied by q^(n(n-1)/2)."""
     if n < 1:
         raise ValueError("n must be positive")
-    raw = weighted_path_sum(n, laurent_weight_system())
-    if not isinstance(raw, LaurentPoly):
-        raw = LaurentPoly.from_poly(ONE * raw)
-    shifted = raw.shift(n * (n - 1) // 2)
-    if not shifted.is_zero and shifted.min_exponent < 0:
+    shifted = weighted_path_sum(n, laurent_weight_system()).shift(n * (n - 1) // 2)
+    if shifted.offset < 0:
         raise InternalInconsistencyError(
             f"negative exponents survive the q^{n * (n - 1) // 2} shift at n={n}"
         )

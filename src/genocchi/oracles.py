@@ -23,19 +23,20 @@ def count_dumont(n: int) -> int:
     conditions prune almost everything early, and placing an odd value 2k+1
     requires 2k to be already placed.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > DUMONT_MAX_N:
-        raise ResourceLimitError(f"Dumont counting capped at n={DUMONT_MAX_N}")
     return sum(1 for _ in dumont_permutations(n))
 
 
 def dumont_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the qualifying permutations in one-line notation, lexicographically."""
+    """Yield the qualifying permutations in one-line notation, lexicographically.
+    The argument is checked here, before the first permutation is asked for."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > DUMONT_MAX_N:
         raise ResourceLimitError(f"Dumont counting capped at n={DUMONT_MAX_N}")
+    return _backtrack(n)
+
+
+def _backtrack(n: int) -> Iterator[tuple[int, ...]]:
     size = 2 * n + 2
     placed = [False] * (size + 1)
     line: list[int] = []

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator
 
+from . import limits
 from .admissible import AdmissibleSequence, count_closed_column_graded, iter_admissible
 from .contfrac import (
     SFraction,
@@ -113,6 +114,9 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     """Run the full check matrix through the given bound (1 <= n_max <= 8)."""
     if not 1 <= n_max <= CROSSCHECK_MAX_N:
         raise ValueError(f"n_max must be between 1 and {CROSSCHECK_MAX_N}")
+    # a malformed GENOCCHI_MAX_N is bad input, raised here once rather than
+    # reported as a failure by every check that reads the cap
+    limits.cap_for("dellac")
     report = CheckReport(n_max=n_max, seed=seed)
 
     def run(name: str, rng_text: str, fn) -> None:

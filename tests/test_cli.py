@@ -3,9 +3,10 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +320,14 @@ def test_env_cap_reaches_the_cli(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_malformed_env_cap_is_a_usage_error_under_verify(monkeypatch, capsys):
+    monkeypatch.setenv("GENOCCHI_MAX_N", "abc")
+    assert run(["verify", "--n-max", "2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: GENOCCHI_MAX_N must be a nonnegative integer, got 'abc'\n"
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
@@ -337,3 +346,82 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+# hostile values for any numeric argument: argparse rejects the last three
+HOSTILE = ("-1", "-7", str(10**30), "abc", "2.5", "")
+
+
+def size(top):
+    return st.one_of(st.integers(0, top).map(str), st.sampled_from(HOSTILE))
+
+
+def argv_of(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def words(*names):
+    return st.sampled_from(names).map(lambda name: [name])
+
+
+def arg(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def option(flag, values):
+    return st.one_of(st.just([]), arg(flag, values))
+
+
+JSON = st.sampled_from([[], ["--json"]])
+# "@name" stands for a file in the spec directory; missing.json is never written
+SPEC = option("--spec", st.sampled_from(["@good.json", "@bad.json", "@shape.json", "@missing.json"]))
+
+ARGV = st.one_of(
+    argv_of(words("seq"), words("h", "H", "genocchi1"), arg("--count", size(50)), JSON),
+    argv_of(words("poly"), words("hq", "tildehq", "barc"), arg("--n", size(5)), JSON),
+    argv_of(
+        words("enumerate"),
+        words("dellac", "admissible", "motzkin"),
+        arg("--n", size(5)),
+        option("--limit", size(50)),
+        JSON,
+    ),
+    argv_of(words("count"), words("dumont", "triangles"), arg("--n", size(5))),
+    argv_of(
+        words("series"),
+        words("f1", "f2", "hn", "viennot", "custom"),
+        arg("--order", size(12)),
+        SPEC,
+        JSON,
+    ),
+    argv_of(
+        words("verify"),
+        option("--n-max", size(4)),
+        option("--seed", st.one_of(st.integers(-3, 3).map(str), st.sampled_from(HOSTILE))),
+        JSON,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs")
+    (path / "good.json").write_text('{"kind": "S", "c": [1, 2, 3]}', encoding="utf-8")
+    (path / "bad.json").write_text("{not json", encoding="utf-8")
+    (path / "shape.json").write_text('{"kind": "J", "gamma": [1.5]}', encoding="utf-8")
+    return path
+
+
+@settings(max_examples=150, deadline=2000)
+@given(argv=ARGV, cap=st.one_of(st.sampled_from([None, "abc", "-1"]), st.integers(0, 6).map(str)))
+def test_fuzzed_argv_ends_in_an_answer_or_one_error_line(spec_dir, argv, cap):
+    argv = [str(spec_dir / a[1:]) if a.startswith("@") else a for a in argv]
+    err = io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        os.environ.pop("GENOCCHI_MAX_N", None)
+        if cap is not None:
+            os.environ["GENOCCHI_MAX_N"] = cap
+        status = run(argv)
+    assert status in (0, 2, 3), (argv, cap, status, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, (argv, cap, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()

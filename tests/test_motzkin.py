@@ -245,7 +245,7 @@ def test_laurent_equals_fermionic(n):
 def test_laurent_raw_sum_sits_at_negative_offset():
     raw = weighted_path_sum(4, laurent_weight_system())
     assert isinstance(raw, LaurentPoly)
-    assert raw.min_exponent == -(4 * 3 // 2)
+    assert raw.offset == -(4 * 3 // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,11 @@ def test_dumont_respects_its_ceiling():
         count_dumont(5)
     with pytest.raises(ValueError):
         count_dumont(0)
+    # the generator checks at the call, before anything is iterated
+    with pytest.raises(ResourceLimitError):
+        dumont_permutations(5)
+    with pytest.raises(ValueError):
+        dumont_permutations(0)
 
 
 # ---------------------------------------------------------------------------
