@@ -6,7 +6,7 @@ mapping I to the vertex set {(l, j): j in I_l} of the digraph whose arrows
 run (l, j) -> (l+1, j) except when l+1 = j, admissibility becomes closure
 under arrows.  Both counts equal h(n).  iter_admissible walks the sequences
 and yields them only; count_closed_column_graded counts the closed subsets
-by a transfer sweep over column masks, visiting none of them.
+by a layered sweep over column masks, visiting none of them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import limits
-from .walk import layered_walk
+from .walk import layered_sweep, layered_walk
 
 
 def _mask(elems: Iterable[int]) -> int:
@@ -126,29 +126,26 @@ def is_closed_in_gamma(subset: Iterable[tuple[int, int]], graph: GammaGraph) -> 
 def count_closed_column_graded(n: int) -> int:
     """Count closed subsets with exactly l vertices in column l, for every l.
 
-    A forward transfer sweep over columns l = 1..n-1 whose state is the
-    vertex mask of column l, carrying the number of closed prefixes that end
-    in it.  A column extends a state when it holds every arrow head leaving
-    the state's column, derived once per state from GammaGraph.arrow_target.
-    This runs the constraint in the opposite direction from iter_admissible
-    and visits no object, so the two counts check each other.
+    A layered sweep over columns l = 1..n-1 whose state is the vertex mask of
+    column l (column 0 is empty), carrying the number of closed prefixes that
+    end in it.  A column extends a state when it holds every arrow head
+    leaving the state's column, derived from GammaGraph.arrow_target.  This
+    runs the constraint in the opposite direction from iter_admissible and
+    visits no object, so the two counts check each other.
     """
     if n < 1:
         raise ValueError("n must be positive")
     limits.check_cap("admissible", n)
     graph = GammaGraph(n)
-    # mask of the last column placed -> closed subsets of the columns so far
-    # that end in it; column 0 is empty
-    states = {0: 1}
-    for l in range(1, n):
-        candidates = [_mask(combo) for combo in combinations(range(1, n + 1), l)]
-        reached: dict[int, int] = {}
-        for prev, count in states.items():
-            required = _mask(
-                t[1] for j in _elems(prev) if (t := graph.arrow_target((l - 1, j))) is not None
-            )
-            for mask in candidates:
-                if mask & required == required:
-                    reached[mask] = reached.get(mask, 0) + count
-        states = reached
-    return sum(states.values())
+    # the l-subsets of 1..n, listed once per column l
+    candidates = [list(map(_mask, combinations(range(1, n + 1), l))) for l in range(1, n)]
+
+    def choices(level: int, prev: int):
+        required = _mask(
+            t[1] for j in _elems(prev) if (t := graph.arrow_target((level, j))) is not None
+        )
+        for mask in candidates[level]:
+            if mask & required == required:
+                yield mask, mask
+
+    return sum(layered_sweep(n - 1, 0, choices, lambda level, prev, mask, count: count).values())

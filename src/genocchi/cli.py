@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from itertools import islice
+from itertools import count
 from typing import Sequence
 
 from . import admissible, dellac, motzkin
@@ -111,9 +111,9 @@ def _cmd_enumerate(args) -> int:
         "admissible": (iter_admissible, admissible.layers, AdmissibleSequence),
         "motzkin": (iter_motzkin, motzkin.layers, lambda n, heights: MotzkinPath(heights)),
     }[args.model]
-    total = 0
-    for item in islice(walk(args.n), args.limit):
-        total += 1
+    # range, unlike islice, takes a limit of any size
+    limit = count() if args.limit is None else range(args.limit)
+    for _, item in zip(limit, walk(args.n)):
         obj = build(args.n, item)
         if args.json:
             print(_dump(obj.json_dict()))
@@ -121,10 +121,9 @@ def _cmd_enumerate(args) -> int:
             print(obj.render())
             if args.model == "dellac":
                 print()
-    if args.limit is not None:
-        # the walk's own layers, swept: nothing past the limit is visited
-        swept = layered_sweep(*layers(args.n), lambda level, state, item, count: count)
-        total = sum(swept.values())
+    # the walk's own layers, swept: the total visits no item
+    swept = layered_sweep(*layers(args.n), lambda level, state, item, runs: runs)
+    total = sum(swept.values())
 
     if args.json:
         print(_dump({"total": str(total)}))
@@ -146,7 +145,11 @@ def _cmd_series(args) -> int:
         if not args.spec:
             raise ValueError("series custom requires --spec FILE")
         with open(args.spec, encoding="utf-8") as fh:
-            spec = spec_from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.spec}: JSON nested too deeply") from None
+        spec = spec_from_dict(data)
     else:
         if args.spec:
             raise ValueError("--spec applies only to 'series custom'")

@@ -7,8 +7,8 @@ failure count into a nonzero exit status.
 
 Each identity compares two code paths that share no route-specific code
 (motzkin.path_sums, IntPoly arithmetic, walk.layered_walk under the three
-walks and walk.layered_sweep under the Dellac and fermionic sweeps are
-shared substrate):
+walks and the Dumont oracle, and walk.layered_sweep under the Dellac,
+fermionic, closed-subset and triangle-pair sweeps are shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
                     path sweep vs tilde_h's fermionic pair-state sweep
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its

@@ -1,6 +1,7 @@
-"""The walk under the Dellac, admissible and Motzkin enumerators, and the
-sweep that sums it: one choice per level, from a small state (used-row
-mask, pool, height, or a pair of heights)."""
+"""The walk under the Dellac, admissible and Motzkin enumerators and the
+Dumont oracle, and the sweep that sums it for the q-polynomials, the
+closed-subset count, the triangle census and the enumerate total: one
+choice per level, from a small state (a mask, a pool, heights, coverage)."""
 
 from functools import cache
 from typing import Any, Callable, Hashable, Iterable, Iterator

@@ -135,9 +135,18 @@ WALKS = {"dellac": iter_dellac, "admissible": iter_admissible, "motzkin": iter_m
 @pytest.mark.parametrize("model", sorted(WALKS))
 @pytest.mark.parametrize("n", range(1, 8))
 def test_swept_limit_total_equals_the_walked_count(model, n):
-    # under --limit the total comes from a sweep of the walk's layers
+    # the total comes from a sweep of the walk's layers, with or without --limit
+    walked = sum(1 for _ in WALKS[model](n))
     total = output_lines(["enumerate", model, "--n", str(n), "--limit", "0"])
-    assert total == [f"total {sum(1 for _ in WALKS[model](n))}"]
+    assert total == [f"total {walked}"]
+    *objects, last = unlimited_json(model, n)
+    assert len(objects) == walked
+    assert json.loads(last) == {"total": str(walked)}
+
+
+def test_limit_above_sys_maxsize_is_at_most_k():
+    huge = output_lines(["enumerate", "motzkin", "--n", "2", "--limit", str(10**30)])
+    assert huge == output_lines(["enumerate", "motzkin", "--n", "2", "--limit", "2"])
 
 
 def test_limited_total_needs_no_walk(monkeypatch):
@@ -260,6 +269,15 @@ def test_missing_spec_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_over_nested_spec_file_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert run(["series", "custom", "--order", "3", "--spec", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_coercible_spec_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     for data in ({"kind": "S", "c": [1.9, True, "3"]}, {"kind": "J", "gamma": [1], "c": [2]}):
@@ -374,7 +392,10 @@ def option(flag, values):
 
 JSON = st.sampled_from([[], ["--json"]])
 # "@name" stands for a file in the spec directory; missing.json is never written
-SPEC = option("--spec", st.sampled_from(["@good.json", "@bad.json", "@shape.json", "@missing.json"]))
+SPEC = option(
+    "--spec",
+    st.sampled_from(["@good.json", "@bad.json", "@shape.json", "@deep.json", "@missing.json"]),
+)
 
 ARGV = st.one_of(
     argv_of(words("seq"), words("h", "H", "genocchi1"), arg("--count", size(50)), JSON),
@@ -409,6 +430,7 @@ def spec_dir(tmp_path_factory):
     (path / "good.json").write_text('{"kind": "S", "c": [1, 2, 3]}', encoding="utf-8")
     (path / "bad.json").write_text("{not json", encoding="utf-8")
     (path / "shape.json").write_text('{"kind": "J", "gamma": [1.5]}', encoding="utf-8")
+    (path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
     return path
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from genocchi.errors import ResourceLimitError
 from genocchi.oracles import (
     TrianglePair,
+    _coverage_census,
     count_dumont,
     count_triangle_pairs,
     dumont_permutations,
@@ -12,10 +14,10 @@ from genocchi.oracles import (
 from genocchi.seidel import normalized_h
 
 
-def naive_dumont_count(n):
-    """Filter the full symmetric group; usable through n = 3."""
+def naive_dumont_permutations(n):
+    """Filter the full symmetric group, in lexicographic order; usable through n = 3."""
     size = 2 * n + 2
-    count = 0
+    out = []
     for sigma in permutations(range(1, size + 1)):
         if any(v >= k for k, v in enumerate(sigma, start=1) if k % 2 == 0):
             continue
@@ -23,8 +25,8 @@ def naive_dumont_count(n):
             continue
         pos = {v: i for i, v in enumerate(sigma)}
         if all(pos[2 * k] < pos[2 * k + 1] for k in range(1, n + 1)):
-            count += 1
-    return count
+            out.append(sigma)
+    return out
 
 
 def test_dumont_golden_counts():
@@ -40,7 +42,10 @@ def test_dumont_n1_unique_permutation():
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_dumont_matches_naive_filter(n):
-    assert count_dumont(n) == naive_dumont_count(n)
+    naive = naive_dumont_permutations(n)
+    assert count_dumont(n) == len(naive)
+    # the walk lists the same permutations, in the same lexicographic order
+    assert list(dumont_permutations(n)) == naive
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -76,6 +81,17 @@ def all_side_choices(n, left_anchored):
         )
         out = [s | extra for s in out for extra in ([frozenset()] + [frozenset([o]) for o in opts])]
     return out
+
+
+def coverage(n, marks):
+    return tuple(sum(1 for i, j in marks if i <= k <= j) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("left_anchored", (True, False))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_coverage_census_is_the_histogram_of_the_side_choices(n, left_anchored):
+    naive = Counter(coverage(n, marks) for marks in all_side_choices(n, left_anchored))
+    assert _coverage_census(n, left_anchored) == naive
 
 
 def naive_triangle_count(n):
