@@ -7,6 +7,13 @@ run (l, j) -> (l+1, j) except when l+1 = j, admissibility becomes closure
 under arrows.  Both counts equal h(n).  iter_admissible walks the sequences
 and yields them only; count_closed_column_graded counts the closed subsets
 by a layered sweep over column masks, visiting none of them.
+
+AdmissibleSequence validates its masks in one pass (each I_l inside 1..n
+with popcount l, and I_{l-1} inside I_l plus l); only a rejected sequence
+is checked again in the old order, for the message of its first fault.
+json_line and render take each subset's text from a SubsetTexts, which a
+stream shares across its lines so that every distinct subset is formatted
+once.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import limits
+from .errors import InternalInconsistencyError
 from .walk import layered_sweep, layered_walk
 
 
@@ -44,27 +52,58 @@ class AdmissibleSequence:
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.masks) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} subsets, got {len(self.masks)}")
-        full = _mask(range(1, self.n + 1))
-        for l, m in enumerate(self.masks, start=1):
-            if m & ~full:
-                raise ValueError(f"I_{l} contains elements outside 1..{self.n}")
-            if bin(m).count("1") != l:
-                raise ValueError(f"I_{l} must have exactly {l} elements")
-        for l in range(1, self.n - 1):
-            allowed = self.masks[l] | (1 << (l + 1))
-            if self.masks[l - 1] & ~allowed:
-                raise ValueError(f"I_{l} exceeds I_{l + 1} plus {{{l + 1}}}")
+        # one pass: I_l inside 1..n with l elements, and I_{l-1} inside I_l plus l
+        n, masks = self.n, self.masks
+        if len(masks) == n - 1:
+            outside = ~((1 << (n + 1)) - 2)
+            prev = 0
+            for l, m in enumerate(masks, start=1):
+                if m & outside or m.bit_count() != l or prev & ~(m | 1 << l):
+                    break
+                prev = m
+            else:
+                return
+        raise ValueError(_first_fault(n, masks))
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_elems(m) for m in self.masks)
 
-    def json_dict(self) -> dict:
-        return {"n": self.n, "sets": [list(s) for s in self.sets()]}
+    def json_line(self, texts: SubsetTexts | None = None) -> str:
+        """The compact JSON object {"n", "sets"}, as json.dumps with
+        separators (",", ":") writes it.  A stream passes one texts for all
+        its lines, so each distinct subset is formatted once."""
+        texts = SubsetTexts() if texts is None else texts
+        return f'{{"n":{self.n},"sets":[{",".join(map(texts.__getitem__, self.masks))}]}}'
 
-    def render(self) -> str:
-        return " | ".join(",".join(str(e) for e in s) for s in self.sets()) or "()"
+    def render(self, texts: SubsetTexts | None = None) -> str:
+        texts = SubsetTexts() if texts is None else texts
+        return " | ".join(text[1:-1] for text in map(texts.__getitem__, self.masks)) or "()"
+
+
+class SubsetTexts(dict):
+    """Mask -> its elements as a JSON list, such as "[1,3]"; each text is
+    made on first use."""
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = f"[{','.join(map(str, _elems(mask)))}]"
+        return text
+
+
+def _first_fault(n: int, masks) -> str:
+    """The message for the first fault of an invalid sequence: the subset
+    count, then each subset's elements and size, then each containment."""
+    if len(masks) != n - 1:
+        return f"expected {n - 1} subsets, got {len(masks)}"
+    full = _mask(range(1, n + 1))
+    for l, m in enumerate(masks, start=1):
+        if m & ~full:
+            return f"I_{l} contains elements outside 1..{n}"
+        if bin(m).count("1") != l:
+            return f"I_{l} must have exactly {l} elements"
+    for l in range(1, n - 1):
+        if masks[l - 1] & ~(masks[l] | 1 << (l + 1)):
+            return f"I_{l} exceeds I_{l + 1} plus {{{l + 1}}}"
+    raise InternalInconsistencyError(f"sequence {masks} rejected without a fault")
 
 
 def layers(n: int):

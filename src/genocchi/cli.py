@@ -25,7 +25,7 @@ from typing import Sequence
 from . import admissible, dellac, motzkin
 from .contfrac import NAMED_FRACTIONS, expand, spec_from_dict
 from .dellac import DellacConfig, iter_dellac
-from .admissible import AdmissibleSequence, iter_admissible
+from .admissible import AdmissibleSequence, SubsetTexts, iter_admissible
 from .errors import ResourceLimitError
 from .exactalg import IntPoly, PowerSeries
 from .hanzeng import hanzeng_barc
@@ -49,6 +49,11 @@ SERIES_MAX_ORDER = 64
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _internal_error(exc: Exception) -> int:
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return INTERNAL_ERROR
 
 
 def _print_poly(p: IntPoly, as_json: bool) -> None:
@@ -111,16 +116,25 @@ def _cmd_enumerate(args) -> int:
         "admissible": (iter_admissible, admissible.layers, AdmissibleSequence),
         "motzkin": (iter_motzkin, motzkin.layers, lambda n, heights: MotzkinPath(heights)),
     }[args.model]
+    if args.model == "admissible":
+        texts = SubsetTexts()  # each distinct subset is formatted once per stream
+        line = (lambda seq: seq.json_line(texts)) if args.json else (lambda seq: seq.render(texts))
+    else:
+        line = (lambda obj: obj.json_line()) if args.json else (lambda obj: obj.render())
+    # a blank line closes each Dellac grid in text mode
+    end = "\n\n" if args.model == "dellac" and not args.json else "\n"
+    write = sys.stdout.write
+    items = walk(args.n)  # checks n, before the first item is asked for
     # range, unlike islice, takes a limit of any size
     limit = count() if args.limit is None else range(args.limit)
-    for _, item in zip(limit, walk(args.n)):
-        obj = build(args.n, item)
-        if args.json:
-            print(_dump(obj.json_dict()))
-        else:
-            print(obj.render())
-            if args.model == "dellac":
-                print()
+    for _, item in zip(limit, items):
+        try:
+            obj = build(args.n, item)
+        except ValueError as exc:
+            # n was checked above, so an object its walk yields and its
+            # constructor rejects is a fault of the walk
+            return _internal_error(exc)
+        write(line(obj) + end)
     # the walk's own layers, swept: the total visits no item
     swept = layered_sweep(*layers(args.n), lambda level, state, item, runs: runs)
     total = sum(swept.values())
@@ -243,8 +257,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # a fault of the program, not of its input
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+        return _internal_error(exc)
 
 
 def main() -> None:

@@ -7,7 +7,12 @@ number of configurations is h(n); the generating polynomial of the length
 statistic is the q-analogue h_n(q).  The walk yields plain row-pair tuples
 and nothing else; the polynomial comes from a transfer sweep of the same
 layers over used-row masks, which visits no configuration.
-DellacConfig validates a configuration only where one is built.
+
+DellacConfig validates a configuration where one is built, in one pass: each
+column's pair must lie in the band _row_window gives at that moment, and the
+used rows, kept as a bitmask, must number 2n at the end.  Only a rejected
+configuration is walked again box by box, for the message of its first
+fault.  json_line writes the compact JSON line directly.
 """
 
 from __future__ import annotations
@@ -29,22 +34,21 @@ class DellacConfig:
     columns: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = self.n
-        if len(self.columns) != n:
-            raise ValueError(f"expected {n} columns, got {len(self.columns)}")
-        seen: set[int] = set()
-        for col, (lo, hi) in enumerate(self.columns, start=1):
-            if not lo < hi:
-                raise ValueError(f"column {col} rows must be strictly increasing")
-            win_lo, win_hi = _row_window(n, col)
-            for j in (lo, hi):
-                if not win_lo <= j <= win_hi:
-                    raise ValueError(f"box ({col}, {j}) outside the allowed band")
-                if j in seen:
-                    raise ValueError(f"row {j} marked twice")
-                seen.add(j)
-        if len(seen) != 2 * n:
-            raise ValueError("every row must contain exactly one marked box")
+        # one pass: each pair inside its column's band, then no row used twice
+        n, columns = self.n, self.columns
+        used = 0
+        try:
+            for col, (lo, hi) in enumerate(columns, start=1):
+                win_lo, win_hi = _row_window(n, col)
+                if not win_lo <= lo < hi <= win_hi:
+                    break
+                used |= 1 << lo | 1 << hi
+            else:
+                if len(columns) == n and used.bit_count() == 2 * n:
+                    return
+        except (TypeError, ValueError):
+            pass  # a malformed column: the box loop below raises or names it
+        raise ValueError(_first_fault(n, columns))
 
     def boxes(self) -> Iterator[tuple[int, int]]:
         """All marked boxes as (column, row) pairs, column-major order."""
@@ -55,8 +59,31 @@ class DellacConfig:
     def render(self) -> str:
         return "\n".join(f"{col}: {lo} {hi}" for col, (lo, hi) in enumerate(self.columns, start=1))
 
-    def json_dict(self) -> dict:
-        return {"n": self.n, "columns": [list(pair) for pair in self.columns]}
+    def json_line(self) -> str:
+        """The compact JSON object {"n", "columns"}, as json.dumps with
+        separators (",", ":") writes it."""
+        columns = ",".join([f"[{lo},{hi}]" for lo, hi in self.columns])
+        return f'{{"n":{self.n},"columns":[{columns}]}}'
+
+
+def _first_fault(n: int, columns) -> str:
+    """The message for the first fault of an invalid configuration, found box
+    by box: the column count, then per column the row order, and per row
+    the band and a repeat."""
+    if len(columns) != n:
+        return f"expected {n} columns, got {len(columns)}"
+    seen: set[int] = set()
+    for col, (lo, hi) in enumerate(columns, start=1):
+        if not lo < hi:
+            return f"column {col} rows must be strictly increasing"
+        win_lo, win_hi = _row_window(n, col)
+        for j in (lo, hi):
+            if not win_lo <= j <= win_hi:
+                return f"box ({col}, {j}) outside the allowed band"
+            if j in seen:
+                return f"row {j} marked twice"
+            seen.add(j)
+    return "every row must contain exactly one marked box"
 
 
 def _row_window(n: int, col: int) -> tuple[int, int]:

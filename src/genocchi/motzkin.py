@@ -13,6 +13,9 @@ Path sums over a generic weight system are computed by level-indexed dynamic
 programming (path_sums, which also expands every continued fraction);
 explicit enumeration stays available for termwise checks, and
 fermionic_exponent is the per-path reference the sweep is tested against.
+MotzkinPath validates its heights in one pass per condition (the ends, the
+minimum, one chained comparison per step), and json_line writes the compact
+JSON line directly.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ class MotzkinPath:
             raise ValueError("a path needs at least the starting height")
         if h[0] != 0 or h[-1] != 0:
             raise ValueError("path must start and end at height 0")
-        if any(v < 0 for v in h):
+        if min(h) < 0:
             raise ValueError("heights must stay nonnegative")
-        if any(abs(b - a) > 1 for a, b in zip(h, h[1:])):
+        if not all(-1 <= b - a <= 1 for a, b in zip(h, h[1:])):
             raise ValueError("steps must change height by at most 1")
 
     @property
@@ -59,10 +62,13 @@ class MotzkinPath:
         return sum(1 for a, b in zip(self.heights, self.heights[1:]) if a != b)
 
     def render(self) -> str:
-        return " ".join(str(v) for v in self.heights)
+        return " ".join(map(str, self.heights))
 
-    def json_dict(self) -> dict:
-        return {"n": self.n, "heights": list(self.heights)}
+    def json_line(self) -> str:
+        """The compact JSON object {"n", "heights"}, as json.dumps with
+        separators (",", ":") writes it."""
+        heights = repr(list(self.heights)).replace(" ", "")
+        return f'{{"n":{len(self.heights) - 1},"heights":{heights}}}'
 
 
 def layers(n: int):

@@ -1,10 +1,13 @@
+import json
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genocchi.admissible import (
     AdmissibleSequence,
     GammaGraph,
+    SubsetTexts,
     count_closed_column_graded,
     is_closed_in_gamma,
     iter_admissible,
@@ -139,4 +142,65 @@ def test_resource_limit_and_domain_errors():
 
 def test_json_shape():
     seq = AdmissibleSequence(3, (0b0010, 0b1010))
-    assert seq.json_dict() == {"n": 3, "sets": [[1], [1, 3]]}
+    assert seq.json_line() == '{"n":3,"sets":[[1],[1,3]]}'
+    assert seq.render() == "1 | 1,3"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_json_line_and_render_match_the_fields(n):
+    texts = SubsetTexts()  # shared across the stream, as enumerate shares it
+    for seq in sequences(n):
+        fields = {"n": seq.n, "sets": [list(s) for s in seq.sets()]}
+        line = json.dumps(fields, separators=(",", ":"))
+        assert seq.json_line() == seq.json_line(texts) == line
+        text = " | ".join(",".join(map(str, s)) for s in seq.sets()) or "()"
+        assert seq.render() == seq.render(texts) == text
+
+
+def elements(mask):
+    return {j for j in range(mask.bit_length()) if mask >> j & 1}
+
+
+def naive_fault(n, masks):
+    """The first fault of a sequence, on sets of elements, or None if it is valid."""
+    if len(masks) != n - 1:
+        return f"expected {n - 1} subsets, got {len(masks)}"
+    sets = [elements(m) for m in masks]
+    for l, s in enumerate(sets, start=1):
+        if not s <= set(range(1, n + 1)):
+            return f"I_{l} contains elements outside 1..{n}"
+        if len(s) != l:
+            return f"I_{l} must have exactly {l} elements"
+    for l in range(1, n - 1):
+        if not sets[l - 1] <= sets[l] | {l + 1}:
+            return f"I_{l} exceeds I_{l + 1} plus {{{l + 1}}}"
+    return None
+
+
+@st.composite
+def mask_tuples(draw):
+    # mostly invalid: a walked sequence with one subset redrawn, or subsets
+    # drawn at random (elements 0 and n + 1 included), sometimes one too many
+    # or too few
+    n = draw(st.integers(1, 6))
+    mask = st.integers(0, (1 << (n + 2)) - 1)
+    if n > 1 and draw(st.booleans()):
+        masks = list(draw(st.sampled_from(list(iter_admissible(n)))))
+        masks[draw(st.integers(0, n - 2))] = draw(mask)
+    else:
+        size = draw(st.sampled_from([n - 1, n - 1, n - 1, n - 2, n]).filter(lambda k: k >= 0))
+        masks = draw(st.lists(mask, min_size=size, max_size=size))
+    return n, tuple(masks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mask_tuples())
+def test_constructor_rejects_what_the_set_check_rejects(drawn):
+    n, masks = drawn
+    fault = naive_fault(n, masks)
+    if fault is None:
+        assert AdmissibleSequence(n, masks).masks == masks
+    else:
+        with pytest.raises(ValueError) as exc:
+            AdmissibleSequence(n, masks)
+        assert str(exc.value) == fault

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genocchi import cli, dellac, iter_admissible, iter_dellac, iter_motzkin
+from genocchi import admissible, cli, dellac, iter_admissible, iter_dellac, iter_motzkin, motzkin
 from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, run
 from genocchi.errors import InternalInconsistencyError
 
@@ -311,6 +311,30 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     )
 
 
+# one run per model whose objects the constructor rejects: a repeated row, a
+# subset outside its successor plus one, a step of two
+INVALID_RUNS = {
+    "dellac": (((1, 2), (2, 4), (5, 6)), "row 2 marked twice"),
+    "admissible": ((0b0110, 0b1000), "I_1 exceeds I_2 plus {2}"),
+    "motzkin": ((2, 0, 0), "steps must change height by at most 1"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(INVALID_RUNS))
+def test_an_invalid_walked_object_is_an_internal_error(monkeypatch, capsys, model):
+    # the streamed objects are still validated: a walk that yields one the
+    # constructor rejects stops the stream with exit 4
+    items, message = INVALID_RUNS[model]
+    module = {"dellac": dellac, "admissible": admissible, "motzkin": motzkin}[model]
+    monkeypatch.setattr(
+        module, "layers", lambda n: (len(items), 0, lambda level, state: [(items[level], 0)])
+    )
+    assert run(["enumerate", model, "--n", "3", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: ValueError: {message}\n"
+
+
 def test_seq_count_is_bounded(capsys):
     # H has the largest terms of the three sequences
     assert run(["seq", "H", "--count", str(SEQ_MAX_COUNT), "--json"]) == 0
@@ -351,19 +375,37 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_closed_stdout_pipe_exits_quietly():
-    # the output outgrows the pipe, so the writer meets the closed end
+def read_one_line_then_close(argv):
+    """Run the CLI, read one line of its output, close the pipe; return the
+    line, the exit status and the standard error."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "genocchi.cli", "enumerate", "motzkin", "--n", "14"],
+        [sys.executable, "-m", "genocchi.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
-    assert proc.stdout.readline() == b"0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+    line = proc.stdout.readline()
     proc.stdout.close()
-    assert proc.wait(timeout=60) == 141
-    assert proc.stderr.read() == b""
+    status = proc.wait(timeout=60)
+    err = proc.stderr.read()
     proc.stderr.close()
+    return line, status, err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the output outgrows the pipe, so the writer meets the closed end
+    line, status, err = read_one_line_then_close(["enumerate", "motzkin", "--n", "14"])
+    assert line == b"0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+    assert status == 141
+    assert err == b""
+
+
+def test_closed_stdout_pipe_exits_quietly_json():
+    # the same on the JSON stream, which writes each line in one call
+    line, status, err = read_one_line_then_close(["enumerate", "dellac", "--n", "7", "--json"])
+    assert line == b'{"n":7,"columns":[[1,2],[3,4],[5,6],[7,8],[9,10],[11,12],[13,14]]}\n'
+    assert status == 141
+    assert err == b""
 
 
 # hostile values for any numeric argument: argparse rejects the last three

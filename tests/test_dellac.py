@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genocchi.dellac import (
     DellacConfig,
@@ -120,4 +123,58 @@ def test_env_cap_override(monkeypatch):
 def test_rendering_and_json():
     cfg = DellacConfig(3, ((1, 2), (3, 5), (4, 6)))
     assert cfg.render() == "1: 1 2\n2: 3 5\n3: 4 6"
-    assert cfg.json_dict() == {"n": 3, "columns": [[1, 2], [3, 5], [4, 6]]}
+    assert cfg.json_line() == '{"n":3,"columns":[[1,2],[3,5],[4,6]]}'
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_json_line_is_the_compact_dump_of_the_fields(n):
+    for cfg in configs(n):
+        fields = {"n": cfg.n, "columns": [list(pair) for pair in cfg.columns]}
+        assert cfg.json_line() == json.dumps(fields, separators=(",", ":"))
+
+
+def naive_fault(n, columns):
+    """The first fault of a configuration, box by box, or None if it is valid."""
+    if len(columns) != n:
+        return f"expected {n} columns, got {len(columns)}"
+    seen = []
+    for col, (lo, hi) in enumerate(columns, start=1):
+        if lo >= hi:
+            return f"column {col} rows must be strictly increasing"
+        for j in (lo, hi):
+            if j < col or j > n + col:
+                return f"box ({col}, {j}) outside the allowed band"
+            if j in seen:
+                return f"row {j} marked twice"
+            seen.append(j)
+    if sorted(seen) != list(range(1, 2 * n + 1)):
+        return "every row must contain exactly one marked box"
+    return None
+
+
+@st.composite
+def column_tuples(draw):
+    # mostly invalid: a walked configuration with one column redrawn, or
+    # columns drawn at random, sometimes one too many or too few
+    n = draw(st.integers(1, 5))
+    row = st.integers(-1, 2 * n + 2)
+    if draw(st.booleans()):
+        columns = list(draw(st.sampled_from(list(iter_dellac(n)))))
+        columns[draw(st.integers(0, n - 1))] = (draw(row), draw(row))
+    else:
+        size = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+        columns = draw(st.lists(st.tuples(row, row), min_size=size, max_size=size))
+    return n, tuple(columns)
+
+
+@settings(max_examples=400, deadline=None)
+@given(column_tuples())
+def test_constructor_rejects_what_the_box_loop_rejects(drawn):
+    n, columns = drawn
+    fault = naive_fault(n, columns)
+    if fault is None:
+        assert DellacConfig(n, columns).columns == columns
+    else:
+        with pytest.raises(ValueError) as exc:
+            DellacConfig(n, columns)
+        assert str(exc.value) == fault

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genocchi.errors import ResourceLimitError
 from genocchi.exactalg import IntPoly, LaurentPoly, ONE
@@ -68,6 +70,53 @@ def test_path_validation():
     with pytest.raises(ValueError):
         MotzkinPath((1, 0))
     assert MotzkinPath((0, 1, 1, 0)).rises_plus_falls() == 2
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_json_line_and_render_match_the_fields(n):
+    for path in paths(n):
+        fields = {"n": path.n, "heights": list(path.heights)}
+        assert path.json_line() == json.dumps(fields, separators=(",", ":"))
+        assert path.render() == " ".join(str(v) for v in path.heights)
+
+
+def naive_fault(heights):
+    """The first fault of a height sequence, or None if it is a path."""
+    if len(heights) == 0:
+        return "a path needs at least the starting height"
+    if heights[0] != 0 or heights[-1] != 0:
+        return "path must start and end at height 0"
+    if any(v < 0 for v in heights):
+        return "heights must stay nonnegative"
+    if any(abs(b - a) > 1 for a, b in zip(heights, heights[1:])):
+        return "steps must change height by at most 1"
+    return None
+
+
+@st.composite
+def height_tuples(draw):
+    # mostly invalid: a walked path with one height redrawn, or heights drawn
+    # at random
+    height = st.integers(-2, 4)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 7))
+        heights = list(draw(st.sampled_from(list(iter_motzkin(n)))))
+        heights[draw(st.integers(0, n))] = draw(height)
+    else:
+        heights = draw(st.lists(height, max_size=8))
+    return tuple(heights)
+
+
+@settings(max_examples=400, deadline=None)
+@given(height_tuples())
+def test_constructor_rejects_what_the_step_loop_rejects(heights):
+    fault = naive_fault(heights)
+    if fault is None:
+        assert MotzkinPath(heights).heights == heights
+    else:
+        with pytest.raises(ValueError) as exc:
+            MotzkinPath(heights)
+        assert str(exc.value) == fault
 
 
 # ---------------------------------------------------------------------------
