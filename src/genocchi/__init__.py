@@ -2,108 +2,79 @@
 every independent route the literature provides for them: the Seidel
 triangle, Dellac configurations, admissible subset sequences, permutation
 and triangle-pair oracles, Motzkin path sums, continued fractions, and the
-Han-Zeng recurrence.  All arithmetic is exact."""
+Han-Zeng recurrence.  All arithmetic is exact.
 
-from .errors import (
-    InexactDivisionError,
-    InternalInconsistencyError,
-    ResourceLimitError,
-)
-from .exactalg import (
-    IntPoly,
-    LaurentPoly,
-    PowerSeries,
-    poly_exact_div,
-    poly_reverse,
-    q_binomial,
-    q_factorial,
-    q_int,
-)
-from .seidel import (
-    genocchi_first,
-    h_sequence,
-    median_genocchi,
-    normalized_h,
-    seidel_columns,
-)
-from .dellac import DellacConfig, dellac_length, h_poly_dellac, iter_dellac
-from .admissible import (
-    AdmissibleSequence,
-    GammaGraph,
-    count_closed_column_graded,
-    is_closed_in_gamma,
-    iter_admissible,
-)
-from .oracles import TrianglePair, count_dumont, count_triangle_pairs
-from .motzkin import (
-    MotzkinPath,
-    WeightSystem,
-    h_motzkin_rational,
-    h_poly_fermionic,
-    h_poly_laurent,
-    iter_motzkin,
-    tilde_h,
-    weighted_path_sum,
-)
-from .contfrac import (
-    AffineSFraction,
-    JFraction,
-    SFraction,
-    contract_S_to_J,
-    contract_S_to_J_affine,
-    expand,
-)
-from .hanzeng import hanzeng_C, hanzeng_barc
-from .verify import CheckReport, CheckResult, crosscheck
+Public names load on first use: `genocchi.X`, `from genocchi import X` and
+`from genocchi import *` import the home module of each name asked for and
+bind the value here, so `import genocchi` loads none of the routes.
+"""
+
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdmissibleSequence",
-    "AffineSFraction",
-    "CheckReport",
-    "CheckResult",
-    "DellacConfig",
-    "GammaGraph",
-    "IntPoly",
-    "InexactDivisionError",
-    "InternalInconsistencyError",
-    "JFraction",
-    "LaurentPoly",
-    "MotzkinPath",
-    "PowerSeries",
-    "ResourceLimitError",
-    "SFraction",
-    "TrianglePair",
-    "WeightSystem",
-    "contract_S_to_J",
-    "contract_S_to_J_affine",
-    "count_closed_column_graded",
-    "count_dumont",
-    "count_triangle_pairs",
-    "crosscheck",
-    "dellac_length",
-    "expand",
-    "genocchi_first",
-    "h_motzkin_rational",
-    "h_poly_dellac",
-    "h_poly_fermionic",
-    "h_poly_laurent",
-    "h_sequence",
-    "hanzeng_C",
-    "hanzeng_barc",
-    "is_closed_in_gamma",
-    "iter_admissible",
-    "iter_dellac",
-    "iter_motzkin",
-    "median_genocchi",
-    "normalized_h",
-    "poly_exact_div",
-    "poly_reverse",
-    "q_binomial",
-    "q_factorial",
-    "q_int",
-    "seidel_columns",
-    "tilde_h",
-    "weighted_path_sum",
-]
+# each public name and the module it lives in
+_HOMES = {
+    "AdmissibleSequence": "admissible",
+    "AffineSFraction": "contfrac",
+    "CheckReport": "verify",
+    "CheckResult": "verify",
+    "DellacConfig": "dellac",
+    "GammaGraph": "admissible",
+    "IntPoly": "exactalg",
+    "InexactDivisionError": "errors",
+    "InternalInconsistencyError": "errors",
+    "JFraction": "contfrac",
+    "LaurentPoly": "exactalg",
+    "MotzkinPath": "motzkin",
+    "PowerSeries": "exactalg",
+    "ResourceLimitError": "errors",
+    "SFraction": "contfrac",
+    "TrianglePair": "oracles",
+    "WeightSystem": "motzkin",
+    "contract_S_to_J": "contfrac",
+    "contract_S_to_J_affine": "contfrac",
+    "count_closed_column_graded": "admissible",
+    "count_dumont": "oracles",
+    "count_triangle_pairs": "oracles",
+    "crosscheck": "verify",
+    "dellac_length": "dellac",
+    "expand": "contfrac",
+    "genocchi_first": "seidel",
+    "h_motzkin_rational": "motzkin",
+    "h_poly_dellac": "dellac",
+    "h_poly_fermionic": "motzkin",
+    "h_poly_laurent": "motzkin",
+    "h_sequence": "seidel",
+    "hanzeng_C": "hanzeng",
+    "hanzeng_barc": "hanzeng",
+    "is_closed_in_gamma": "admissible",
+    "iter_admissible": "admissible",
+    "iter_dellac": "dellac",
+    "iter_motzkin": "motzkin",
+    "median_genocchi": "seidel",
+    "normalized_h": "seidel",
+    "poly_exact_div": "exactalg",
+    "poly_reverse": "exactalg",
+    "q_binomial": "exactalg",
+    "q_factorial": "exactalg",
+    "q_int": "exactalg",
+    "seidel_columns": "seidel",
+    "tilde_h": "motzkin",
+    "weighted_path_sum": "motzkin",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

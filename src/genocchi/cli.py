@@ -2,7 +2,9 @@
 
 Subcommands: seq (integer sequences), poly (q-polynomials), enumerate
 (stream combinatorial objects), count (brute-force oracles), series
-(continued-fraction expansions), verify (the cross-check matrix).
+(continued-fraction expansions), verify (the cross-check matrix).  Each
+subcommand imports its route when it is called, so a command loads only
+the modules it runs; importing this module loads none of the routes.
 
 Exit status: 0 success, 1 verification failures, 2 usage error, 3 resource
 limit exceeded, 4 internal error (a broken identity or any other uncaught
@@ -20,20 +22,13 @@ import os
 import sys
 import time
 from itertools import count
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import admissible, dellac, motzkin
-from .contfrac import NAMED_FRACTIONS, expand, spec_from_dict
-from .dellac import DellacConfig, iter_dellac
-from .admissible import AdmissibleSequence, SubsetTexts, iter_admissible
 from .errors import ResourceLimitError
-from .exactalg import IntPoly, PowerSeries
-from .hanzeng import hanzeng_barc
-from .motzkin import MotzkinPath, h_poly_fermionic, iter_motzkin, tilde_h
-from .oracles import count_dumont, count_triangle_pairs
-from .seidel import genocchi_first_sequence, h_sequence, median_sequence
-from .verify import CROSSCHECK_MAX_N, crosscheck
-from .walk import layered_sweep
+from .limits import CROSSCHECK_MAX_N
+
+if TYPE_CHECKING:
+    from .exactalg import IntPoly, PowerSeries
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -45,6 +40,11 @@ BROKEN_PIPE = 141
 # a q-fraction expansion climbs steeply with the order
 SEQ_MAX_COUNT = 900
 SERIES_MAX_ORDER = 64
+
+# enumerate writes its lines in blocks of this many (about 18 KB of Dellac
+# JSON at n = 7): one system call per block, not per line, where stdout is
+# unbuffered; larger blocks were no faster and hold more memory
+WRITE_BLOCK_LINES = 256
 
 
 def _dump(obj) -> str:
@@ -82,6 +82,8 @@ def _print_series(series: PowerSeries, as_json: bool) -> None:
 
 
 def _cmd_seq(args) -> int:
+    from .seidel import genocchi_first_sequence, h_sequence, median_sequence
+
     if args.count < 1:
         raise ValueError("--count must be positive")
     if args.count > SEQ_MAX_COUNT:
@@ -103,19 +105,31 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    which = {"hq": h_poly_fermionic, "tildehq": tilde_h, "barc": hanzeng_barc}
-    _print_poly(which[args.name](args.n), args.json)
+    if args.name == "barc":
+        from .hanzeng import hanzeng_barc as route
+    else:
+        from .motzkin import h_poly_fermionic, tilde_h
+
+        route = h_poly_fermionic if args.name == "hq" else tilde_h
+    _print_poly(route(args.n), args.json)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from .walk import layered_sweep
+
+    if args.model == "dellac":
+        from .dellac import DellacConfig as build, iter_dellac as walk, layers
+    elif args.model == "admissible":
+        from .admissible import AdmissibleSequence as build, SubsetTexts, iter_admissible as walk, layers
+    else:
+        from .motzkin import MotzkinPath, iter_motzkin as walk, layers
+
+        def build(n, heights):
+            return MotzkinPath(heights)
+
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
-    walk, layers, build = {
-        "dellac": (iter_dellac, dellac.layers, DellacConfig),
-        "admissible": (iter_admissible, admissible.layers, AdmissibleSequence),
-        "motzkin": (iter_motzkin, motzkin.layers, lambda n, heights: MotzkinPath(heights)),
-    }[args.model]
     if args.model == "admissible":
         texts = SubsetTexts()  # each distinct subset is formatted once per stream
         line = (lambda seq: seq.json_line(texts)) if args.json else (lambda seq: seq.render(texts))
@@ -127,14 +141,21 @@ def _cmd_enumerate(args) -> int:
     items = walk(args.n)  # checks n, before the first item is asked for
     # range, unlike islice, takes a limit of any size
     limit = count() if args.limit is None else range(args.limit)
+    block: list[str] = []
     for _, item in zip(limit, items):
         try:
             obj = build(args.n, item)
         except ValueError as exc:
             # n was checked above, so an object its walk yields and its
-            # constructor rejects is a fault of the walk
+            # constructor rejects is a fault of the walk; the lines before
+            # it still go out
+            write("".join(block))
             return _internal_error(exc)
-        write(line(obj) + end)
+        block.append(line(obj) + end)
+        if len(block) == WRITE_BLOCK_LINES:
+            write("".join(block))
+            block.clear()
+    write("".join(block))
     # the walk's own layers, swept: the total visits no item
     swept = layered_sweep(*layers(args.n), lambda level, state, item, runs: runs)
     total = sum(swept.values())
@@ -147,12 +168,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .oracles import count_dumont, count_triangle_pairs
+
     fn = {"dumont": count_dumont, "triangles": count_triangle_pairs}[args.model]
     print(fn(args.n))
     return 0
 
 
 def _cmd_series(args) -> int:
+    from .contfrac import NAMED_FRACTIONS, expand, spec_from_dict
+
     if args.order > SERIES_MAX_ORDER:
         raise ResourceLimitError(f"series --order capped at {SERIES_MAX_ORDER}, got {args.order}")
     if args.name == "custom":
@@ -173,6 +198,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import crosscheck
+
     started = time.monotonic()
     report = crosscheck(args.n_max, seed=args.seed)
     if args.json:

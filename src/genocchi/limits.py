@@ -3,7 +3,9 @@
 Each combinatorial model has a default bound chosen so that enumeration
 stays in desk-scale time.  The environment variable GENOCCHI_MAX_N, when
 set, replaces the default for the configurable models (dellac, admissible,
-motzkin).  The brute-force oracle bounds are fixed.
+motzkin).  The brute-force oracle bounds are fixed, and so is the largest
+n of the cross-check matrix, which the CLI reads for its default without
+loading the matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ DEFAULT_CAPS = {
     "admissible": 8,
     "motzkin": 14,
 }
+
+CROSSCHECK_MAX_N = 8
 
 
 def cap_for(model: str) -> int:

@@ -13,9 +13,9 @@ Path sums over a generic weight system are computed by level-indexed dynamic
 programming (path_sums, which also expands every continued fraction);
 explicit enumeration stays available for termwise checks, and
 fermionic_exponent is the per-path reference the sweep is tested against.
-MotzkinPath validates its heights in one pass per condition (the ends, the
-minimum, one chained comparison per step), and json_line writes the compact
-JSON line directly.
+MotzkinPath validates its heights in one pass per condition (their type,
+the ends, the minimum, one chained comparison per step), and json_line
+writes the compact JSON line directly.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class MotzkinPath:
         h = self.heights
         if not h:
             raise ValueError("a path needs at least the starting height")
+        if set(map(type, h)) != {int}:
+            raise TypeError("heights must be integers")
         if h[0] != 0 or h[-1] != 0:
             raise ValueError("path must start and end at height 0")
         if min(h) < 0:

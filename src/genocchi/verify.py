@@ -46,6 +46,7 @@ from .contfrac import (
 from .dellac import DellacConfig, h_poly_dellac, iter_dellac
 from .errors import ResourceLimitError
 from .hanzeng import hanzeng_barc
+from .limits import CROSSCHECK_MAX_N
 from .motzkin import (
     MotzkinPath,
     h_motzkin_rational,
@@ -59,7 +60,6 @@ from .motzkin import (
 from .oracles import DUMONT_MAX_N, TRIANGLE_MAX_N, count_dumont, count_triangle_pairs
 from .seidel import median_genocchi, normalized_h
 
-CROSSCHECK_MAX_N = 8
 CONTRACTION_ORDER = 10
 RANDOM_INSTANCES = 100
 DIVISIBILITY_MAX_N = 12

@@ -11,8 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genocchi import admissible, cli, dellac, iter_admissible, iter_dellac, iter_motzkin, motzkin
-from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, run
+from genocchi import admissible, dellac, hanzeng, iter_admissible, iter_dellac, iter_motzkin, motzkin
+from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, WRITE_BLOCK_LINES, run
 from genocchi.errors import InternalInconsistencyError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -302,7 +302,8 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(n):
         raise InternalInconsistencyError(f"C_{n}(1, q) is not divisible by (1+q)^{n - 1}")
 
-    monkeypatch.setattr(cli, "hanzeng_barc", broken)
+    # the CLI looks the route up in its home module when the command runs
+    monkeypatch.setattr(hanzeng, "hanzeng_barc", broken)
     assert run(["poly", "barc", "--n", "5"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -333,6 +334,57 @@ def test_an_invalid_walked_object_is_an_internal_error(monkeypatch, capsys, mode
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: ValueError: {message}\n"
+
+
+def test_lines_before_an_invalid_walked_object_are_written(monkeypatch, capsys):
+    # heights 0, 1, 2 after the first step, then back to 0: the third path
+    # steps by two, so the two before it are printed, then the error
+    choices = {0: [(0, 0), (1, 0), (2, 0)], 1: [(0, 0)]}
+    monkeypatch.setattr(motzkin, "layers", lambda n: (2, 0, lambda level, state: choices[level]))
+    assert run(["enumerate", "motzkin", "--n", "2", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == '{"n":2,"heights":[0,0,0]}\n{"n":2,"heights":[0,1,0]}\n'
+    assert captured.err == "internal error: ValueError: steps must change height by at most 1\n"
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_enumerate_writes_blocks_of_lines():
+    out = CountingStdout()
+    with redirect_stdout(out):
+        assert run(["enumerate", "motzkin", "--n", "10", "--json"]) == 0
+    objects = len(out.getvalue().splitlines()) - 1
+    assert objects == 2188
+    # whole blocks, the last partial block, and print's text and newline for the total
+    assert out.writes == -(-objects // WRITE_BLOCK_LINES) + 2
+
+
+def test_limit_across_a_block_boundary():
+    assert WRITE_BLOCK_LINES < 1500
+    full = unlimited_json("motzkin", 12)
+    limited = output_lines(["enumerate", "motzkin", "--n", "12", "--limit", "1500", "--json"])
+    assert limited == list(full[:1500]) + [full[-1]]
+
+
+def test_unbuffered_stdout_gives_the_same_bytes():
+    argv = [sys.executable, "-m", "genocchi.cli", "enumerate", "motzkin", "--n", "12", "--json"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    buffered = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=60)
+    unbuffered = subprocess.run(
+        argv, env=dict(env, PYTHONUNBUFFERED="1"), capture_output=True, check=True, timeout=60
+    )
+    assert buffered.stderr == unbuffered.stderr == b""
+    assert buffered.stdout == unbuffered.stdout
+    assert buffered.stdout.count(b"\n") == 15512
 
 
 def test_seq_count_is_bounded(capsys):

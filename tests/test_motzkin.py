@@ -72,6 +72,13 @@ def test_path_validation():
     assert MotzkinPath((0, 1, 1, 0)).rises_plus_falls() == 2
 
 
+@pytest.mark.parametrize("heights", [(0, 0.5, 0), (0, 1.0, 0), (0.0,), (0, True, 0)])
+def test_non_integer_heights_are_rejected(heights):
+    # each passes the step loop, and json_line would print it as no walk does
+    with pytest.raises(TypeError, match="^heights must be integers$"):
+        MotzkinPath(heights)
+
+
 @pytest.mark.parametrize("n", range(0, 9))
 def test_json_line_and_render_match_the_fields(n):
     for path in paths(n):
