@@ -8,17 +8,22 @@ under arrows.  Both counts equal h(n).  iter_admissible walks the sequences
 and yields them only; count_closed_column_graded counts the closed subsets
 by a layered sweep over column masks, visiting none of them.
 
-AdmissibleSequence validates its masks in one pass (each I_l inside 1..n
-with popcount l, and I_{l-1} inside I_l plus l); only a rejected sequence
-is checked again in the old order, for the message of its first fault.
-json_line and render take each subset's text from a SubsetTexts, which a
-stream shares across its lines so that every distinct subset is formatted
-once.
+One rule checks a piece of a sequence, a run of consecutive subsets: every
+mask an int, each I_l inside 1..n with popcount l, and I_{l-1} inside I_l
+plus l within the run.  Two pieces join when they hold n - 1 subsets in all
+and the containment holds across them.  AdmissibleSequence checks itself as
+one piece joined to the empty one; the enumerate stream checks each prefix
+and each shared tail of the walk once and joins them per sequence.  Only a
+rejected sequence is checked again in the old order, for the message of
+its first fault.  One encoder writes a piece's subsets, for json_line,
+render and the stream alike, so each subset of a shared piece is formatted
+once per stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -52,41 +57,107 @@ class AdmissibleSequence:
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        # one pass: I_l inside 1..n with l elements, and I_{l-1} inside I_l plus l
+        # the whole sequence as one piece, joined to the empty piece
         n, masks = self.n, self.masks
-        if len(masks) == n - 1:
-            outside = ~((1 << (n + 1)) - 2)
-            prev = 0
-            for l, m in enumerate(masks, start=1):
-                if m & outside or m.bit_count() != l or prev & ~(m | 1 << l):
-                    break
-                prev = m
-            else:
-                return
-        raise ValueError(_first_fault(n, masks))
+        try:
+            whole = _piece(n, masks, 1)
+        except ValueError:
+            whole = None  # a negative n: the check below names the count
+        if not _joined(n, EMPTY, whole):
+            raise ValueError(_first_fault(n, masks))
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_elems(m) for m in self.masks)
 
-    def json_line(self, texts: SubsetTexts | None = None) -> str:
+    def json_line(self) -> str:
         """The compact JSON object {"n", "sets"}, as json.dumps with
-        separators (",", ":") writes it.  A stream passes one texts for all
-        its lines, so each distinct subset is formatted once."""
-        texts = SubsetTexts() if texts is None else texts
-        return f'{{"n":{self.n},"sets":[{",".join(map(texts.__getitem__, self.masks))}]}}'
+        separators (",", ":") writes it."""
+        return _line(self.n, self.masks, True)
 
-    def render(self, texts: SubsetTexts | None = None) -> str:
-        texts = SubsetTexts() if texts is None else texts
-        return " | ".join(text[1:-1] for text in map(texts.__getitem__, self.masks)) or "()"
+    def render(self) -> str:
+        return _line(self.n, self.masks, False)
 
 
-class SubsetTexts(dict):
-    """Mask -> its elements as a JSON list, such as "[1,3]"; each text is
-    made on first use."""
+# the summary (count, first mask, last mask) of a piece with no subset: its
+# first contains everything and its last nothing, so it joins any piece
+EMPTY = (0, -1, 0)
 
-    def __missing__(self, mask: int) -> str:
-        text = self[mask] = f"[{','.join(map(str, _elems(mask)))}]"
-        return text
+
+def _piece(n: int, masks, start: int) -> tuple[int, int, int] | None:
+    """The check of subsets I_start, I_start+1, ... of a sequence for n:
+    each I_l inside 1..n with l elements, and I_{l-1} inside I_l plus l
+    within the piece.  Returns the summary (subset count, first mask, last
+    mask), or None at the first fault; a field that is not an int raises
+    TypeError."""
+    if type(n) is not int:
+        raise TypeError("n and masks must be integers")
+    outside = ~((1 << (n + 1)) - 2)
+    prev = 0
+    for l, m in enumerate(masks, start):
+        if type(m) is not int:
+            raise TypeError("n and masks must be integers")
+        if m & outside or m.bit_count() != l or prev & ~(m | 1 << l):
+            return None
+        prev = m
+    return (len(masks), masks[0], prev) if masks else EMPTY
+
+
+def _joined(n: int, upper, lower) -> bool:
+    """Whether two checked pieces make a sequence, upper (I_{k+1}, ...)
+    first, as the walk meets it, and lower (I_1..I_k) second: both passed
+    their check, n - 1 subsets in all, and I_k inside I_{k+1} plus k + 1."""
+    return (
+        upper is not None
+        and lower is not None
+        and upper[0] + lower[0] == n - 1
+        and not lower[2] & ~(upper[1] | 1 << (lower[0] + 1))
+    )
+
+
+def _encode(masks, start: int, as_json: bool) -> str:
+    """The text of subsets I_start, I_start+1, ...: JSON lists such as
+    [1,3], or "1,3" joined by " | ".  A piece that starts after I_1 opens
+    with the separator, so that pieces concatenate."""
+    if as_json:
+        sep, parts = ",", [f"[{','.join(map(str, _elems(m)))}]" for m in masks]
+    else:
+        sep, parts = " | ", [",".join(map(str, _elems(m))) for m in masks]
+    text = sep.join(parts)
+    return sep + text if text and start > 1 else text
+
+
+def _frame(n: int, as_json: bool) -> tuple[str, str]:
+    """The text before and after the subsets in a line."""
+    return (f'{{"n":{n},"sets":[', "]}") if as_json else ("", "")
+
+
+def _line(n: int, masks, as_json: bool) -> str:
+    head, foot = _frame(n, as_json)
+    body = _encode(masks, 1, as_json)
+    return head + (body if body or as_json else "()") + foot
+
+
+def stream_pieces(n: int, as_json: bool, end: str):
+    """The rules above for the stream, as dellac.stream_pieces gives them.
+    The walk meets I_{n-1} first, so a prefix, reversed, is the upper piece
+    of a sequence and a tail, reversed, the lower one."""
+    head, foot = _frame(n, as_json)
+
+    def prefix_piece(prefix):
+        upper, start = prefix[::-1], n - len(prefix)
+        summary = _piece(n, upper, start)
+        return summary, None if summary is None else _encode(upper, start, as_json)
+
+    def tail_piece(tail, level):
+        lower = tail[::-1]
+        summary = _piece(n, lower, 1)
+        if summary is None:
+            return None, None
+        if not lower:  # only n = 1 has an empty tail, and its prefix is empty too
+            return summary, (_line(n, lower, as_json) + end, "")
+        return summary, (head + _encode(lower, 1, as_json), foot + end)
+
+    return prefix_piece, tail_piece, partial(_joined, n)
 
 
 def _first_fault(n: int, masks) -> str:

@@ -21,10 +21,10 @@ import json
 import os
 import sys
 import time
-from itertools import count
+from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import ResourceLimitError
+from .errors import InternalInconsistencyError, ResourceLimitError
 from .limits import CROSSCHECK_MAX_N
 
 if TYPE_CHECKING:
@@ -116,55 +116,87 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .walk import layered_sweep
+    from .walk import layered_blocks, layered_sweep
 
     if args.model == "dellac":
-        from .dellac import DellacConfig as build, iter_dellac as walk, layers
+        from .dellac import DellacConfig as build, iter_dellac as walk, layers, stream_pieces
     elif args.model == "admissible":
-        from .admissible import AdmissibleSequence as build, SubsetTexts, iter_admissible as walk, layers
+        from .admissible import AdmissibleSequence as build, iter_admissible as walk, layers, stream_pieces
     else:
-        from .motzkin import MotzkinPath, iter_motzkin as walk, layers
+        from .motzkin import MotzkinPath, iter_motzkin as walk, layers, stream_pieces
 
         def build(n, heights):
             return MotzkinPath(heights)
 
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
-    if args.model == "admissible":
-        texts = SubsetTexts()  # each distinct subset is formatted once per stream
-        line = (lambda seq: seq.json_line(texts)) if args.json else (lambda seq: seq.render(texts))
-    else:
-        line = (lambda obj: obj.json_line()) if args.json else (lambda obj: obj.render())
+    items = walk(args.n)  # checks n, before anything is walked
     # a blank line closes each Dellac grid in text mode
     end = "\n\n" if args.model == "dellac" and not args.json else "\n"
+    prefix_piece, tail_piece, joined = stream_pieces(args.n, args.json, end)
     write = sys.stdout.write
-    items = walk(args.n)  # checks n, before the first item is asked for
-    # range, unlike islice, takes a limit of any size
-    limit = count() if args.limit is None else range(args.limit)
+    # each state's tails, checked and encoded once for this stream
+    tails_of: dict = {}
     block: list[str] = []
-    for _, item in zip(limit, items):
-        try:
-            obj = build(args.n, item)
-        except ValueError as exc:
-            # n was checked above, so an object its walk yields and its
-            # constructor rejects is a fault of the walk; the lines before
-            # it still go out
-            write("".join(block))
-            return _internal_error(exc)
-        block.append(line(obj) + end)
-        if len(block) == WRITE_BLOCK_LINES:
-            write("".join(block))
-            block.clear()
+    written = 0  # the objects in blocks already written
+    for prefix, state, tails in layered_blocks(*layers(args.n)):
+        summary, text = _checked(prefix_piece, prefix)
+        pieces = tails_of.get(state)
+        if pieces is None:
+            pieces = tails_of[state] = [_checked(tail_piece, tail, len(prefix)) for tail in tails]
+        if args.limit is not None:
+            pieces = pieces[: args.limit - written - len(block)]
+        for tail_summary, pair in pieces:
+            if not joined(summary, tail_summary):
+                # n was checked above, so an object its walk yields and its
+                # rules reject is a fault of the walk; the lines before it
+                # still go out
+                write("".join(block))
+                return _walk_fault(build, args.n, items, written + len(block))
+            block.append(text.join(pair))  # the tail's before, the prefix, its after
+            if len(block) == WRITE_BLOCK_LINES:
+                write("".join(block))
+                written += len(block)
+                block.clear()
+        if written + len(block) == args.limit:
+            break
     write("".join(block))
-    # the walk's own layers, swept: the total visits no item
-    swept = layered_sweep(*layers(args.n), lambda level, state, item, runs: runs)
-    total = sum(swept.values())
+
+    if args.limit is None:
+        total = written + len(block)
+    elif args.model == "motzkin":
+        # the walk's own layers, swept over heights: the total visits no path
+        swept = layered_sweep(*layers(args.n), lambda level, state, item, runs: runs)
+        total = sum(swept.values())
+    else:
+        from .seidel import normalized_h
+
+        total = normalized_h(args.n)  # configurations and sequences both number h(n)
 
     if args.json:
         print(_dump({"total": str(total)}))
     else:
         print(f"total {total}")
     return 0
+
+
+def _checked(piece, *args):
+    """A stream piece's (summary, text), or (None, None) when the walk made it
+    unreadable; the object's constructor then names the fault."""
+    try:
+        return piece(*args)
+    except (TypeError, ValueError):
+        return None, None
+
+
+def _walk_fault(build, n: int, items, index: int) -> int:
+    """Exit 4 with the constructor's message for the walk's object at index,
+    which failed its check in the stream."""
+    try:
+        build(n, next(islice(items, index, None)))
+    except (TypeError, ValueError) as exc:
+        return _internal_error(exc)
+    raise InternalInconsistencyError(f"object {index} of the walk fails its stream check but builds")
 
 
 def _cmd_count(args) -> int:

@@ -8,16 +8,22 @@ statistic is the q-analogue h_n(q).  The walk yields plain row-pair tuples
 and nothing else; the polynomial comes from a transfer sweep of the same
 layers over used-row masks, which visits no configuration.
 
-DellacConfig validates a configuration where one is built, in one pass: each
-column's pair must lie in the band _row_window gives at that moment, and the
-used rows, kept as a bitmask, must number 2n at the end.  Only a rejected
-configuration is walked again box by box, for the message of its first
-fault.  json_line writes the compact JSON line directly.
+One rule checks a piece of a configuration, a run of consecutive columns:
+every row an int, and each column's pair inside the band _row_window gives
+at that moment, low row first.  The piece's used rows come back as a
+bitmask, and two pieces join when they hold n columns in all and their
+masks together mark 2n rows.  DellacConfig checks itself as one piece
+joined to the empty one; the enumerate stream checks each prefix and each
+shared tail of the walk once and joins them per configuration.  Only a
+rejected configuration is walked again box by box, for the message of its
+first fault.  One encoder writes a piece's columns, for json_line, render
+and the stream alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -34,21 +40,14 @@ class DellacConfig:
     columns: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        # one pass: each pair inside its column's band, then no row used twice
+        # the whole configuration as one piece, joined to the empty piece
         n, columns = self.n, self.columns
-        used = 0
         try:
-            for col, (lo, hi) in enumerate(columns, start=1):
-                win_lo, win_hi = _row_window(n, col)
-                if not win_lo <= lo < hi <= win_hi:
-                    break
-                used |= 1 << lo | 1 << hi
-            else:
-                if len(columns) == n and used.bit_count() == 2 * n:
-                    return
-        except (TypeError, ValueError):
-            pass  # a malformed column: the box loop below raises or names it
-        raise ValueError(_first_fault(n, columns))
+            whole = _piece(n, columns, 1)
+        except ValueError:
+            whole = None  # a malformed column: the box loop below raises or names it
+        if not _joined(n, whole, EMPTY):
+            raise ValueError(_first_fault(n, columns))
 
     def boxes(self) -> Iterator[tuple[int, int]]:
         """All marked boxes as (column, row) pairs, column-major order."""
@@ -57,13 +56,91 @@ class DellacConfig:
                 yield (col, j)
 
     def render(self) -> str:
-        return "\n".join(f"{col}: {lo} {hi}" for col, (lo, hi) in enumerate(self.columns, start=1))
+        return _line(self.n, self.columns, False)
 
     def json_line(self) -> str:
         """The compact JSON object {"n", "columns"}, as json.dumps with
         separators (",", ":") writes it."""
-        columns = ",".join([f"[{lo},{hi}]" for lo, hi in self.columns])
-        return f'{{"n":{self.n},"columns":[{columns}]}}'
+        return _line(self.n, self.columns, True)
+
+
+# the summary of a piece with no column: it joins any piece unchanged
+EMPTY = (0, 0)
+
+
+def _piece(n: int, columns, start: int) -> tuple[int, int] | None:
+    """The check of columns start, start + 1, ... of an n-column
+    configuration: each pair lies in the band _row_window gives at call
+    time, low row first.  Returns the summary (column count, used-row mask),
+    or None at the first pair outside its band; a field that is not an int
+    raises TypeError."""
+    if type(n) is not int:
+        raise TypeError("n and rows must be integers")
+    used = 0
+    for col, (lo, hi) in enumerate(columns, start):
+        if type(lo) is not int or type(hi) is not int:
+            raise TypeError("n and rows must be integers")
+        win_lo, win_hi = _row_window(n, col)
+        if not win_lo <= lo < hi <= win_hi:
+            return None
+        used |= 1 << lo | 1 << hi
+    return len(columns), used
+
+
+def _joined(n: int, first, second) -> bool:
+    """Whether two checked pieces, first then second, make a configuration:
+    both passed their check, n columns in all, and 2n distinct rows used."""
+    return (
+        first is not None
+        and second is not None
+        and first[0] + second[0] == n
+        and (first[1] | second[1]).bit_count() == 2 * n
+    )
+
+
+def _encode(columns, start: int, as_json: bool) -> str:
+    """The text of columns start, start + 1, ...: JSON row pairs, or one
+    "column: low high" line each.  A piece that starts after column 1 opens
+    with the separator, so that pieces concatenate."""
+    if as_json:
+        sep, parts = ",", [f"[{lo},{hi}]" for lo, hi in columns]
+    else:
+        sep, parts = "\n", [f"{col}: {lo} {hi}" for col, (lo, hi) in enumerate(columns, start)]
+    text = sep.join(parts)
+    return sep + text if text and start > 1 else text
+
+
+def _frame(n: int, as_json: bool) -> tuple[str, str]:
+    """The text before and after the columns in a line."""
+    return (f'{{"n":{n},"columns":[', "]}") if as_json else ("", "")
+
+
+def _line(n: int, columns, as_json: bool) -> str:
+    head, foot = _frame(n, as_json)
+    return head + _encode(columns, 1, as_json) + foot
+
+
+def stream_pieces(n: int, as_json: bool, end: str):
+    """The rules above, for a stream of walk blocks: (prefix_piece,
+    tail_piece, joined).  prefix_piece(prefix) gives the summary and text of
+    the columns a prefix holds; tail_piece(tail, level) gives the summary of
+    the columns a tail from that level holds, and the texts that go before
+    and after a prefix's text in the line, end included.  A piece whose
+    check fails has the summary None.  joined(prefix summary, tail summary)
+    accepts exactly the objects the constructor accepts."""
+    head, foot = _frame(n, as_json)
+
+    def prefix_piece(prefix):
+        summary = _piece(n, prefix, 1)
+        return summary, None if summary is None else _encode(prefix, 1, as_json)
+
+    def tail_piece(tail, level):
+        summary = _piece(n, tail, level + 1)
+        if summary is None:
+            return None, None
+        return summary, (head, _encode(tail, level + 1, as_json) + foot + end)
+
+    return prefix_piece, tail_piece, partial(_joined, n)
 
 
 def _first_fault(n: int, columns) -> str:

@@ -1,7 +1,10 @@
 """The walk under the Dellac, admissible and Motzkin enumerators and the
 Dumont oracle, and the sweep that sums it for the q-polynomials, the
-closed-subset count, the triangle census and the enumerate total: one
-choice per level, from a small state (a mask, a pool, heights, coverage)."""
+closed-subset count, the triangle census and the Motzkin enumerate total:
+one choice per level, from a small state (a mask, a pool, heights,
+coverage).  The walk comes flat (layered_walk) or in the blocks it shares
+(layered_blocks), where each state's completions are listed once: the
+enumerate stream checks and encodes each shared piece once."""
 
 from functools import cache
 from typing import Any, Callable, Hashable, Iterable, Iterator
@@ -11,12 +14,20 @@ from typing import Any, Callable, Hashable, Iterable, Iterator
 SHARED_LEVELS = 3
 
 
-def layered_walk(depth: int, root: Hashable, choices: Callable[..., Iterable]) -> Iterator[tuple]:
-    """Yield the item tuple of every run of depth choices from root, in walk
-    order; choices(level, state) yields the (item, next_state) pairs open at
-    that level.  The last SHARED_LEVELS levels are listed once per
-    (level, state) within this call; the levels above descend with an
-    explicit stack of iterators, so no recursion grows with depth."""
+def layered_blocks(
+    depth: int, root: Hashable, choices: Callable[..., Iterable]
+) -> Iterator[tuple[tuple, Hashable, list[tuple]]]:
+    """Yield (prefix, state, tails) in walk order for every run of the first
+    max(depth - SHARED_LEVELS, 0) choices from root: state is where the
+    prefix ends, and tails lists the completions of the last levels from
+    that state.  choices(level, state) yields the (item, next_state) pairs
+    open at that level.
+
+    Every prefix that ends in one state shares one tails list within this
+    call, so work on a tail can be done once per state.  The levels above
+    the split descend with an explicit stack of iterators, so no recursion
+    grows with depth.
+    """
     @cache
     def completions(level: int, state: Hashable) -> list[tuple]:
         if level == depth:
@@ -39,10 +50,17 @@ def layered_walk(depth: int, root: Hashable, choices: Callable[..., Iterable]) -
             if len(prefix) < split:
                 stack.append(children(prefix, state))
                 break
-            for tail in completions(split, state):
-                yield prefix + tail
+            yield prefix, state, completions(split, state)
         else:
             stack.pop()
+
+
+def layered_walk(depth: int, root: Hashable, choices: Callable[..., Iterable]) -> Iterator[tuple]:
+    """Yield the item tuple of every run of depth choices from root, in walk
+    order: the blocks of layered_blocks, flattened."""
+    for prefix, _, tails in layered_blocks(depth, root, choices):
+        for tail in tails:
+            yield prefix + tail
 
 
 def layered_sweep(

@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genocchi import admissible, dellac, hanzeng, iter_admissible, iter_dellac, iter_motzkin, motzkin
+from genocchi.admissible import AdmissibleSequence
 from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, WRITE_BLOCK_LINES, run
+from genocchi.dellac import DellacConfig
 from genocchi.errors import InternalInconsistencyError
+from genocchi.motzkin import MotzkinPath
+from genocchi.walk import SHARED_LEVELS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -135,7 +139,8 @@ WALKS = {"dellac": iter_dellac, "admissible": iter_admissible, "motzkin": iter_m
 @pytest.mark.parametrize("model", sorted(WALKS))
 @pytest.mark.parametrize("n", range(1, 8))
 def test_swept_limit_total_equals_the_walked_count(model, n):
-    # the total comes from a sweep of the walk's layers, with or without --limit
+    # under --limit the total is h(n) from the triangle, or for Motzkin a sweep of
+    # the walk's heights; without a limit it counts the printed objects
     walked = sum(1 for _ in WALKS[model](n))
     total = output_lines(["enumerate", model, "--n", str(n), "--limit", "0"])
     assert total == [f"total {walked}"]
@@ -312,28 +317,161 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     )
 
 
-# one run per model whose objects the constructor rejects: a repeated row, a
-# subset outside its successor plus one, a step of two
-INVALID_RUNS = {
-    "dellac": (((1, 2), (2, 4), (5, 6)), "row 2 marked twice"),
-    "admissible": ((0b0110, 0b1000), "I_1 exceeds I_2 plus {2}"),
-    "motzkin": ((2, 0, 0), "steps must change height by at most 1"),
+def one_run(items):
+    """layers for a walk of the single run items, every state 0."""
+    return lambda n: (len(items), 0, lambda level, state: [(items[level], 0)])
+
+
+def rewired(module, level, old, new):
+    """The model's own layers, with the choice old, an (item, next state)
+    pair, offered at level replaced by new."""
+    real = module.layers
+
+    def layers(n):
+        depth, root, choices = real(n)
+
+        def patched(lvl, state):
+            return [new if lvl == level and choice == old else choice for choice in choices(lvl, state)]
+
+        return depth, root, patched
+
+    return layers
+
+
+def bits(*members):
+    """The mask of a set of rows or elements."""
+    return sum(1 << j for j in members)
+
+
+# walks whose objects the constructor rejects: (n, layers, message, lines
+# before).  The first three are one run of at most three levels, so the
+# split is at level 0: a repeated row, a subset outside its successor plus
+# one, a step of two.  The others rewire one choice of the model's own walk,
+# deeper than SHARED_LEVELS, so that the one fault lies in a prefix (a band,
+# a size, a negative height), in a tail shared by several prefixes, or only
+# across the split (a row used on both sides, a containment, a step of two,
+# each after a prefix that leads to the wrong state)
+INVALID_WALKS = {
+    "dellac": (3, one_run(((1, 2), (2, 4), (5, 6))), "row 2 marked twice", 0),
+    "admissible": (3, one_run((0b0110, 0b1000)), "I_1 exceeds I_2 plus {2}", 0),
+    "motzkin": (3, one_run((2, 0, 0)), "steps must change height by at most 1", 0),
+    "dellac-prefix": (
+        5,
+        rewired(dellac, 1, ((3, 5), bits(1, 2, 3, 5)), ((3, 11), bits(1, 2, 3, 5))),
+        "box (2, 11) outside the allowed band",
+        18,
+    ),
+    "dellac-tail": (
+        5,
+        rewired(dellac, 3, ((6, 8), bits(*range(1, 9))), ((6, 11), bits(*range(1, 9)))),
+        "box (4, 11) outside the allowed band",
+        3,
+    ),
+    "dellac-across": (
+        5,
+        rewired(dellac, 1, ((3, 5), bits(1, 2, 3, 5)), ((3, 5), bits(1, 2, 3, 6))),
+        "row 5 marked twice",
+        18,
+    ),
+    "admissible-prefix": (
+        6,
+        rewired(admissible, 0, (bits(1, 2, 3, 4, 6), bits(*range(1, 7))), (bits(*range(1, 7)), bits(*range(1, 7)))),
+        "I_5 must have exactly 5 elements",
+        295,
+    ),
+    "admissible-tail": (
+        6,
+        rewired(admissible, 3, (bits(1, 3), bits(1, 2, 3)), (bits(1, 7), bits(1, 2, 3))),
+        "I_2 contains elements outside 1..6",
+        2,
+    ),
+    "admissible-across": (
+        6,
+        rewired(admissible, 1, (bits(1, 2, 3, 5), bits(1, 2, 3, 4, 5)), (bits(1, 2, 3, 5), bits(1, 2, 3, 4, 6))),
+        "I_3 exceeds I_4 plus {4}",
+        60,
+    ),
+    "motzkin-prefix": (8, rewired(motzkin, 3, (1, 1), (-1, 1)), "heights must stay nonnegative", 9),
+    "motzkin-tail": (8, rewired(motzkin, 6, (1, 1), (-1, 1)), "heights must stay nonnegative", 1),
+    "motzkin-across": (8, rewired(motzkin, 4, (0, 0), (0, 2)), "steps must change height by at most 1", 2),
 }
+MODULES = {"dellac": dellac, "admissible": admissible, "motzkin": motzkin}
 
 
-@pytest.mark.parametrize("model", sorted(INVALID_RUNS))
-def test_an_invalid_walked_object_is_an_internal_error(monkeypatch, capsys, model):
+def reference_line(model, n, item, as_json):
+    """One walked object's output line, the per-object way: built through
+    its constructor, then its fields dumped by json or formatted."""
+    if model == "dellac":
+        columns = DellacConfig(n, item).columns
+        if as_json:
+            return json.dumps({"n": n, "columns": [list(p) for p in columns]}, separators=(",", ":")) + "\n"
+        return "\n".join(f"{col}: {lo} {hi}" for col, (lo, hi) in enumerate(columns, start=1)) + "\n\n"
+    if model == "admissible":
+        sets = AdmissibleSequence(n, item).sets()
+        if as_json:
+            return json.dumps({"n": n, "sets": [list(s) for s in sets]}, separators=(",", ":")) + "\n"
+        return (" | ".join(",".join(map(str, s)) for s in sets) or "()") + "\n"
+    heights = MotzkinPath(item).heights
+    if as_json:
+        return json.dumps({"n": len(heights) - 1, "heights": list(heights)}, separators=(",", ":")) + "\n"
+    return " ".join(map(str, heights)) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_WALKS))
+def test_an_invalid_walked_object_is_an_internal_error(monkeypatch, capsys, case):
     # the streamed objects are still validated: a walk that yields one the
-    # constructor rejects stops the stream with exit 4
-    items, message = INVALID_RUNS[model]
-    module = {"dellac": dellac, "admissible": admissible, "motzkin": motzkin}[model]
-    monkeypatch.setattr(
-        module, "layers", lambda n: (len(items), 0, lambda level, state: [(items[level], 0)])
-    )
-    assert run(["enumerate", model, "--n", "3", "--json"]) == 4
+    # constructor rejects stops the stream with exit 4, after the lines of
+    # the objects before it
+    n, layers, message, before = INVALID_WALKS[case]
+    model = case.split("-")[0]
+    monkeypatch.setattr(MODULES[model], "layers", layers)
+    if "-" in case:
+        assert layers(n)[0] > SHARED_LEVELS  # the split is past level 0
+    lines = []
+    for item in WALKS[model](n):
+        try:
+            lines.append(reference_line(model, n, item, True))
+        except ValueError as exc:
+            assert str(exc) == message
+            break
+    assert len(lines) == before
+    assert run(["enumerate", model, "--n", str(n), "--json"]) == 4
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "".join(lines)
     assert captured.err == f"internal error: ValueError: {message}\n"
+
+
+@lru_cache(maxsize=None)
+def reference_lines(model, n, as_json):
+    return tuple(reference_line(model, n, item, as_json) for item in WALKS[model](n))
+
+
+# sizes past the first split level: Dellac n >= 4, admissible n >= 5, Motzkin n >= 4
+MODEL_SIZES = st.one_of(
+    st.tuples(st.sampled_from(["dellac", "admissible"]), st.integers(1, 6)),
+    st.tuples(st.just("motzkin"), st.integers(0, 10)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_n=MODEL_SIZES,
+    as_json=st.booleans(),
+    limit=st.one_of(st.none(), st.integers(0, WRITE_BLOCK_LINES + 64)),
+)
+def test_stream_is_byte_identical_to_the_per_object_reference(model_n, as_json, limit):
+    model, n = model_n
+    lines = reference_lines(model, n, as_json)
+    if as_json:
+        total = json.dumps({"total": str(len(lines))}, separators=(",", ":"))
+    else:
+        total = f"total {len(lines)}"
+    argv = ["enumerate", model, "--n", str(n)]
+    argv += ([] if limit is None else ["--limit", str(limit)]) + (["--json"] if as_json else [])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(argv) == 0
+    assert out.getvalue() == "".join(lines[:limit]) + total + "\n"
 
 
 def test_lines_before_an_invalid_walked_object_are_written(monkeypatch, capsys):
@@ -528,9 +666,25 @@ def spec_dir(tmp_path_factory):
     return path
 
 
+CAP = st.one_of(st.sampled_from([None, "abc", "-1"]), st.integers(0, 6).map(str))
+# enumerate --limit with GENOCCHI_MAX_N up to 40: only a total that needs no
+# sweep of masks or pools keeps the command within the deadline
+LIMITED = st.tuples(
+    argv_of(
+        words("enumerate"),
+        words("dellac", "admissible", "motzkin"),
+        arg("--n", size(40)),
+        arg("--limit", st.one_of(st.integers(0, 50).map(str), st.sampled_from(("-1", "abc", "")))),
+        JSON,
+    ),
+    st.integers(0, 40).map(str),
+)
+
+
 @settings(max_examples=150, deadline=2000)
-@given(argv=ARGV, cap=st.one_of(st.sampled_from([None, "abc", "-1"]), st.integers(0, 6).map(str)))
-def test_fuzzed_argv_ends_in_an_answer_or_one_error_line(spec_dir, argv, cap):
+@given(argv_cap=st.one_of(st.tuples(ARGV, CAP), LIMITED))
+def test_fuzzed_argv_ends_in_an_answer_or_one_error_line(spec_dir, argv_cap):
+    argv, cap = argv_cap
     argv = [str(spec_dir / a[1:]) if a.startswith("@") else a for a in argv]
     err = io.StringIO()
     with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), redirect_stderr(err):

@@ -88,6 +88,13 @@ def test_validation_rejects_bad_configurations():
         DellacConfig(2, ((1, 4), (2, 3)))  # row 4 outside column 1's band
 
 
+@pytest.mark.parametrize("n, columns", [(1, ((True, 2),)), (True, ((1, 2),)), (1, ((1.0, 2),))])
+def test_non_integer_fields_are_rejected(n, columns):
+    # each lies in its band, and json_line would print it as no walk does
+    with pytest.raises(TypeError, match="^n and rows must be integers$"):
+        DellacConfig(n, columns)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_yielded_configurations_validate_and_carry_their_length(n):
     # the transfer sweep against the walk's objects and the O(n^2) reference count

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genocchi import iter_admissible, iter_dellac, iter_motzkin
-from genocchi.walk import SHARED_LEVELS, layered_sweep, layered_walk
+from genocchi.walk import SHARED_LEVELS, layered_blocks, layered_sweep, layered_walk
 
 STATES = range(3)
 
@@ -38,6 +38,14 @@ def test_walk_matches_a_filtered_product(table, root):
         return ((item, nxt) for s, item, nxt in table[level] if s == state)
 
     assert list(layered_walk(len(table), root, choices)) == naive_walk(table, root)
+
+    # the blocks flatten to the walk; every prefix stops at the split level,
+    # and the prefixes that end in one state share one tails list
+    blocks = list(layered_blocks(len(table), root, choices))
+    assert [p + t for p, _, tails in blocks for t in tails] == naive_walk(table, root)
+    assert {len(p) for p, _, _ in blocks} <= {max(len(table) - SHARED_LEVELS, 0)}
+    shared = {}
+    assert all(shared.setdefault(state, tails) is tails for _, state, tails in blocks)
 
 
 @settings(max_examples=300, deadline=None)
