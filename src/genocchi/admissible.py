@@ -9,15 +9,13 @@ and yields them only; count_closed_column_graded counts the closed subsets
 by a layered sweep over column masks, visiting none of them.
 
 One rule checks a piece of a sequence, a run of consecutive subsets: every
-mask an int, each I_l inside 1..n with popcount l, and I_{l-1} inside I_l
-plus l within the run.  Two pieces join when they hold n - 1 subsets in all
-and the containment holds across them.  AdmissibleSequence checks itself as
-one piece joined to the empty one; the enumerate stream checks each prefix
-and each shared tail of the walk once and joins them per sequence.  Only a
-rejected sequence is checked again in the old order, for the message of
-its first fault.  One encoder writes a piece's subsets, for json_line,
-render and the stream alike, so each subset of a shared piece is formatted
-once per stream.
+field an int, then each I_l inside 1..n with l elements, then I_{l-1}
+inside I_l plus l within the run, raising the constructor's message at the
+first fault.  Two pieces join when they hold n - 1 subsets in all and the
+containment holds across them.  AdmissibleSequence checks the subset count
+and its subsets as one piece; the enumerate stream checks each prefix and
+each shared tail of the walk once, joins them per sequence, and formats
+each subset of a shared piece once per stream.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import limits
-from .errors import InternalInconsistencyError
 from .walk import layered_sweep, layered_walk
 
 
@@ -57,49 +54,34 @@ class AdmissibleSequence:
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        # the whole sequence as one piece, joined to the empty piece
-        n, masks = self.n, self.masks
-        try:
-            whole = _piece(n, masks, 1)
-        except ValueError:
-            whole = None  # a negative n: the check below names the count
-        if not _joined(n, EMPTY, whole):
-            raise ValueError(_first_fault(n, masks))
+        _piece(self.n, self.masks, 1, whole=True)
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_elems(m) for m in self.masks)
 
-    def json_line(self) -> str:
-        """The compact JSON object {"n", "sets"}, as json.dumps with
-        separators (",", ":") writes it."""
-        return _line(self.n, self.masks, True)
 
-    def render(self) -> str:
-        return _line(self.n, self.masks, False)
-
-
-# the summary (count, first mask, last mask) of a piece with no subset: its
-# first contains everything and its last nothing, so it joins any piece
-EMPTY = (0, -1, 0)
-
-
-def _piece(n: int, masks, start: int) -> tuple[int, int, int] | None:
-    """The check of subsets I_start, I_start+1, ... of a sequence for n:
-    each I_l inside 1..n with l elements, and I_{l-1} inside I_l plus l
-    within the piece.  Returns the summary (subset count, first mask, last
-    mask), or None at the first fault; a field that is not an int raises
-    TypeError."""
-    if type(n) is not int:
+def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, int]:
+    """The check of subsets I_start, I_start+1, ... of a sequence for n,
+    whole when the run is one: every field an int, the subset count of a
+    whole one, then each I_l inside 1..n with l elements, then I_{l-1}
+    inside I_l plus l within the run.  Raises at the first fault; returns
+    the summary (subset count, first mask, last mask), whose first mask
+    contains everything and last nothing when there is no subset, so that
+    it joins any piece."""
+    if type(n) is not int or set(map(type, masks)) - {int}:
         raise TypeError("n and masks must be integers")
+    if whole and len(masks) != n - 1:
+        raise ValueError(f"expected {n - 1} subsets, got {len(masks)}")
     outside = ~((1 << (n + 1)) - 2)
-    prev = 0
     for l, m in enumerate(masks, start):
-        if type(m) is not int:
-            raise TypeError("n and masks must be integers")
-        if m & outside or m.bit_count() != l or prev & ~(m | 1 << l):
-            return None
-        prev = m
-    return (len(masks), masks[0], prev) if masks else EMPTY
+        if m & outside:
+            raise ValueError(f"I_{l} contains elements outside 1..{n}")
+        if m.bit_count() != l:
+            raise ValueError(f"I_{l} must have exactly {l} elements")
+    for l, (lower, upper) in enumerate(zip(masks, masks[1:]), start):
+        if lower & ~(upper | 1 << (l + 1)):
+            raise ValueError(f"I_{l} exceeds I_{l + 1} plus {{{l + 1}}}")
+    return (len(masks), masks[0], masks[-1]) if masks else (0, -1, 0)
 
 
 def _joined(n: int, upper, lower) -> bool:
@@ -126,55 +108,24 @@ def _encode(masks, start: int, as_json: bool) -> str:
     return sep + text if text and start > 1 else text
 
 
-def _frame(n: int, as_json: bool) -> tuple[str, str]:
-    """The text before and after the subsets in a line."""
-    return (f'{{"n":{n},"sets":[', "]}") if as_json else ("", "")
-
-
-def _line(n: int, masks, as_json: bool) -> str:
-    head, foot = _frame(n, as_json)
-    body = _encode(masks, 1, as_json)
-    return head + (body if body or as_json else "()") + foot
-
-
 def stream_pieces(n: int, as_json: bool, end: str):
     """The rules above for the stream, as dellac.stream_pieces gives them.
     The walk meets I_{n-1} first, so a prefix, reversed, is the upper piece
     of a sequence and a tail, reversed, the lower one."""
-    head, foot = _frame(n, as_json)
+    head, foot = (f'{{"n":{n},"sets":[', "]}") if as_json else ("", "")
 
     def prefix_piece(prefix):
         upper, start = prefix[::-1], n - len(prefix)
-        summary = _piece(n, upper, start)
-        return summary, None if summary is None else _encode(upper, start, as_json)
+        return _piece(n, upper, start), _encode(upper, start, as_json)
 
     def tail_piece(tail, level):
         lower = tail[::-1]
         summary = _piece(n, lower, 1)
-        if summary is None:
-            return None, None
-        if not lower:  # only n = 1 has an empty tail, and its prefix is empty too
-            return summary, (_line(n, lower, as_json) + end, "")
-        return summary, (head + _encode(lower, 1, as_json), foot + end)
+        # only n = 1 has an empty tail, and its prefix is empty too
+        body = _encode(lower, 1, as_json) if lower or as_json else "()"
+        return summary, (head + body, foot + end)
 
     return prefix_piece, tail_piece, partial(_joined, n)
-
-
-def _first_fault(n: int, masks) -> str:
-    """The message for the first fault of an invalid sequence: the subset
-    count, then each subset's elements and size, then each containment."""
-    if len(masks) != n - 1:
-        return f"expected {n - 1} subsets, got {len(masks)}"
-    full = _mask(range(1, n + 1))
-    for l, m in enumerate(masks, start=1):
-        if m & ~full:
-            return f"I_{l} contains elements outside 1..{n}"
-        if bin(m).count("1") != l:
-            return f"I_{l} must have exactly {l} elements"
-    for l in range(1, n - 1):
-        if masks[l - 1] & ~(masks[l] | 1 << (l + 1)):
-            return f"I_{l} exceeds I_{l + 1} plus {{{l + 1}}}"
-    raise InternalInconsistencyError(f"sequence {masks} rejected without a fault")
 
 
 def layers(n: int):

@@ -181,8 +181,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _checked(piece, *args):
-    """A stream piece's (summary, text), or (None, None) when the walk made it
-    unreadable; the object's constructor then names the fault."""
+    """A stream piece's (summary, text), or (None, None) when its check
+    raises; the object's constructor then names the fault."""
     try:
         return piece(*args)
     except (TypeError, ValueError):

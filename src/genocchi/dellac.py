@@ -9,15 +9,14 @@ and nothing else; the polynomial comes from a transfer sweep of the same
 layers over used-row masks, which visits no configuration.
 
 One rule checks a piece of a configuration, a run of consecutive columns:
-every row an int, and each column's pair inside the band _row_window gives
-at that moment, low row first.  The piece's used rows come back as a
-bitmask, and two pieces join when they hold n columns in all and their
-masks together mark 2n rows.  DellacConfig checks itself as one piece
-joined to the empty one; the enumerate stream checks each prefix and each
-shared tail of the walk once and joins them per configuration.  Only a
-rejected configuration is walked again box by box, for the message of its
-first fault.  One encoder writes a piece's columns, for json_line, render
-and the stream alike.
+every field an int, then per column the row order, and per row the band
+_row_window gives at that moment and a repeat, raising the constructor's
+message at the first fault.  The piece's used rows come back as a bitmask,
+and two pieces join when they hold n columns in all and their masks
+together mark 2n rows.  DellacConfig checks the column count and its
+columns as one piece; the enumerate stream checks each prefix and each
+shared tail of the walk once, joins them per configuration, and writes
+each piece's columns once.
 """
 
 from __future__ import annotations
@@ -40,14 +39,7 @@ class DellacConfig:
     columns: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        # the whole configuration as one piece, joined to the empty piece
-        n, columns = self.n, self.columns
-        try:
-            whole = _piece(n, columns, 1)
-        except ValueError:
-            whole = None  # a malformed column: the box loop below raises or names it
-        if not _joined(n, whole, EMPTY):
-            raise ValueError(_first_fault(n, columns))
+        _piece(self.n, self.columns, 1, whole=True)
 
     def boxes(self) -> Iterator[tuple[int, int]]:
         """All marked boxes as (column, row) pairs, column-major order."""
@@ -55,35 +47,28 @@ class DellacConfig:
             for j in pair:
                 yield (col, j)
 
-    def render(self) -> str:
-        return _line(self.n, self.columns, False)
 
-    def json_line(self) -> str:
-        """The compact JSON object {"n", "columns"}, as json.dumps with
-        separators (",", ":") writes it."""
-        return _line(self.n, self.columns, True)
-
-
-# the summary of a piece with no column: it joins any piece unchanged
-EMPTY = (0, 0)
-
-
-def _piece(n: int, columns, start: int) -> tuple[int, int] | None:
+def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
     """The check of columns start, start + 1, ... of an n-column
-    configuration: each pair lies in the band _row_window gives at call
-    time, low row first.  Returns the summary (column count, used-row mask),
-    or None at the first pair outside its band; a field that is not an int
-    raises TypeError."""
-    if type(n) is not int:
+    configuration, whole when the run is one: every field an int, the
+    column count of a whole one, then per column the row order, and per
+    row the band _row_window gives at call time and a repeat.  Raises at
+    the first fault; returns the summary (column count, used-row mask)."""
+    if type(n) is not int or any(type(j) is not int for pair in columns for j in pair):
         raise TypeError("n and rows must be integers")
+    if whole and len(columns) != n:
+        raise ValueError(f"expected {n} columns, got {len(columns)}")
     used = 0
     for col, (lo, hi) in enumerate(columns, start):
-        if type(lo) is not int or type(hi) is not int:
-            raise TypeError("n and rows must be integers")
+        if not lo < hi:
+            raise ValueError(f"column {col} rows must be strictly increasing")
         win_lo, win_hi = _row_window(n, col)
-        if not win_lo <= lo < hi <= win_hi:
-            return None
-        used |= 1 << lo | 1 << hi
+        for j in (lo, hi):
+            if not win_lo <= j <= win_hi:
+                raise ValueError(f"box ({col}, {j}) outside the allowed band")
+            if used >> j & 1:
+                raise ValueError(f"row {j} marked twice")
+            used |= 1 << j
     return len(columns), used
 
 
@@ -110,57 +95,23 @@ def _encode(columns, start: int, as_json: bool) -> str:
     return sep + text if text and start > 1 else text
 
 
-def _frame(n: int, as_json: bool) -> tuple[str, str]:
-    """The text before and after the columns in a line."""
-    return (f'{{"n":{n},"columns":[', "]}") if as_json else ("", "")
-
-
-def _line(n: int, columns, as_json: bool) -> str:
-    head, foot = _frame(n, as_json)
-    return head + _encode(columns, 1, as_json) + foot
-
-
 def stream_pieces(n: int, as_json: bool, end: str):
     """The rules above, for a stream of walk blocks: (prefix_piece,
     tail_piece, joined).  prefix_piece(prefix) gives the summary and text of
     the columns a prefix holds; tail_piece(tail, level) gives the summary of
     the columns a tail from that level holds, and the texts that go before
-    and after a prefix's text in the line, end included.  A piece whose
-    check fails has the summary None.  joined(prefix summary, tail summary)
-    accepts exactly the objects the constructor accepts."""
-    head, foot = _frame(n, as_json)
+    and after a prefix's text in the line, end included.  Both raise where
+    the piece's check does.  joined(prefix summary, tail summary) accepts
+    exactly the objects the constructor accepts."""
+    head, foot = (f'{{"n":{n},"columns":[', "]}") if as_json else ("", "")
 
     def prefix_piece(prefix):
-        summary = _piece(n, prefix, 1)
-        return summary, None if summary is None else _encode(prefix, 1, as_json)
+        return _piece(n, prefix, 1), _encode(prefix, 1, as_json)
 
     def tail_piece(tail, level):
-        summary = _piece(n, tail, level + 1)
-        if summary is None:
-            return None, None
-        return summary, (head, _encode(tail, level + 1, as_json) + foot + end)
+        return _piece(n, tail, level + 1), (head, _encode(tail, level + 1, as_json) + foot + end)
 
     return prefix_piece, tail_piece, partial(_joined, n)
-
-
-def _first_fault(n: int, columns) -> str:
-    """The message for the first fault of an invalid configuration, found box
-    by box: the column count, then per column the row order, and per row
-    the band and a repeat."""
-    if len(columns) != n:
-        return f"expected {n} columns, got {len(columns)}"
-    seen: set[int] = set()
-    for col, (lo, hi) in enumerate(columns, start=1):
-        if not lo < hi:
-            return f"column {col} rows must be strictly increasing"
-        win_lo, win_hi = _row_window(n, col)
-        for j in (lo, hi):
-            if not win_lo <= j <= win_hi:
-                return f"box ({col}, {j}) outside the allowed band"
-            if j in seen:
-                return f"row {j} marked twice"
-            seen.add(j)
-    return "every row must contain exactly one marked box"
 
 
 def _row_window(n: int, col: int) -> tuple[int, int]:

@@ -14,13 +14,12 @@ programming (path_sums, which also expands every continued fraction);
 explicit enumeration stays available for termwise checks, and
 fermionic_exponent is the per-path reference the sweep is tested against.
 One rule checks a piece of a path, a run of consecutive heights: integers,
-nonnegative, each step within 1.  Two pieces join when a step of at most 1
+then nonnegative, then each step within 1, raising the constructor's
+message at the first fault.  Two pieces join when a step of at most 1
 leads across and the path starts and ends at height 0.  MotzkinPath checks
-itself as one piece joined to the empty one; the enumerate stream checks
-each prefix and each shared tail of the walk once and joins them per path.
-Only a rejected path is checked again, for the message of its first fault.
-One encoder writes a piece's heights, for json_line, render and the stream
-alike.
+its ends and its heights as one piece; the enumerate stream checks each
+prefix and each shared tail of the walk once, joins them per path, and
+writes each piece's heights once.
 """
 
 from __future__ import annotations
@@ -49,9 +48,7 @@ class MotzkinPath:
     heights: tuple[int, ...]
 
     def __post_init__(self):
-        # the whole path as one piece, joined to the empty piece
-        if not _joined(_piece(self.heights), EMPTY):
-            raise ValueError(_first_fault(self.heights))
+        _piece(self.heights, whole=True)
 
     @property
     def n(self) -> int:
@@ -60,30 +57,25 @@ class MotzkinPath:
     def rises_plus_falls(self) -> int:
         return sum(1 for a, b in zip(self.heights, self.heights[1:]) if a != b)
 
-    def render(self) -> str:
-        return _line(self.heights, False)
 
-    def json_line(self) -> str:
-        """The compact JSON object {"n", "heights"}, as json.dumps with
-        separators (",", ":") writes it."""
-        return _line(self.heights, True)
-
-
-# the summary of a piece with no height: it has no ends
-EMPTY = ()
-
-
-def _piece(heights) -> tuple[int, int] | None:
-    """The check of a run of heights: integers, nonnegative, each step within
-    1 inside the run.  Returns the summary (first height, last height),
-    EMPTY for no height, or None at a fault; a height that is not an int
-    raises TypeError."""
+def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
+    """The check of a run of heights, whole when the run is a path: integers,
+    a start and an end at height 0 for a whole one, then nonnegative, then
+    each step within 1 inside the run.  Raises at the first fault; returns
+    the summary (first height, last height), or () for no height."""
     if set(map(type, heights)) - {int}:
         raise TypeError("heights must be integers")
+    if whole:
+        if not heights:
+            raise ValueError("a path needs at least the starting height")
+        if heights[0] != 0 or heights[-1] != 0:
+            raise ValueError("path must start and end at height 0")
     if not heights:
-        return EMPTY
-    if min(heights) < 0 or not all(-1 <= b - a <= 1 for a, b in zip(heights, heights[1:])):
-        return None
+        return ()
+    if min(heights) < 0:
+        raise ValueError("heights must stay nonnegative")
+    if not all(-1 <= b - a <= 1 for a, b in zip(heights, heights[1:])):
+        raise ValueError("steps must change height by at most 1")
     return heights[0], heights[-1]
 
 
@@ -98,20 +90,6 @@ def _joined(first, second) -> bool:
     return first[0] == 0 == second[1] and -1 <= second[0] - first[1] <= 1
 
 
-def _first_fault(h) -> str:
-    """The message for the first fault of a height sequence that is no path:
-    no height, then the ends, the minimum and the steps."""
-    if not h:
-        return "a path needs at least the starting height"
-    if h[0] != 0 or h[-1] != 0:
-        return "path must start and end at height 0"
-    if min(h) < 0:
-        return "heights must stay nonnegative"
-    if not all(-1 <= b - a <= 1 for a, b in zip(h, h[1:])):
-        return "steps must change height by at most 1"
-    raise InternalInconsistencyError(f"heights {h} rejected without a fault")
-
-
 def _encode(heights, start: int, as_json: bool) -> str:
     """The text of heights f_start, f_start+1, ...: numbers joined by "," or
     " ".  A piece that starts after f_0 opens with the separator, so that
@@ -121,30 +99,18 @@ def _encode(heights, start: int, as_json: bool) -> str:
     return sep + text if text and start > 0 else text
 
 
-def _frame(n: int, as_json: bool) -> tuple[str, str]:
-    """The text before and after the heights in a line for a length-n path."""
-    return (f'{{"n":{n},"heights":[', "]}") if as_json else ("", "")
-
-
-def _line(heights, as_json: bool) -> str:
-    head, foot = _frame(len(heights) - 1, as_json)
-    return head + _encode(heights, 0, as_json) + foot
-
-
 def stream_pieces(n: int, as_json: bool, end: str):
     """The rules above for the stream, as dellac.stream_pieces gives them.
     A prefix piece starts with f_0 = 0, which the walk does not yield."""
 
     def prefix_piece(prefix):
         heights = (0,) + prefix
-        summary = _piece(heights)
-        return summary, None if summary is None else _encode(heights, 0, as_json)
+        return _piece(heights), _encode(heights, 0, as_json)
 
     def tail_piece(tail, level):
         summary = _piece(tail)
-        if summary is None:
-            return None, None
-        head, foot = _frame(level + len(tail), as_json)  # the path's length
+        length = level + len(tail)  # of the path
+        head, foot = (f'{{"n":{length},"heights":[', "]}") if as_json else ("", "")
         return summary, (head, _encode(tail, level + 1, as_json) + foot + end)
 
     return prefix_piece, tail_piece, _joined

@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stdout
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +13,7 @@ from genocchi.admissible import (
     is_closed_in_gamma,
     iter_admissible,
 )
+from genocchi.cli import run
 from genocchi.errors import ResourceLimitError
 from genocchi.seidel import normalized_h
 
@@ -146,19 +149,30 @@ def test_non_integer_fields_are_rejected(n, masks):
         AdmissibleSequence(n, masks)
 
 
+def streamed(n, as_json):
+    """The output of enumerate admissible for n, text or JSON."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["enumerate", "admissible", "--n", str(n)] + ["--json"] * as_json) == 0
+    return out.getvalue()
+
+
 def test_json_shape():
-    seq = AdmissibleSequence(3, (0b0010, 0b1010))
-    assert seq.json_line() == '{"n":3,"sets":[[1],[1,3]]}'
-    assert seq.render() == "1 | 1,3"
+    # the sequence I_1 = {1}, I_2 = {1,3} in the n = 3 stream
+    assert '{"n":3,"sets":[[1],[1,3]]}' in streamed(3, True).splitlines()
+    assert "1 | 1,3" in streamed(3, False).splitlines()
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_json_line_and_render_match_the_fields(n):
-    for seq in sequences(n):
-        fields = {"n": seq.n, "sets": [list(s) for s in seq.sets()]}
-        assert seq.json_line() == json.dumps(fields, separators=(",", ":"))
-        text = " | ".join(",".join(map(str, s)) for s in seq.sets()) or "()"
-        assert seq.render() == text
+    seqs = sequences(n)
+    lines = [
+        json.dumps({"n": s.n, "sets": [list(x) for x in s.sets()]}, separators=(",", ":"))
+        for s in seqs
+    ]
+    assert streamed(n, True) == "".join(line + "\n" for line in lines) + f'{{"total":"{len(seqs)}"}}\n'
+    texts = [" | ".join(",".join(map(str, x)) for x in s.sets()) or "()" for s in seqs]
+    assert streamed(n, False) == "".join(text + "\n" for text in texts) + f"total {len(seqs)}\n"
 
 
 def elements(mask):
@@ -194,6 +208,12 @@ def mask_tuples(draw):
     else:
         size = draw(st.sampled_from([n - 1, n - 1, n - 1, n - 2, n]).filter(lambda k: k >= 0))
         masks = draw(st.lists(mask, min_size=size, max_size=size))
+    if draw(st.integers(0, 4)) == 0:
+        # sometimes n or one mask a bool or a float
+        fields = [n] + masks
+        at = draw(st.integers(0, len(fields) - 1))
+        fields[at] = draw(st.sampled_from([bool(fields[at]), float(fields[at])]))
+        n, masks = fields[0], fields[1:]
     return n, tuple(masks)
 
 
@@ -201,6 +221,11 @@ def mask_tuples(draw):
 @given(mask_tuples())
 def test_constructor_rejects_what_the_set_check_rejects(drawn):
     n, masks = drawn
+    if {type(n)} | set(map(type, masks)) != {int}:
+        # a field that is not an int comes before any fault of the values
+        with pytest.raises(TypeError, match="^n and masks must be integers$"):
+            AdmissibleSequence(n, masks)
+        return
     fault = naive_fault(n, masks)
     if fault is None:
         assert AdmissibleSequence(n, masks).masks == masks

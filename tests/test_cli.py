@@ -17,7 +17,7 @@ from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, WRITE_BLOCK_LINES, run
 from genocchi.dellac import DellacConfig
 from genocchi.errors import InternalInconsistencyError
 from genocchi.motzkin import MotzkinPath
-from genocchi.walk import SHARED_LEVELS
+from genocchi.walk import SHARED_LEVELS, layered_blocks
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -503,6 +503,19 @@ def test_enumerate_writes_blocks_of_lines():
     assert objects == 2188
     # whole blocks, the last partial block, and print's text and newline for the total
     assert out.writes == -(-objects // WRITE_BLOCK_LINES) + 2
+
+
+def test_stream_checks_each_shared_piece_once(monkeypatch):
+    # the stream's speed rests on this: one piece check per walk prefix and
+    # one per tail of each distinct state, however many objects they join
+    calls = []
+    piece = dellac._piece
+    monkeypatch.setattr(dellac, "_piece", lambda *args, **kw: calls.append(args) or piece(*args, **kw))
+    objects = len(output_lines(["enumerate", "dellac", "--n", "6", "--json"])) - 1
+    blocks = list(layered_blocks(*dellac.layers(6)))
+    tails = {state: len(tails) for _, state, tails in blocks}
+    assert len(calls) == len(blocks) + sum(tails.values()) == 244 + 244
+    assert objects == 3098
 
 
 def test_limit_across_a_block_boundary():

@@ -1,8 +1,11 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genocchi.cli import run
 from genocchi.dellac import (
     DellacConfig,
     dellac_length,
@@ -90,7 +93,7 @@ def test_validation_rejects_bad_configurations():
 
 @pytest.mark.parametrize("n, columns", [(1, ((True, 2),)), (True, ((1, 2),)), (1, ((1.0, 2),))])
 def test_non_integer_fields_are_rejected(n, columns):
-    # each lies in its band, and json_line would print it as no walk does
+    # each lies in its band, and its JSON line would read as no walk's does
     with pytest.raises(TypeError, match="^n and rows must be integers$"):
         DellacConfig(n, columns)
 
@@ -127,17 +130,30 @@ def test_env_cap_override(monkeypatch):
             iter_dellac(2)
 
 
+def streamed(n, as_json):
+    """The output of enumerate dellac for n, text or JSON."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["enumerate", "dellac", "--n", str(n)] + ["--json"] * as_json) == 0
+    return out.getvalue()
+
+
 def test_rendering_and_json():
-    cfg = DellacConfig(3, ((1, 2), (3, 5), (4, 6)))
-    assert cfg.render() == "1: 1 2\n2: 3 5\n3: 4 6"
-    assert cfg.json_line() == '{"n":3,"columns":[[1,2],[3,5],[4,6]]}'
+    # one configuration of the n = 3 stream, as a text block and a JSON line
+    assert "1: 1 2\n2: 3 5\n3: 4 6" in streamed(3, False).split("\n\n")
+    assert '{"n":3,"columns":[[1,2],[3,5],[4,6]]}' in streamed(3, True).splitlines()
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_json_line_is_the_compact_dump_of_the_fields(n):
-    for cfg in configs(n):
-        fields = {"n": cfg.n, "columns": [list(pair) for pair in cfg.columns]}
-        assert cfg.json_line() == json.dumps(fields, separators=(",", ":"))
+    cfgs = configs(n)
+    lines = [
+        json.dumps({"n": c.n, "columns": [list(p) for p in c.columns]}, separators=(",", ":"))
+        for c in cfgs
+    ]
+    assert streamed(n, True) == "".join(line + "\n" for line in lines) + f'{{"total":"{len(cfgs)}"}}\n'
+    blocks = ["\n".join(f"{col}: {lo} {hi}" for col, (lo, hi) in enumerate(c.columns, start=1)) for c in cfgs]
+    assert streamed(n, False) == "".join(block + "\n\n" for block in blocks) + f"total {len(cfgs)}\n"
 
 
 def naive_fault(n, columns):
@@ -171,6 +187,13 @@ def column_tuples(draw):
     else:
         size = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
         columns = draw(st.lists(st.tuples(row, row), min_size=size, max_size=size))
+    if draw(st.integers(0, 4)) == 0:
+        # sometimes n or one row a bool or a float
+        fields = [n] + [j for pair in columns for j in pair]
+        at = draw(st.integers(0, len(fields) - 1))
+        fields[at] = draw(st.sampled_from([bool(fields[at]), float(fields[at])]))
+        n, rows = fields[0], fields[1:]
+        columns = list(zip(rows[::2], rows[1::2]))
     return n, tuple(columns)
 
 
@@ -178,6 +201,11 @@ def column_tuples(draw):
 @given(column_tuples())
 def test_constructor_rejects_what_the_box_loop_rejects(drawn):
     n, columns = drawn
+    if {type(n)} | {type(j) for pair in columns for j in pair} != {int}:
+        # a field that is not an int comes before any fault of the values
+        with pytest.raises(TypeError, match="^n and rows must be integers$"):
+            DellacConfig(n, columns)
+        return
     fault = naive_fault(n, columns)
     if fault is None:
         assert DellacConfig(n, columns).columns == columns

@@ -1,11 +1,14 @@
+import io
 import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genocchi.cli import run
 from genocchi.errors import ResourceLimitError
 from genocchi.exactalg import IntPoly, LaurentPoly, ONE
 from genocchi.dellac import h_poly_dellac
@@ -74,17 +77,26 @@ def test_path_validation():
 
 @pytest.mark.parametrize("heights", [(0, 0.5, 0), (0, 1.0, 0), (0.0,), (0, True, 0)])
 def test_non_integer_heights_are_rejected(heights):
-    # each passes the step loop, and json_line would print it as no walk does
+    # each passes the step loop, and its JSON line would read as no walk's does
     with pytest.raises(TypeError, match="^heights must be integers$"):
         MotzkinPath(heights)
 
 
+def streamed(n, as_json):
+    """The output of enumerate motzkin for n, text or JSON."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["enumerate", "motzkin", "--n", str(n)] + ["--json"] * as_json) == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("n", range(0, 9))
 def test_json_line_and_render_match_the_fields(n):
-    for path in paths(n):
-        fields = {"n": path.n, "heights": list(path.heights)}
-        assert path.json_line() == json.dumps(fields, separators=(",", ":"))
-        assert path.render() == " ".join(str(v) for v in path.heights)
+    ps = paths(n)
+    lines = [json.dumps({"n": p.n, "heights": list(p.heights)}, separators=(",", ":")) for p in ps]
+    assert streamed(n, True) == "".join(line + "\n" for line in lines) + f'{{"total":"{len(ps)}"}}\n'
+    texts = [" ".join(str(v) for v in p.heights) for p in ps]
+    assert streamed(n, False) == "".join(text + "\n" for text in texts) + f"total {len(ps)}\n"
 
 
 def naive_fault(heights):
@@ -111,12 +123,21 @@ def height_tuples(draw):
         heights[draw(st.integers(0, n))] = draw(height)
     else:
         heights = draw(st.lists(height, max_size=8))
+    if heights and draw(st.integers(0, 4)) == 0:
+        # sometimes one height a bool or a float
+        at = draw(st.integers(0, len(heights) - 1))
+        heights[at] = draw(st.sampled_from([bool(heights[at]), float(heights[at])]))
     return tuple(heights)
 
 
 @settings(max_examples=400, deadline=None)
 @given(height_tuples())
 def test_constructor_rejects_what_the_step_loop_rejects(heights):
+    if set(map(type, heights)) - {int}:
+        # a height that is not an int comes before any fault of the values
+        with pytest.raises(TypeError, match="^heights must be integers$"):
+            MotzkinPath(heights)
+        return
     fault = naive_fault(heights)
     if fault is None:
         assert MotzkinPath(heights).heights == heights
