@@ -62,13 +62,13 @@ class AdmissibleSequence:
 
 def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, int]:
     """The check of subsets I_start, I_start+1, ... of a sequence for n,
-    whole when the run is one: every field an int, the subset count of a
+    whole when the run is one: a tuple of ints, the subset count of a
     whole one, then each I_l inside 1..n with l elements, then I_{l-1}
     inside I_l plus l within the run.  Raises at the first fault; returns
     the summary (subset count, first mask, last mask), whose first mask
     contains everything and last nothing when there is no subset, so that
     it joins any piece."""
-    if type(n) is not int or set(map(type, masks)) - {int}:
+    if type(n) is not int or type(masks) is not tuple or set(map(type, masks)) - {int}:
         raise TypeError("n and masks must be integers")
     if whole and len(masks) != n - 1:
         raise ValueError(f"expected {n - 1} subsets, got {len(masks)}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from . import limits
@@ -50,11 +50,17 @@ class DellacConfig:
 
 def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
     """The check of columns start, start + 1, ... of an n-column
-    configuration, whole when the run is one: every field an int, the
+    configuration, whole when the run is one: a tuple of int pairs, the
     column count of a whole one, then per column the row order, and per
     row the band _row_window gives at call time and a repeat.  Raises at
     the first fault; returns the summary (column count, used-row mask)."""
-    if type(n) is not int or any(type(j) is not int for pair in columns for j in pair):
+    if (
+        type(n) is not int
+        or type(columns) is not tuple
+        or set(map(type, columns)) - {tuple}
+        or set(map(len, columns)) - {2}
+        or set(map(type, chain.from_iterable(columns))) - {int}
+    ):
         raise TypeError("n and rows must be integers")
     if whole and len(columns) != n:
         raise ValueError(f"expected {n} columns, got {len(columns)}")

@@ -390,30 +390,10 @@ class PowerSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls(order, (ONE,) + (ZERO,) * order)
-
     def coefficient(self, n: int) -> IntPoly:
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def _check_order(self, other: "PowerSeries"):
-        if self.order != other.order:
-            raise ValueError("power series truncation orders differ")
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        out = [ZERO] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.order, out)
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse, requiring constant term 1."""

@@ -59,11 +59,12 @@ class MotzkinPath:
 
 
 def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
-    """The check of a run of heights, whole when the run is a path: integers,
-    a start and an end at height 0 for a whole one, then nonnegative, then
-    each step within 1 inside the run.  Raises at the first fault; returns
-    the summary (first height, last height), or () for no height."""
-    if set(map(type, heights)) - {int}:
+    """The check of a run of heights, whole when the run is a path: a tuple
+    of integers, a start and an end at height 0 for a whole one, then
+    nonnegative, then each step within 1 inside the run.  Raises at the
+    first fault; returns the summary (first height, last height), or () for
+    no height."""
+    if type(heights) is not tuple or set(map(type, heights)) - {int}:
         raise TypeError("heights must be integers")
     if whole:
         if not heights:

@@ -1,14 +1,16 @@
 """Cross-check orchestrator.
 
 Runs every independent route to h(n), h_n(q), the reversed polynomials and
-the generating-function identities, and collects one pass/fail/skipped line
-per check.  Failures are reported, never raised; the CLI turns a nonzero
-failure count into a nonzero exit status.
+the generating-function identities as one table of rows (name, range,
+detail on a pass, generator of problems); one loop turns each row into a
+pass/fail/skipped line.  Failures are reported, never raised; the CLI turns
+a nonzero failure count into a nonzero exit status.
 
 Each identity compares two code paths that share no route-specific code
-(motzkin.path_sums, IntPoly arithmetic, walk.layered_walk under the three
-walks and the Dumont oracle, and walk.layered_sweep under the Dellac,
-fermionic, closed-subset and triangle-pair sweeps are shared substrate):
+(_disagreements, the n-by-n comparison of two routes, motzkin.path_sums,
+IntPoly arithmetic, walk.layered_walk under the three walks and the Dumont
+oracle, and walk.layered_sweep under the Dellac, fermionic, closed-subset
+and triangle-pair sweeps are shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
                     path sweep vs tilde_h's fermionic pair-state sweep
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
@@ -29,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import limits
 from .admissible import AdmissibleSequence, count_closed_column_graded, iter_admissible
@@ -106,8 +108,12 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _mismatch(label: str, lhs, rhs) -> str:
-    return f"{label}: {lhs} != {rhs}"
+def _disagreements(ns: Iterable[int], lhs, rhs, label: str = "") -> Iterator[str]:
+    """One problem for each n in ns where the routes lhs(n) and rhs(n) differ."""
+    for n in ns:
+        a, b = lhs(n), rhs(n)
+        if a != b:
+            yield f"{label}n={n}: {a} != {b}"
 
 
 def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
@@ -117,31 +123,14 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     # a malformed GENOCCHI_MAX_N is bad input, raised here once rather than
     # reported as a failure by every check that reads the cap
     limits.cap_for("dellac")
-    report = CheckReport(n_max=n_max, seed=seed)
-
-    def run(name: str, rng_text: str, fn) -> None:
-        # fn() yields problems one at a time, so a check that raises keeps
-        # every problem it found before the exception
-        problems: list[str] = []
-        try:
-            problems.extend(fn())
-        except ResourceLimitError as exc:
-            if not problems:
-                report.checks.append(CheckResult(name, rng_text, "skipped", str(exc)))
-                return
-            problems.append(repr(exc))
-        except Exception as exc:  # a crashed check is a failed check
-            problems.append(repr(exc))
-        if problems:
-            report.checks.append(CheckResult(name, rng_text, "fail", "; ".join(problems)))
-        else:
-            report.checks.append(CheckResult(name, rng_text, "pass", _details.pop(name, "ok")))
-
-    _details: dict[str, str] = {}
-
-    # one tilde_h(n) per n for the series and Han-Zeng checks; the lambda reads
-    # the module's tilde_h when a check first asks, so a patched name is seen
-    reversed_poly = cache(lambda n: tilde_h(n))
+    ns, n0s = range(1, n_max + 1), range(n_max + 1)
+    dumont_ns = range(1, min(n_max, DUMONT_MAX_N) + 1)
+    triangle_ns = range(1, min(n_max, TRIANGLE_MAX_N) + 1)
+    # one call per n for the values several checks compare with; each lambda
+    # reads the module's name when a check first asks, so a patched name is seen
+    h = cache(lambda n: normalized_h(n))
+    tilde = cache(lambda n: tilde_h(n))
+    fermionic = cache(lambda n: h_poly_fermionic(n))
 
     # (1) every counting model agrees with the triangle
     def counts_agree() -> Iterator[str]:
@@ -159,121 +148,49 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
                 yield f"{label} n={n}: invalid item: {exc}"
             return len(items)
 
-        for n in range(1, n_max + 1):
-            expected = normalized_h(n)
-            dellac_count = yield from walked("dellac", iter_dellac, DellacConfig, n)
-            admissible_count = yield from walked(
-                "admissible", iter_admissible, AdmissibleSequence, n
-            )
+        for n in ns:
+            n_dellac = yield from walked("dellac", iter_dellac, DellacConfig, n)
+            n_admissible = yield from walked("admissible", iter_admissible, AdmissibleSequence, n)
             for label, got in (
-                ("dellac", dellac_count),
-                ("admissible", admissible_count),
+                ("dellac", n_dellac),
+                ("admissible", n_admissible),
                 ("closed-subsets", count_closed_column_graded(n)),
                 ("motzkin-rational", h_motzkin_rational(n)),
                 ("motzkin-weights", weighted_path_sum(n, ws)),
             ):
-                if got != expected:
-                    yield _mismatch(f"{label} n={n}", got, expected)
+                yield from _disagreements((n,), lambda n: got, h, f"{label} ")
             if n <= OBJECTS_MAX_N:
                 yield from walked("motzkin", iter_motzkin, lambda n, f: MotzkinPath(f), n)
-        _details["counts-agree"] = "h-values: " + ",".join(
-            str(normalized_h(n)) for n in range(n_max + 1)
-        )
-
-    run("counts-agree", f"n=1..{n_max}", counts_agree)
-
-    # (2) brute-force oracles on their own ranges
-    dmax = min(n_max, DUMONT_MAX_N)
-    run(
-        "dumont-oracle",
-        f"n=1..{dmax}",
-        lambda: (
-            _mismatch(f"n={n}", count_dumont(n), normalized_h(n))
-            for n in range(1, dmax + 1)
-            if count_dumont(n) != normalized_h(n)
-        ),
-    )
-
-    tmax = min(n_max, TRIANGLE_MAX_N)
-    run(
-        "triangle-pairs-oracle",
-        f"n=1..{tmax}",
-        lambda: (
-            _mismatch(f"n={n}", count_triangle_pairs(n), normalized_h(n + 1))
-            for n in range(1, tmax + 1)
-            if count_triangle_pairs(n) != normalized_h(n + 1)
-        ),
-    )
 
     # (3) the three q-polynomial routes coincide
     def three_way() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            a, b, c = h_poly_dellac(n), h_poly_fermionic(n), h_poly_laurent(n)
-            if a != b:
-                yield _mismatch(f"dellac/fermionic n={n}", a, b)
-            if b != c:
-                yield _mismatch(f"fermionic/laurent n={n}", b, c)
-
-    run("hq-three-way", f"n=1..{n_max}", three_way)
+        for n in ns:
+            yield from _disagreements((n,), h_poly_dellac, fermionic, "dellac/fermionic ")
+            yield from _disagreements((n,), fermionic, h_poly_laurent, "fermionic/laurent ")
 
     # (4) both named q-fractions generate the reversed polynomials
-    def series_check(via: str):
-        def check() -> Iterator[str]:
-            series = expand({"f1": fraction_f1, "f2": fraction_f2}[via](), n_max)
-            for n in range(n_max + 1):
-                if series.coefficient(n) != reversed_poly(n):
-                    yield _mismatch(f"n={n}", series.coefficient(n), reversed_poly(n))
-
-        return check
-
-    run("series-f1", f"n=0..{n_max}", series_check("f1"))
-    run("series-f2", f"n=0..{n_max}", series_check("f2"))
-
-    # (5) the normalized recurrence polynomials match the reversed polynomials
-    run(
-        "hanzeng-reversal",
-        f"n=0..{n_max}",
-        lambda: (
-            _mismatch(f"n={n}", hanzeng_barc(n + 1), reversed_poly(n))
-            for n in range(n_max + 1)
-            if hanzeng_barc(n + 1) != reversed_poly(n)
-        ),
-    )
+    def series_check(fraction) -> Iterator[str]:
+        yield from _disagreements(n0s, expand(fraction(), n_max).coefficient, tilde)
 
     # (6) q = 1 chain
     def q1_series() -> Iterator[str]:
         at_one = expand(fraction_f1(), n_max).evaluate_q(1)
         plain = expand(fraction_hn(), n_max).evaluate_q(1)
-        for n in range(n_max + 1):
-            if at_one[n] != plain[n]:
-                yield _mismatch(f"n={n}", at_one[n], plain[n])
-
-    run("q1-hn-series", f"n=0..{n_max}", q1_series)
+        yield from _disagreements(n0s, at_one.__getitem__, plain.__getitem__)
 
     def viennot_doubling() -> Iterator[str]:
         series = expand(fraction_viennot(), n_max).evaluate_q(1)
-        if series[0] != 1:
-            yield _mismatch("n=0", series[0], 1)
-        for n in range(1, n_max + 1):
-            expected = median_genocchi(n)
-            if series[n] != expected:
-                yield _mismatch(f"n={n}", series[n], expected)
-            if expected != (1 << (n - 1)) * normalized_h(n - 1):
-                yield _mismatch(f"doubling n={n}", expected, (1 << (n - 1)) * normalized_h(n - 1))
-
-    run("viennot-doubling", f"n=0..{n_max}", viennot_doubling)
+        median = cache(lambda n: median_genocchi(n))
+        yield from _disagreements((0,), series.__getitem__, lambda n: 1)
+        for n in ns:
+            yield from _disagreements((n,), series.__getitem__, median)
+            yield from _disagreements((n,), median, lambda n: h(n - 1) << (n - 1), "doubling ")
 
     # (7) power-of-two divisibility
-    dvmax = DIVISIBILITY_MAX_N
-    run(
-        "divisibility",
-        f"n=1..{dvmax}",
-        lambda: (
-            f"H({2 * n + 1}) not divisible by 2^{n}"
-            for n in range(1, dvmax + 1)
-            if median_genocchi(n + 1) % (1 << n)
-        ),
-    )
+    def divisibility() -> Iterator[str]:
+        for n in range(1, DIVISIBILITY_MAX_N + 1):
+            if median_genocchi(n + 1) % (1 << n):
+                yield f"H({2 * n + 1}) not divisible by 2^{n}"
 
     # (8) contraction transforms on the named fractions and on random instances
     def contraction_named() -> Iterator[str]:
@@ -284,28 +201,62 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
         if contracted != expand(fraction_f1(), CONTRACTION_ORDER):
             yield "contracted q-fraction does not recover the J-form"
         vi = fraction_viennot()
-        if expand(contract_S_to_J_affine(vi), CONTRACTION_ORDER) != expand(
-            vi, CONTRACTION_ORDER
-        ):
+        if expand(contract_S_to_J_affine(vi), CONTRACTION_ORDER) != expand(vi, CONTRACTION_ORDER):
             yield "affine contraction of the median fraction disagrees"
 
-    run("contraction-named", f"order={CONTRACTION_ORDER}", contraction_named)
-
-    def contraction_random() -> Iterator[str]:
+    def random_trials() -> Iterator[str]:
         rng = random.Random(seed)
         for trial in range(RANDOM_INSTANCES):
             values = [rng.randint(1, 5) for _ in range(2 * CONTRACTION_ORDER + 2)]
-            spec = SFraction(
-                c=lambda k, v=tuple(values): v[k - 1] if k <= len(v) else 0
-            )
+            spec = SFraction(c=lambda k, v=tuple(values): v[k - 1] if k <= len(v) else 0)
             reference = expand(spec, CONTRACTION_ORDER)
             if expand(contract_S_to_J(spec), CONTRACTION_ORDER) != reference:
                 yield f"pairwise contraction fails on trial {trial}"
             if expand(contract_S_to_J_affine(spec), CONTRACTION_ORDER) != reference:
                 yield f"affine contraction fails on trial {trial}"
-        _details["contraction-random"] = f"{RANDOM_INSTANCES} instances, seed={seed}"
 
-    run("contraction-random", f"order={CONTRACTION_ORDER}", contraction_random)
+    try:
+        h_values = "h-values: " + ",".join(map(str, map(h, n0s)))
+    except Exception:  # counts-agree asks for the same h(n) and reports the error
+        h_values = None
+    upto, from0, order = f"n=1..{n_max}", f"n=0..{n_max}", f"order={CONTRACTION_ORDER}"
+    rows = [
+        ("counts-agree", upto, h_values, counts_agree()),
+        # (2) brute-force oracles on their own ranges
+        ("dumont-oracle", f"n=1..{dumont_ns[-1]}", "ok", _disagreements(dumont_ns, count_dumont, h)),
+        (
+            "triangle-pairs-oracle",
+            f"n=1..{triangle_ns[-1]}",
+            "ok",
+            _disagreements(triangle_ns, count_triangle_pairs, lambda n: h(n + 1)),
+        ),
+        ("hq-three-way", upto, "ok", three_way()),
+        ("series-f1", from0, "ok", series_check(fraction_f1)),
+        ("series-f2", from0, "ok", series_check(fraction_f2)),
+        # (5) the normalized recurrence polynomials match the reversed polynomials
+        ("hanzeng-reversal", from0, "ok", _disagreements(n0s, lambda n: hanzeng_barc(n + 1), tilde)),
+        ("q1-hn-series", from0, "ok", q1_series()),
+        ("viennot-doubling", from0, "ok", viennot_doubling()),
+        ("divisibility", f"n=1..{DIVISIBILITY_MAX_N}", "ok", divisibility()),
+        ("contraction-named", order, "ok", contraction_named()),
+        ("contraction-random", order, f"{RANDOM_INSTANCES} instances, seed={seed}", random_trials()),
+    ]
 
+    report = CheckReport(n_max=n_max, seed=seed)
+    for name, rng_text, detail, problems in rows:
+        # problems come one at a time, so a check that raises keeps every
+        # problem it found before the exception
+        found: list[str] = []
+        try:
+            found.extend(problems)
+        except ResourceLimitError as exc:
+            if not found:
+                report.checks.append(CheckResult(name, rng_text, "skipped", str(exc)))
+                continue
+            found.append(repr(exc))
+        except Exception as exc:  # a crashed check is a failed check
+            found.append(repr(exc))
+        status, detail = ("fail", "; ".join(found)) if found else ("pass", detail)
+        report.checks.append(CheckResult(name, rng_text, status, detail))
     report.checks.sort(key=lambda c: c.name)
     return report

@@ -142,9 +142,10 @@ def test_resource_limit_and_domain_errors():
         count_closed_column_graded(0)
 
 
-@pytest.mark.parametrize("n, masks", [(True, ()), (2, (True,)), (3, (0b0010, 6.0))])
+@pytest.mark.parametrize("n, masks", [(True, ()), (2, (True,)), (3, (0b0010, 6.0)), (3, [0b0010, 0b0110])])
 def test_non_integer_fields_are_rejected(n, masks):
-    # AdmissibleSequence(True, ()) would print "n":True, which no JSON reader accepts
+    # AdmissibleSequence(True, ()) would print "n":True, which no JSON reader
+    # accepts; a list of masks would not hash
     with pytest.raises(TypeError, match="^n and masks must be integers$"):
         AdmissibleSequence(n, masks)
 

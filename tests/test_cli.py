@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -239,6 +240,37 @@ def test_verify_table_output(capsys):
     assert "counts-agree" in out.out
     assert "0 failure(s)" in out.out
     assert "elapsed" in out.err  # timing is informational, kept off stdout
+
+
+VERIFY_N3_TABLE = """\
+PASS    contraction-named      order=10     ok
+PASS    contraction-random     order=10     100 instances, seed=0
+PASS    counts-agree           n=1..3       h-values: 1,1,2,7
+PASS    divisibility           n=1..12      ok
+PASS    dumont-oracle          n=1..3       ok
+PASS    hanzeng-reversal       n=0..3       ok
+PASS    hq-three-way           n=1..3       ok
+PASS    q1-hn-series           n=0..3       ok
+PASS    series-f1              n=0..3       ok
+PASS    series-f2              n=0..3       ok
+PASS    triangle-pairs-oracle  n=1..3       ok
+PASS    viennot-doubling       n=0..3       ok
+12 checks, 0 failure(s), seed=0
+"""
+
+
+def test_verify_table_golden(capsys):
+    assert run(["verify", "--n-max", "3"]) == 0
+    assert capsys.readouterr().out == VERIFY_N3_TABLE
+
+
+def test_verify_json_golden_at_n8(capsys):
+    # the whole report at the widest range, pinned by its digest
+    assert run(["verify", "--n-max", "8", "--json", "--seed", "0"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "25fbd4f78a667649a1c023bdbbc3e5cac79d79a0a557b7f3af10fb9801922d52"
+    )
 
 
 def test_verify_detects_injected_window_bug(monkeypatch, capsys):

@@ -91,9 +91,22 @@ def test_validation_rejects_bad_configurations():
         DellacConfig(2, ((1, 4), (2, 3)))  # row 4 outside column 1's band
 
 
-@pytest.mark.parametrize("n, columns", [(1, ((True, 2),)), (True, ((1, 2),)), (1, ((1.0, 2),))])
+@pytest.mark.parametrize(
+    "n, columns",
+    [
+        (1, ((True, 2),)),
+        (True, ((1, 2),)),
+        (1, ((1.0, 2),)),
+        (2, ((1, 2, 3), (3, 4))),
+        (1, (3,)),
+        (1, ([1, 2],)),
+        (1, [(1, 2)]),
+    ],
+)
 def test_non_integer_fields_are_rejected(n, columns):
-    # each lies in its band, and its JSON line would read as no walk's does
+    # each lies in its band, and its JSON line would read as no walk's does;
+    # a column that is not a pair, or a list where the class keeps a tuple,
+    # would not hash
     with pytest.raises(TypeError, match="^n and rows must be integers$"):
         DellacConfig(n, columns)
 

@@ -274,8 +274,10 @@ def test_series_inverse_round_trip():
     rng = random.Random(5)
     for _ in range(50):
         coeffs = [ONE] + [rand_poly(rng, max_deg=2, span=3) for _ in range(6)]
-        s = PowerSeries(6, coeffs)
-        assert s * s.inverse() == PowerSeries.one(6)
+        inv = PowerSeries(6, coeffs).inverse().coeffs
+        for n in range(7):
+            total = sum((coeffs[i] * inv[n - i] for i in range(n + 1)), ZERO)
+            assert total == (ONE if n == 0 else ZERO)
 
 
 def test_series_length_validation():

@@ -75,9 +75,10 @@ def test_path_validation():
     assert MotzkinPath((0, 1, 1, 0)).rises_plus_falls() == 2
 
 
-@pytest.mark.parametrize("heights", [(0, 0.5, 0), (0, 1.0, 0), (0.0,), (0, True, 0)])
+@pytest.mark.parametrize("heights", [(0, 0.5, 0), (0, 1.0, 0), (0.0,), (0, True, 0), [0, 1, 0], [0]])
 def test_non_integer_heights_are_rejected(heights):
-    # each passes the step loop, and its JSON line would read as no walk's does
+    # each passes the step loop, and its JSON line would read as no walk's
+    # does; a list of heights would not hash
     with pytest.raises(TypeError, match="^heights must be integers$"):
         MotzkinPath(heights)
 

@@ -84,7 +84,7 @@ def test_corrupted_window_is_detected(monkeypatch):
     assert report.failures >= 1
     counts = next(c for c in report.checks if c.name == "counts-agree")
     assert counts.status == "fail"
-    assert "n=3" in counts.detail
+    assert counts.detail == "dellac n=1: 0 != 1; dellac n=2: 0 != 2; dellac n=3: 0 != 7"
 
 
 def test_corrupted_window_fails_the_polynomial_check(monkeypatch):
@@ -93,7 +93,10 @@ def test_corrupted_window_fails_the_polynomial_check(monkeypatch):
     report = crosscheck(3)
     three_way = next(c for c in report.checks if c.name == "hq-three-way")
     assert three_way.status == "fail"
-    assert "dellac/fermionic n=1: 0 != 1" in three_way.detail
+    assert three_way.detail == (
+        "dellac/fermionic n=1: 0 != 1; dellac/fermionic n=2: 0 != 1 + q; "
+        "dellac/fermionic n=3: 0 != 1 + 2*q + 3*q^2 + q^3"
+    )
 
 
 def over_one_plus_qx(b):
