@@ -30,7 +30,6 @@ _HOMES = {
     "PowerSeries": "exactalg",
     "ResourceLimitError": "errors",
     "SFraction": "contfrac",
-    "TrianglePair": "oracles",
     "WeightSystem": "motzkin",
     "contract_S_to_J": "contfrac",
     "contract_S_to_J_affine": "contfrac",
@@ -40,7 +39,6 @@ _HOMES = {
     "crosscheck": "verify",
     "dellac_length": "dellac",
     "expand": "contfrac",
-    "genocchi_first": "seidel",
     "h_motzkin_rational": "motzkin",
     "h_poly_dellac": "dellac",
     "h_poly_fermionic": "motzkin",
@@ -57,8 +55,6 @@ _HOMES = {
     "poly_exact_div": "exactalg",
     "poly_reverse": "exactalg",
     "q_binomial": "exactalg",
-    "q_factorial": "exactalg",
-    "q_int": "exactalg",
     "seidel_columns": "seidel",
     "tilde_h": "motzkin",
     "weighted_path_sum": "motzkin",

@@ -56,9 +56,6 @@ class AdmissibleSequence:
     def __post_init__(self):
         _piece(self.n, self.masks, 1, whole=True)
 
-    def sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_elems(m) for m in self.masks)
-
 
 def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, int]:
     """The check of subsets I_start, I_start+1, ... of a sequence for n,

@@ -75,7 +75,7 @@ def _print_series(series: PowerSeries, as_json: bool) -> None:
         )
         return
     if all(c.is_zero or c.degree == 0 for c in series.coeffs):
-        print(" ".join(str(c.constant_term) for c in series.coeffs))
+        print(" ".join(str(c.coefficient(0)) for c in series.coeffs))
     else:
         for n, c in enumerate(series.coeffs):
             print(f"s^{n}: {c.render()}")
@@ -217,10 +217,11 @@ def _cmd_series(args) -> int:
             raise ValueError("series custom requires --spec FILE")
         with open(args.spec, encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                spec = spec_from_dict(json.load(fh))
             except RecursionError:
                 raise ValueError(f"{args.spec}: JSON nested too deeply") from None
-        spec = spec_from_dict(data)
+            except ValueError as exc:  # malformed JSON, or a field of the wrong kind
+                raise ValueError(f"{args.spec}: {exc}") from None
     else:
         if args.spec:
             raise ValueError("--spec applies only to 'series custom'")

@@ -123,9 +123,7 @@ def contract_S_to_J_affine(spec: SFraction) -> AffineSFraction:
     def lam(k: int) -> IntPoly:
         return c(2 * k) * c(2 * k + 1)
 
-    return AffineSFraction(
-        head=spec.c0, linear=spec.c0 * c(1), gamma=gamma, lam=lam
-    )
+    return AffineSFraction(head=spec.c0, linear=spec.c0 * c(1), gamma=gamma, lam=lam)
 
 
 # ---------------------------------------------------------------------------

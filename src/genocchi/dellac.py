@@ -41,12 +41,6 @@ class DellacConfig:
     def __post_init__(self):
         _piece(self.n, self.columns, 1, whole=True)
 
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        """All marked boxes as (column, row) pairs, column-major order."""
-        for col, pair in enumerate(self.columns, start=1):
-            for j in pair:
-                yield (col, j)
-
 
 def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
     """The check of columns start, start + 1, ... of an n-column
@@ -168,7 +162,7 @@ def iter_dellac(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def dellac_length(config: DellacConfig) -> int:
     """Number of marked-box pairs with increasing column and decreasing row."""
-    boxes = list(config.boxes())
+    boxes = [(col, j) for col, pair in enumerate(config.columns, start=1) for j in pair]
     return sum(
         1
         for i, (l1, j1) in enumerate(boxes)

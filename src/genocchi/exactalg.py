@@ -61,10 +61,6 @@ class IntPoly:
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    @property
-    def constant_term(self) -> int:
-        return self.coefficient(0)
-
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod
@@ -94,9 +90,6 @@ class IntPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -230,21 +223,6 @@ def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def q_int(n: int) -> IntPoly:
-    """The q-integer [n]_q = 1 + q + ... + q^(n-1)."""
-    if n < 0:
-        raise ValueError("q-integer index must be nonnegative")
-    return IntPoly((1,) * n)
-
-
-def q_factorial(n: int) -> IntPoly:
-    """[n]_q! as an exact product of q-integers."""
-    result = ONE
-    for i in range(1, n + 1):
-        result = result * q_int(i)
-    return result
-
-
 @lru_cache(maxsize=None)
 def q_binomial(m: int, n: int) -> IntPoly:
     """Gaussian binomial coefficient as an integer polynomial in q.
@@ -357,16 +335,6 @@ class LaurentPoly:
             raise ValueError(f"negative exponent q^{self.offset} survives")
         return self.body.shift(self.offset)
 
-    def __repr__(self):
-        return f"LaurentPoly({self.offset}, {self.body!r})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        if self.offset == 0:
-            return str(self.body)
-        return f"q^{self.offset}*({self.body})"
-
 
 # ---------------------------------------------------------------------------
 # Truncated power series in s with IntPoly coefficients
@@ -395,6 +363,7 @@ class PowerSeries:
             raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
         return self.coeffs[n]
 
+    # no route calls this, but the perfbench tracer patches it by name
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse, requiring constant term 1."""
         if self.coeffs[0] != ONE:
@@ -417,6 +386,3 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"PowerSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"

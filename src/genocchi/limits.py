@@ -11,6 +11,7 @@ loading the matrix.
 from __future__ import annotations
 
 import os
+import sys
 
 from .errors import ResourceLimitError
 
@@ -30,7 +31,11 @@ def cap_for(model: str) -> int:
     if env is not None:
         if not env.strip().isdecimal():
             raise ValueError(f"{ENV_VAR} must be a nonnegative integer, got {env!r}")
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:  # more digits than int() reads; too long to echo
+            digits = sys.get_int_max_str_digits()
+            raise ValueError(f"{ENV_VAR} must be a nonnegative integer of at most {digits} digits") from None
     return DEFAULT_CAPS[model]
 
 

@@ -10,8 +10,7 @@ Three independent routes live here:
     single power of q restores an ordinary polynomial.
 
 Path sums over a generic weight system are computed by level-indexed dynamic
-programming (path_sums, which also expands every continued fraction);
-explicit enumeration stays available for termwise checks, and
+programming (path_sums, which also expands every continued fraction), and
 fermionic_exponent is the per-path reference the sweep is tested against.
 One rule checks a piece of a path, a run of consecutive heights: integers,
 then nonnegative, then each step within 1, raising the constructor's
@@ -49,13 +48,6 @@ class MotzkinPath:
 
     def __post_init__(self):
         _piece(self.heights, whole=True)
-
-    @property
-    def n(self) -> int:
-        return len(self.heights) - 1
-
-    def rises_plus_falls(self) -> int:
-        return sum(1 for a, b in zip(self.heights, self.heights[1:]) if a != b)
 
 
 def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
@@ -155,14 +147,6 @@ class WeightSystem:
         if b == a - 1:
             return self.beta(b)
         raise ValueError(f"not a Motzkin step: {a} -> {b}")
-
-
-def path_weight(path: MotzkinPath, ws: WeightSystem):
-    """Product of step weights along one path (1 for the empty path)."""
-    acc = 1
-    for a, b in zip(path.heights, path.heights[1:]):
-        acc = acc * ws.step_weight(a, b)
-    return acc
 
 
 def path_sums(order: int, ws: WeightSystem) -> list:

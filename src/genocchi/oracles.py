@@ -6,7 +6,6 @@ triangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -54,35 +53,6 @@ def dumont_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return layered_walk(size, 0, choices)
 
 
-@dataclass(frozen=True)
-class TrianglePair:
-    """Two staircase fillings r, m on index pairs (i, j), 1 <= i <= j <= n.
-
-    Marks are stored as sets of (i, j) pairs.  Validity: at most one r-mark
-    per row, at most one m-mark per column, and for every k the number of
-    r-marks whose interval [i, j] covers k equals the m-mark count.
-    """
-
-    n: int
-    r_marks: frozenset[tuple[int, int]]
-    m_marks: frozenset[tuple[int, int]]
-
-    def is_valid(self) -> bool:
-        n = self.n
-        for marks in (self.r_marks, self.m_marks):
-            if any(not (1 <= i <= j <= n) for i, j in marks):
-                return False
-        if len({i for i, _ in self.r_marks}) != len(self.r_marks):
-            return False
-        if len({j for _, j in self.m_marks}) != len(self.m_marks):
-            return False
-        return all(
-            sum(1 for i, j in self.r_marks if i <= k <= j)
-            == sum(1 for i, j in self.m_marks if i <= k <= j)
-            for k in range(1, n + 1)
-        )
-
-
 def _coverage_census(n: int, left_anchored: bool) -> dict[tuple[int, ...], int]:
     """Coverage-vector histogram over one side's choices, as a layered sweep
     whose state is the coverage tuple.
@@ -105,7 +75,9 @@ def _coverage_census(n: int, left_anchored: bool) -> dict[tuple[int, ...], int]:
 
 
 def count_triangle_pairs(n: int) -> int:
-    """Count valid TrianglePair fillings; equals h(n+1).
+    """Count pairs of staircase fillings r, m of the pairs 1 <= i <= j <= n,
+    with at most one r-mark (i, j) per row i and one m-mark per column j,
+    and each k covered by as many r- as m-intervals [i, j]; equals h(n+1).
 
     Each side is enumerated independently and reduced to its interval-coverage
     vector; the balance condition says exactly that the two vectors agree, so

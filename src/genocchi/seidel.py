@@ -71,13 +71,6 @@ def h_sequence(count: int) -> list[int]:
     return values
 
 
-def genocchi_first(n: int) -> int:
-    """Genocchi number of the first kind, the edge entry g(n, 2n-1)."""
-    if n < 1:
-        raise ValueError("index must be positive")
-    return genocchi_first_sequence(n)[-1]
-
-
 def median_genocchi(n: int) -> int:
     """Median Genocchi number H(2n-1) = g(1, 2n)."""
     if n < 1:

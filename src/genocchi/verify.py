@@ -23,7 +23,8 @@ and triangle-pair sweeps are shared substrate):
                     pair-state sweep vs Laurent-weight sweep
   counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
                     transfer sweep and the integer-weight sweep vs Seidel,
-                    each walked object validated through OBJECTS_MAX_N
+                    each walked object validated through OBJECTS_MAX_N, an
+                    admissible one also as a closed set of the grid digraph
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from functools import cache
 from typing import Iterable, Iterator
 
 from . import limits
-from .admissible import AdmissibleSequence, count_closed_column_graded, iter_admissible
+from .admissible import AdmissibleSequence, GammaGraph, count_closed_column_graded
+from .admissible import is_closed_in_gamma, iter_admissible
 from .contfrac import (
     SFraction,
     contract_S_to_J,
@@ -148,9 +150,17 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
                 yield f"{label} n={n}: invalid item: {exc}"
             return len(items)
 
+        def closed_sequence(n: int, masks: tuple[int, ...]) -> AdmissibleSequence:
+            # admissible exactly when {(l, j): j in I_l} is closed in the digraph
+            sequence = AdmissibleSequence(n, masks)
+            vertices = [(l, j) for l, m in enumerate(masks, 1) for j in range(1, n + 1) if m >> j & 1]
+            if not is_closed_in_gamma(vertices, GammaGraph(n)):
+                raise ValueError(f"vertex set {vertices} is not closed in GammaGraph({n})")
+            return sequence
+
         for n in ns:
             n_dellac = yield from walked("dellac", iter_dellac, DellacConfig, n)
-            n_admissible = yield from walked("admissible", iter_admissible, AdmissibleSequence, n)
+            n_admissible = yield from walked("admissible", iter_admissible, closed_sequence, n)
             for label, got in (
                 ("dellac", n_dellac),
                 ("admissible", n_admissible),

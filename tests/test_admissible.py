@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from genocchi.admissible import (
     AdmissibleSequence,
     GammaGraph,
+    _elems,
     count_closed_column_graded,
     is_closed_in_gamma,
     iter_admissible,
@@ -22,15 +23,20 @@ def sequences(n):
     return [AdmissibleSequence(n, masks) for masks in iter_admissible(n)]
 
 
+def subsets_of(seq):
+    """I_1..I_{n-1} of the sequence, each as its ascending elements."""
+    return tuple(map(_elems, seq.masks))
+
+
 def test_n1_is_the_empty_sequence():
     seqs = sequences(1)
     assert len(seqs) == 1
-    assert seqs[0].sets() == ()
+    assert subsets_of(seqs[0]) == ()
 
 
 def test_n2_lists_both_singletons():
     seqs = sequences(2)
-    assert sorted(s.sets() for s in seqs) == [((1,),), ((2,),)]
+    assert sorted(subsets_of(s) for s in seqs) == [((1,),), ((2,),)]
 
 
 def test_n3_count():
@@ -83,14 +89,14 @@ def test_validation_enforces_sizes_and_containment():
 
 def test_containment_condition_on_the_visited_stream():
     for seq in sequences(5):
-        sets = [set(s) for s in seq.sets()]
+        sets = [set(s) for s in subsets_of(seq)]
         for l in range(len(sets) - 1):
             assert sets[l] <= sets[l + 1] | {l + 2}
 
 
 def test_visit_order_is_deterministic():
-    a = [s.sets() for s in sequences(5)]
-    b = [s.sets() for s in sequences(5)]
+    a = [subsets_of(s) for s in sequences(5)]
+    b = [subsets_of(s) for s in sequences(5)]
     assert a == b
 
 
@@ -100,7 +106,7 @@ def test_subset_map_is_injective_and_lands_on_closed_sets():
     images = set()
     for seq in sequences(n):
         vertices = frozenset(
-            (l, j) for l, s in enumerate(seq.sets(), start=1) for j in s
+            (l, j) for l, s in enumerate(subsets_of(seq), start=1) for j in s
         )
         assert is_closed_in_gamma(vertices, graph)
         images.add(vertices)
@@ -168,11 +174,11 @@ def test_json_shape():
 def test_json_line_and_render_match_the_fields(n):
     seqs = sequences(n)
     lines = [
-        json.dumps({"n": s.n, "sets": [list(x) for x in s.sets()]}, separators=(",", ":"))
+        json.dumps({"n": s.n, "sets": [list(x) for x in subsets_of(s)]}, separators=(",", ":"))
         for s in seqs
     ]
     assert streamed(n, True) == "".join(line + "\n" for line in lines) + f'{{"total":"{len(seqs)}"}}\n'
-    texts = [" | ".join(",".join(map(str, x)) for x in s.sets()) or "()" for s in seqs]
+    texts = [" | ".join(",".join(map(str, x)) for x in subsets_of(s)) or "()" for s in seqs]
     assert streamed(n, False) == "".join(text + "\n" for text in texts) + f"total {len(seqs)}\n"
 
 

@@ -306,6 +306,21 @@ def test_missing_spec_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_spec_file_content_errors_name_the_file(tmp_path, capsys):
+    cases = {
+        '{"kind":': "Expecting value: line 1 column 9 (char 8)",
+        '{"kind": "S", "c": [1.5]}': "spec field 'c' must be a list of integers",
+        '{"preset": "f3"}': "unknown preset 'f3'",
+    }
+    spec = tmp_path / "spec.json"
+    for text, message in cases.items():
+        spec.write_text(text, encoding="utf-8")
+        assert run(["series", "custom", "--spec", str(spec), "--order", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {spec}: {message}\n"
+
+
 def test_over_nested_spec_file_exits_2(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000, encoding="utf-8")
@@ -439,7 +454,7 @@ def reference_line(model, n, item, as_json):
             return json.dumps({"n": n, "columns": [list(p) for p in columns]}, separators=(",", ":")) + "\n"
         return "\n".join(f"{col}: {lo} {hi}" for col, (lo, hi) in enumerate(columns, start=1)) + "\n\n"
     if model == "admissible":
-        sets = AdmissibleSequence(n, item).sets()
+        sets = map(admissible._elems, AdmissibleSequence(n, item).masks)
         if as_json:
             return json.dumps({"n": n, "sets": [list(s) for s in sets]}, separators=(",", ":")) + "\n"
         return (" | ".join(",".join(map(str, s)) for s in sets) or "()") + "\n"
@@ -603,6 +618,16 @@ def test_malformed_env_cap_is_a_usage_error_under_verify(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: GENOCCHI_MAX_N must be a nonnegative integer, got 'abc'\n"
+
+
+def test_env_cap_past_the_int_digit_limit_is_a_usage_error(monkeypatch, capsys):
+    # a decimal value int() refuses to read: the variable is named, not echoed
+    digits = sys.get_int_max_str_digits() + 1
+    monkeypatch.setenv("GENOCCHI_MAX_N", "1" * digits)
+    assert run(["enumerate", "dellac", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: GENOCCHI_MAX_N must be a nonnegative integer of at most {digits - 1} digits\n"
 
 
 def test_help_exits_zero(capsys):

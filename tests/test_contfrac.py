@@ -17,8 +17,9 @@ from genocchi.contfrac import (
     spec_from_dict,
 )
 from genocchi.exactalg import IntPoly, ONE, q_binomial
-from genocchi.motzkin import MotzkinPath, WeightSystem, iter_motzkin, path_weight, tilde_h
+from genocchi.motzkin import MotzkinPath, WeightSystem, iter_motzkin, tilde_h
 from genocchi.seidel import h_sequence, median_sequence
+from reference import path_weight
 
 
 def const_list(series):

@@ -16,9 +16,8 @@ from genocchi.exactalg import (
     poly_exact_div,
     poly_reverse,
     q_binomial,
-    q_factorial,
-    q_int,
 )
+from reference import q_factorial, q_int
 
 
 def P(*coeffs):

@@ -1,16 +1,25 @@
 """What a command loads: each subcommand imports only its own route, and the
 package namespace loads a name's home module on first use.  The import sets
-are read in a fresh interpreter, since this process has loaded everything."""
+are read in a fresh interpreter, since this process has loaded everything.
+What the commands reach: every function the package defines runs in some
+command, save a few listed with their reasons."""
 
+import contextlib
 import importlib
+import inspect
+import io
+import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import genocchi
+from genocchi import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -83,6 +92,15 @@ def test_every_public_name_is_its_home_modules_object(name):
     assert vars(genocchi)[name] is value  # bound on first use
 
 
+@pytest.mark.parametrize("name", ["q_int", "q_factorial", "TrianglePair", "genocchi_first"])
+def test_a_name_only_tests_used_is_not_public(name):
+    # the references live in tests/reference.py; genocchi_first_sequence
+    # serves for the single number
+    assert name not in genocchi.__all__
+    with pytest.raises(AttributeError):
+        getattr(genocchi, name)
+
+
 def test_star_import_and_dir_cover_all():
     namespace: dict = {}
     exec("from genocchi import *", namespace)
@@ -95,3 +113,93 @@ def test_an_unknown_name_is_an_attribute_error():
         genocchi.no_such_name
     with pytest.raises(ImportError):
         exec("from genocchi import no_such_name", {})
+
+
+# Every function, method and property the package defines is reached by some
+# command: code that only tests call belongs in the tests (see reference.py).
+# These are the exceptions, each with its reason.
+UNREACHED = {
+    "cli.main": "the console-script entry point; the runs below call cli.run",
+    "cli._internal_error": "exit 4: reached only when the program itself is at fault",
+    "cli._walk_fault": "exit 4 for a walked object its model's rules reject",
+    "dellac.dellac_length": "the acceptance criteria's per-configuration statistic",
+    "motzkin.fermionic_exponent": "the acceptance criteria's per-path exponent",
+    "exactalg.PowerSeries.inverse": "the perfbench tracer reads and patches it by name",
+}
+
+SPECS = {
+    "s.json": {"kind": "S", "c0": 2, "c": [1, 2, 3]},
+    "j.json": {"kind": "J", "gamma": [1, 2], "lambda": [3]},
+    "preset.json": {"preset": "f2"},
+}
+
+# (exit status, argv): every subcommand form at a small size
+REACH_RUNS = [
+    *(
+        (0, ["enumerate", model, "--n", n, *flags])
+        for model, n in (("dellac", "4"), ("admissible", "5"), ("motzkin", "4"))
+        for flags in ([], ["--json"], ["--limit", "3"])
+    ),
+    (0, ["count", "dumont", "--n", "2"]),
+    (0, ["count", "triangles", "--n", "3"]),
+    *((0, ["series", name, "--order", "4"]) for name in ("f1", "f2", "hn", "viennot")),
+    *((0, ["series", "custom", "--order", "4", "--json", "--spec", "@" + f]) for f in SPECS),
+    *((0, ["seq", name, "--count", "5", "--json"]) for name in ("h", "H", "genocchi1")),
+    *((0, ["poly", name, "--n", "4", "--json"]) for name in ("hq", "tildehq", "barc")),
+    (0, ["verify", "--n-max", "5", "--json"]),
+    (0, ["verify", "--n-max", "5"]),
+    (2, ["seq", "h"]),
+]
+
+
+def defined_functions():
+    """(qualified name, function) for each function, method and property
+    accessor that a module of the package defines, dunder names aside."""
+    for info in pkgutil.iter_modules(genocchi.__path__):
+        module = importlib.import_module(f"genocchi.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("__") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if not isinstance(value, type):
+                yield f"{info.name}.{name}", value
+                continue
+            for attr, member in vars(value).items():
+                if attr.startswith("__"):
+                    continue
+                if isinstance(member, property):
+                    accessors = [member.fget, member.fset, member.fdel]
+                else:
+                    accessors = [getattr(member, "__func__", member)]  # static and class methods
+                for func in accessors:
+                    yield f"{info.name}.{name}.{attr}", func
+
+
+def test_the_commands_reach_every_member_the_package_defines(tmp_path):
+    for name, spec in SPECS.items():
+        (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
+    members = {}
+    for name, func in defined_functions():
+        if hasattr(func, "cache_clear"):
+            func.cache_clear()  # a cached call runs no frame for arguments seen before
+        func = inspect.unwrap(func)
+        if isinstance(func, types.FunctionType):
+            members[func.__code__] = name
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    statuses = []
+    previous = sys.getprofile()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            for _, argv in REACH_RUNS:
+                argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+                statuses.append(cli.run(argv))
+        finally:
+            sys.setprofile(previous)
+    assert statuses == [status for status, _ in REACH_RUNS]
+    unreached = {name for code, name in members.items() if code not in reached}
+    assert unreached == set(UNREACHED)

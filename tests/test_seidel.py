@@ -1,7 +1,6 @@
 import pytest
 
 from genocchi.seidel import (
-    genocchi_first,
     genocchi_first_sequence,
     h_sequence,
     median_genocchi,
@@ -73,9 +72,9 @@ def test_matches_independent_implementation():
 
 def test_genocchi_first_golden():
     assert genocchi_first_sequence(5) == [1, 1, 3, 17, 155]
-    assert genocchi_first(1) == 1
+    assert genocchi_first_sequence(1)[-1] == 1
     # n=6 pinned by the independent oracle implementation
-    assert genocchi_first(6) == independent_triangle(11)[(6, 11)]
+    assert genocchi_first_sequence(6)[-1] == independent_triangle(11)[(6, 11)]
 
 
 def test_median_golden():
@@ -98,8 +97,7 @@ def test_divisibility_through_12():
 def test_domain_errors():
     with pytest.raises(ValueError):
         seidel_columns(0)  # fires at the call, before anything is iterated
-    with pytest.raises(ValueError):
-        genocchi_first(0)
+    assert genocchi_first_sequence(0) == []
     with pytest.raises(ValueError):
         median_genocchi(0)
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import pytest
 
-from genocchi import dellac, hanzeng, verify
+from genocchi import admissible, dellac, hanzeng, verify
 from genocchi.errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import ZERO, IntPoly
 from genocchi.verify import CROSSCHECK_MAX_N, CheckReport, crosscheck
@@ -149,6 +149,30 @@ def test_count_preserving_walk_corruption_is_detected(monkeypatch, corrupt):
     counts = next(c for c in crosscheck(4).checks if c.name == "counts-agree")
     assert counts.status == "fail"
     assert "admissible n=4" in counts.detail
+
+
+def arrow_target_off_by_one(self, v):
+    # the grid digraph with its missing arrows one row early: (l, l) -> ...
+    # stays out, (l, l + 1) -> (l + 1, l + 1) comes in
+    l, j = v
+    if l + 1 <= self.n - 1 and l != j:
+        return (l + 1, j)
+    return None
+
+
+def test_wrong_grid_digraph_is_detected(monkeypatch):
+    # the closed-subset count is the same under this digraph, so only the
+    # closure of each walked sequence can expose it
+    monkeypatch.setattr(admissible.GammaGraph, "arrow_target", arrow_target_off_by_one)
+    by_name = {c.name: c for c in crosscheck(4).checks}
+    assert by_name["counts-agree"].status == "fail"
+    assert by_name["counts-agree"].detail == (
+        "admissible n=3: invalid item: vertex set [(1, 2), (2, 1), (2, 3)] "
+        "is not closed in GammaGraph(3); "
+        "admissible n=4: invalid item: vertex set [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)] "
+        "is not closed in GammaGraph(4)"
+    )
+    assert {c.name for c in by_name.values() if c.status == "fail"} == {"counts-agree"}
 
 
 def test_skipped_status_when_a_model_is_capped(monkeypatch):
