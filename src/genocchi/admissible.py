@@ -187,23 +187,26 @@ def count_closed_column_graded(n: int) -> int:
     A layered sweep over columns l = 1..n-1 whose state is the vertex mask of
     column l (column 0 is empty), carrying the number of closed prefixes that
     end in it.  A column extends a state when it holds every arrow head
-    leaving the state's column, derived from GammaGraph.arrow_target.  This
-    runs the constraint in the opposite direction from iter_admissible and
-    visits no object, so the two counts check each other.
+    leaving the state's column, derived from GammaGraph.arrow_target: the
+    extensions are those heads plus each choice of further vertices, listed
+    without scanning the other l-subsets.  This runs the constraint in the
+    opposite direction from iter_admissible and visits no object, so the two
+    counts check each other.
     """
     if n < 1:
         raise ValueError("n must be positive")
     limits.check_cap("admissible", n)
     graph = GammaGraph(n)
-    # the l-subsets of 1..n, listed once per column l
-    candidates = [list(map(_mask, combinations(range(1, n + 1), l))) for l in range(1, n)]
+    bits = [1 << j for j in range(1, n + 1)]
 
     def choices(level: int, prev: int):
+        # column l = level + 1 holds the required heads plus any others
         required = _mask(
             t[1] for j in _elems(prev) if (t := graph.arrow_target((level, j))) is not None
         )
-        for mask in candidates[level]:
-            if mask & required == required:
-                yield mask, mask
+        others = [b for b in bits if not b & required]
+        for extra in combinations(others, level + 1 - required.bit_count()):
+            mask = required | sum(extra)
+            yield mask, mask
 
     return sum(layered_sweep(n - 1, 0, choices, lambda level, prev, mask, count: count).values())

@@ -9,7 +9,9 @@ Expansion is a path sum (Flajolet, Combinatorial aspects of continued
 fractions, 1980): a J-fraction's s^n coefficient sums weighted Motzkin paths
 of length n, an S-fraction's sums weighted Dyck paths of length 2n, both in
 one sweep of motzkin.path_sums.  The truncation order alone fixes which
-levels are evaluated; there is no separate depth.
+levels are evaluated; there is no separate depth.  Heads default to the
+int 1, so an integer fraction's coefficients stay ints until PowerSeries
+holds them.
 
 Four named fractions are provided: the two q-fractions generating the
 reversed polynomials, the integer fraction generating h(n), and the
@@ -18,10 +20,10 @@ classical fraction generating the median numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
-from .exactalg import IntPoly, ONE, PowerSeries, q_binomial
+from .exactalg import IntPoly, PowerSeries, q_binomial
 from .motzkin import WeightSystem, path_sums
 
 # path_sums takes either kind, and PowerSeries makes every result an IntPoly
@@ -36,7 +38,7 @@ class JFraction:
 
     gamma: CoeffGen
     lam: CoeffGen
-    head: Coeff = field(default_factory=lambda: ONE)
+    head: Coeff = 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class SFraction:
     """Head constant c0 and partial numerators c(k) for k >= 1."""
 
     c: CoeffGen
-    c0: Coeff = field(default_factory=lambda: ONE)
+    c0: Coeff = 1
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ one per row, with every marked box (l, j) satisfying l <= j <= n + l.  The
 number of configurations is h(n); the generating polynomial of the length
 statistic is the q-analogue h_n(q).  The walk yields plain row-pair tuples
 and nothing else; the polynomial comes from a transfer sweep of the same
-layers over used-row masks, which visits no configuration.
+layers over used-row masks, which visits no configuration and carries each
+mask's total packed into one int, a slot per power of q.
 
 One rule checks a piece of a configuration, a run of consecutive columns:
 every field an int, then per column the row order, and per row the band
@@ -24,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from . import limits
-from .exactalg import ONE, ZERO, IntPoly
+from .exactalg import ONE, IntPoly, pack_poly, unpack_poly
 from .walk import layered_sweep, layered_walk
 
 
@@ -178,15 +180,19 @@ def h_poly_dellac(n: int) -> IntPoly:
     used-row mask carries the length polynomial of every partial
     configuration that reaches it.  Marking rows a < b next to the mask
     adds one inversion for every row above a, and every row above b, that
-    is already used.  The zero polynomial comes back when no configuration
-    exists.
+    is already used.  Each total is packed into one int (exactalg.pack_poly),
+    so an inversion is a shift by one slot and totals add as ints; one
+    unpack gives the polynomial.  A slot holds any count of configurations,
+    since each column marks one of the C(n+1, 2) row pairs of its band.  The
+    zero polynomial comes back when no configuration exists.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
     limits.check_cap("dellac", n)
+    width = (comb(n + 1, 2) ** n).bit_length()
 
-    def extend(level: int, used: int, pair: tuple[int, int], total: IntPoly) -> IntPoly:
+    def extend(level: int, used: int, pair: tuple[int, int], total: int) -> int:
         a, b = pair
-        return total.shift((used >> (a + 1)).bit_count() + (used >> (b + 1)).bit_count())
+        return total << width * ((used >> (a + 1)).bit_count() + (used >> (b + 1)).bit_count())
 
-    return sum(layered_sweep(*layers(n), extend, ONE).values(), ZERO)
+    return unpack_poly(sum(layered_sweep(*layers(n), extend, pack_poly(ONE, width)).values()), width)

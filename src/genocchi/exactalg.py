@@ -9,6 +9,9 @@ Types:
   LaurentPoly IntPoly shifted by an integer exponent offset (negative powers ok)
   PowerSeries truncated series in s with IntPoly coefficients
 
+pack_poly and unpack_poly carry a polynomial of bounded nonnegative
+coefficients as one int, for sweeps that only shift and add.
+
 Rationals are fractions.Fraction, which already maintains the canonical form
 (positive denominator, reduced) this package needs.
 """
@@ -184,6 +187,36 @@ def poly_reverse(p: IntPoly, d: int) -> IntPoly:
     if not p.is_zero and p.degree > d:
         raise ValueError(f"cannot reverse degree-{p.degree} polynomial at d={d}")
     return IntPoly(tuple(p.coefficient(d - i) for i in range(d + 1)))
+
+
+def pack_poly(p: IntPoly, width: int) -> int:
+    """The int whose bits i*width .. (i+1)*width - 1 hold coefficient i of p
+    (Kronecker substitution q = 2^width).  While every coefficient stays in
+    0 .. 2^width - 1, multiplying p by q^k is a shift by k*width bits and
+    adding polynomials is int +.  Raises ValueError for a coefficient
+    outside that range."""
+    if width < 1:
+        raise ValueError("slot width must be positive")
+    value, limit = 0, 1 << width
+    for c in reversed(p.coeffs):
+        if not 0 <= c < limit:
+            raise ValueError(f"coefficient {c} does not fit a {width}-bit slot")
+        value = value << width | c
+    return value
+
+
+def unpack_poly(value: int, width: int) -> IntPoly:
+    """The polynomial pack_poly(p, width) packed: one slot per coefficient."""
+    if width < 1:
+        raise ValueError("slot width must be positive")
+    if value < 0:
+        raise ValueError("a packed polynomial is nonnegative")
+    mask = (1 << width) - 1
+    coeffs = []
+    while value:
+        coeffs.append(value & mask)
+        value >>= width
+    return IntPoly(coeffs)
 
 
 def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:

@@ -25,12 +25,17 @@ DEFAULT_CAPS = {
 
 CROSSCHECK_MAX_N = 8
 
+# characters of a malformed GENOCCHI_MAX_N echoed in its error line; even
+# escaped, they keep the line short
+ECHO_MAX = 10
+
 
 def cap_for(model: str) -> int:
     env = os.environ.get(ENV_VAR)
     if env is not None:
         if not env.strip().isdecimal():
-            raise ValueError(f"{ENV_VAR} must be a nonnegative integer, got {env!r}")
+            shown = repr(env) if len(env) <= ECHO_MAX else f"{env[:ECHO_MAX]!r}... ({len(env)} characters)"
+            raise ValueError(f"{ENV_VAR} must be a nonnegative integer, got {shown}")
         try:
             return int(env)
         except ValueError:  # more digits than int() reads; too long to echo

@@ -10,8 +10,9 @@ Three independent routes live here:
     single power of q restores an ordinary polynomial.
 
 Path sums over a generic weight system are computed by level-indexed dynamic
-programming (path_sums, which also expands every continued fraction), and
-fermionic_exponent is the per-path reference the sweep is tested against.
+programming (path_sums, which also expands every continued fraction, and
+asks each weight once per height), and fermionic_exponent is the per-path
+reference the sweep is tested against.
 One rule checks a piece of a path, a run of consecutive heights: integers,
 then nonnegative, then each step within 1, raising the constructor's
 message at the first fault.  Two pieces join when a step of at most 1
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator
 
 from . import limits
@@ -139,43 +141,59 @@ class WeightSystem:
     beta: Callable[[int], object]
     gamma: Callable[[int], object]
 
-    def step_weight(self, a: int, b: int):
-        if b == a:
-            return self.gamma(a)
-        if b == a + 1:
-            return self.alpha(a)
-        if b == a - 1:
-            return self.beta(b)
-        raise ValueError(f"not a Motzkin step: {a} -> {b}")
-
 
 def path_sums(order: int, ws: WeightSystem) -> list:
     """Sums of path weights for every length 0..order, in one transfer-matrix
-    sweep: entry n is the sum over all length-n paths.
+    sweep over a height-indexed list: entry n is the sum over all length-n
+    paths.
 
     After k steps heights are capped at order - k, since a higher path
-    cannot return to 0 by step order.  Steps of zero weight are skipped, so
-    a length with no path of nonzero weight sums to the int 0.  Works for any
-    exact coefficient kind closed under + and * (int, Fraction, IntPoly,
-    LaurentPoly); the int 1 seeds the empty product.
+    cannot return to 0 by step order.  Each of alpha, beta and gamma is asked
+    at most once per height, when a path first reaches it, and the answers
+    are kept for the call.  Steps of zero weight and heights of zero total
+    are skipped, so a length with no path of nonzero weight sums to the int
+    0.  Works for any exact coefficient kind closed under + and * (int,
+    Fraction, IntPoly, LaurentPoly); the int 1 seeds the empty product.
     """
     if order < 0:
         raise ValueError("path length must be nonnegative")
-    level: dict[int, object] = {0: 1}
+    # the weights of the steps out of height h: rise[h], flat[h], fall[h]
+    rise: list = []
+    flat: list = []
+    fall: list = [0]
+    level: list = [1]  # level[h]: the total of the paths that end at height h
     sums: list = [1]
     for k in range(order):
-        nxt: dict[int, object] = {}
         top = order - k - 1
-        for h, acc in level.items():
-            for h2 in (h - 1, h, h + 1):
-                if 0 <= h2 <= top:
-                    w = ws.step_weight(h, h2)
-                    if not w:
-                        continue
+        peak = len(level) - 1
+        if peak == len(flat):  # a path reaches this height for the first time
+            if peak:
+                fall.append(ws.beta(peak - 1))
+            flat.append(ws.gamma(peak) if peak <= top else 0)
+            rise.append(ws.alpha(peak) if peak < top else 0)
+        nxt = [0] * min(peak + 2, top + 1)
+        for h, acc in enumerate(level):
+            if not acc:
+                continue
+            w = fall[h]
+            if w:
+                term = acc * w
+                below = nxt[h - 1]
+                nxt[h - 1] = below + term if below else term
+            if h <= top:
+                w = flat[h]
+                if w:
                     term = acc * w
-                    nxt[h2] = nxt[h2] + term if h2 in nxt else term
+                    here = nxt[h]
+                    nxt[h] = here + term if here else term
+                if h < top:
+                    w = rise[h]
+                    if w:
+                        nxt[h + 1] = acc * w  # the first term to reach h + 1
+        while nxt and not nxt[-1]:
+            nxt.pop()
         level = nxt
-        sums.append(level.get(0, 0))
+        sums.append(nxt[0] if nxt else 0)
     return sums
 
 
@@ -246,8 +264,9 @@ def h_poly_fermionic(n: int) -> IntPoly:
     The summand of index k couples (f_{k-1}, f_k, f_{k+1}), so the sum is a
     sweep of the iter_motzkin layers over the height pair (f_{k-1}, f_k):
     the edge to f_{k+1} multiplies by
-    [1+f_{k-1} choose f_k]_q [1+f_{k+1} choose f_k]_q and shifts by
-    (k - f_k)(1 - f_k + f_{k+1}).  Index 0 carries no factor.
+    [1+f_{k-1} choose f_k]_q [1+f_{k+1} choose f_k]_q, formed once per
+    height triple, and shifts by (k - f_k)(1 - f_k + f_{k+1}).  Index 0
+    carries no factor.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -256,6 +275,10 @@ def h_poly_fermionic(n: int) -> IntPoly:
 
     def choices(k: int, pair: tuple[int, int]):
         return ((f, (pair[1], f)) for f, _ in step(k, pair[1]))
+
+    @cache  # for this call: each height triple recurs on many edges
+    def factor(before: int, h: int, after: int) -> IntPoly:
+        return q_binomial_or_zero(1 + before, h) * q_binomial_or_zero(1 + after, h)
 
     def extend(k: int, pair: tuple[int, int], after: int, total: IntPoly) -> IntPoly:
         if k == 0:
@@ -266,8 +289,7 @@ def h_poly_fermionic(n: int) -> IntPoly:
             raise InternalInconsistencyError(
                 f"negative exponent {expo} at step {k} for heights {before} {h} {after}"
             )
-        factor = q_binomial_or_zero(1 + before, h) * q_binomial_or_zero(1 + after, h)
-        return (total * factor).shift(expo)
+        return (total * factor(before, h, after)).shift(expo)
 
     return sum(layered_sweep(depth, (0, 0), choices, extend, ONE).values(), ZERO)
 

@@ -53,25 +53,33 @@ def dumont_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return layered_walk(size, 0, choices)
 
 
-def _coverage_census(n: int, left_anchored: bool) -> dict[tuple[int, ...], int]:
+def _coverage_census(n: int, left_anchored: bool) -> dict[int, int]:
     """Coverage-vector histogram over one side's choices, as a layered sweep
-    whose state is the coverage tuple.
+    whose state is the coverage vector packed into one int: slot k - 1, of
+    n.bit_length() bits, counts the marks whose interval [i, j] covers k.
+    At most n marks cover any k, so a slot never carries, and a mark adds
+    one to its interval's slots with a single int +.
 
     left_anchored=True walks r: row k holds no mark or one mark (k, i), i >= k.
     left_anchored=False walks m: column k holds no mark or one mark (j, k), j <= k.
     """
+    width = n.bit_length()
 
-    def choices(level: int, cov: tuple[int, ...]):
-        k = level + 1
+    def with_ones(i: int, j: int):
+        return (i, j), sum(1 << width * (k - 1) for k in range(i, j + 1))
+
+    # the marks open at each level, with the ones they add
+    if left_anchored:
+        marks = [[with_ones(k, i) for i in range(k, n + 1)] for k in range(1, n + 1)]
+    else:
+        marks = [[with_ones(j, k) for j in range(1, k + 1)] for k in range(1, n + 1)]
+
+    def choices(level: int, cov: int):
         yield None, cov
-        if left_anchored:
-            marks = [(k, i) for i in range(k, n + 1)]
-        else:
-            marks = [(j, k) for j in range(1, k + 1)]
-        for i, j in marks:
-            yield (i, j), cov[: i - 1] + tuple(c + 1 for c in cov[i - 1 : j]) + cov[j:]
+        for placed, ones in marks[level]:
+            yield placed, cov + ones
 
-    return layered_sweep(n, (0,) * n, choices, lambda level, cov, mark, count: count)
+    return layered_sweep(n, 0, choices, lambda level, cov, mark, count: count)
 
 
 def count_triangle_pairs(n: int) -> int:

@@ -24,19 +24,23 @@ and triangle-pair sweeps are shared substrate):
   counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
                     transfer sweep and the integer-weight sweep vs Seidel,
                     each walked object validated through OBJECTS_MAX_N, an
-                    admissible one also as a closed set of the grid digraph
+                    admissible one also as a closed set of the grid digraph;
+                    beyond it the Dellac and admissible walks are counted
+                    by their blocks (walk.layered_blocks), each prefix by
+                    the length of its shared list of tails
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Iterable, Iterator
 
 from . import limits
 from .admissible import AdmissibleSequence, GammaGraph, count_closed_column_graded
 from .admissible import is_closed_in_gamma, iter_admissible
+from .admissible import layers as admissible_layers
 from .contfrac import (
     SFraction,
     contract_S_to_J,
@@ -48,6 +52,7 @@ from .contfrac import (
     fraction_viennot,
 )
 from .dellac import DellacConfig, h_poly_dellac, iter_dellac
+from .dellac import layers as dellac_layers
 from .errors import ResourceLimitError
 from .hanzeng import hanzeng_barc
 from .limits import CROSSCHECK_MAX_N
@@ -63,6 +68,7 @@ from .motzkin import (
 )
 from .oracles import DUMONT_MAX_N, TRIANGLE_MAX_N, count_dumont, count_triangle_pairs
 from .seidel import median_genocchi, normalized_h
+from .walk import layered_blocks
 
 CONTRACTION_ORDER = 10
 RANDOM_INSTANCES = 100
@@ -138,29 +144,32 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     def counts_agree() -> Iterator[str]:
         ws = integer_weight_system()
 
-        def walked(label: str, walk, build, n: int):
+        def walked(label: str, walk, layers, build, n: int):
             # yields the walk's problems, returns its count
+            items = walk(n)  # checks the argument and the cap
             if n > OBJECTS_MAX_N:
-                return sum(1 for _ in walk(n))
-            items = list(walk(n))
+                # each block's tails complete its prefix, one object each
+                return sum(len(tails) for _, _, tails in layered_blocks(*layers(n)))
+            items = list(items)
             try:
-                if len({build(n, item) for item in items}) < len(items):
+                if len({build(item) for item in items}) < len(items):
                     yield f"{label} n={n}: the walk repeats items"
             except ValueError as exc:
                 yield f"{label} n={n}: invalid item: {exc}"
             return len(items)
 
-        def closed_sequence(n: int, masks: tuple[int, ...]) -> AdmissibleSequence:
+        def closed_sequence(n: int, graph: GammaGraph, masks: tuple[int, ...]) -> AdmissibleSequence:
             # admissible exactly when {(l, j): j in I_l} is closed in the digraph
             sequence = AdmissibleSequence(n, masks)
             vertices = [(l, j) for l, m in enumerate(masks, 1) for j in range(1, n + 1) if m >> j & 1]
-            if not is_closed_in_gamma(vertices, GammaGraph(n)):
+            if not is_closed_in_gamma(vertices, graph):
                 raise ValueError(f"vertex set {vertices} is not closed in GammaGraph({n})")
             return sequence
 
         for n in ns:
-            n_dellac = yield from walked("dellac", iter_dellac, DellacConfig, n)
-            n_admissible = yield from walked("admissible", iter_admissible, closed_sequence, n)
+            n_dellac = yield from walked("dellac", iter_dellac, dellac_layers, partial(DellacConfig, n), n)
+            closed = partial(closed_sequence, n, GammaGraph(n))
+            n_admissible = yield from walked("admissible", iter_admissible, admissible_layers, closed, n)
             for label, got in (
                 ("dellac", n_dellac),
                 ("admissible", n_admissible),
@@ -170,7 +179,7 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             ):
                 yield from _disagreements((n,), lambda n: got, h, f"{label} ")
             if n <= OBJECTS_MAX_N:
-                yield from walked("motzkin", iter_motzkin, lambda n, f: MotzkinPath(f), n)
+                yield from walked("motzkin", iter_motzkin, None, MotzkinPath, n)
 
     # (3) the three q-polynomial routes coincide
     def three_way() -> Iterator[str]:

@@ -620,6 +620,22 @@ def test_malformed_env_cap_is_a_usage_error_under_verify(monkeypatch, capsys):
     assert captured.err == "error: GENOCCHI_MAX_N must be a nonnegative integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["x" * 100_000, "\x01" * 100_000, "\U000e0000" * 1_000, "1\n" * 50],
+    ids=["letters", "control", "escaped-wide", "lines"],
+)
+def test_a_long_malformed_env_cap_is_echoed_short(monkeypatch, capsys, value):
+    # a prefix and the length, on one line, however long the value
+    monkeypatch.setenv("GENOCCHI_MAX_N", value)
+    assert run(["enumerate", "dellac", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert len(captured.err.encode()) < 200
+    assert f"... ({len(value)} characters)" in captured.err
+
+
 def test_env_cap_past_the_int_digit_limit_is_a_usage_error(monkeypatch, capsys):
     # a decimal value int() refuses to read: the variable is named, not echoed
     digits = sys.get_int_max_str_digits() + 1

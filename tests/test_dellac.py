@@ -15,6 +15,7 @@ from genocchi.dellac import (
 from genocchi.errors import ResourceLimitError
 from genocchi.exactalg import IntPoly
 from genocchi.seidel import normalized_h
+from reference import h_poly_dellac_intpoly
 
 # the seven configurations on three columns, as row pairs per column
 CATALOGUE_3 = [
@@ -119,6 +120,13 @@ def test_yielded_configurations_validate_and_carry_their_length(n):
         length = dellac_length(cfg)
         tally[length] = tally.get(length, 0) + 1
     assert h_poly_dellac(n) == IntPoly(tally.get(i, 0) for i in range(max(tally) + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_packed_sweep_equals_the_polynomial_sweep(monkeypatch, n):
+    # a slot too narrow for some coefficient would carry into the next one
+    monkeypatch.setenv("GENOCCHI_MAX_N", "9")
+    assert h_poly_dellac(n) == h_poly_dellac_intpoly(n)
 
 
 def test_resource_limit():

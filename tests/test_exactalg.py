@@ -4,6 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from genocchi.errors import InexactDivisionError
 from genocchi.exactalg import (
@@ -13,9 +14,11 @@ from genocchi.exactalg import (
     IntPoly,
     LaurentPoly,
     PowerSeries,
+    pack_poly,
     poly_exact_div,
     poly_reverse,
     q_binomial,
+    unpack_poly,
 )
 from reference import q_factorial, q_int
 
@@ -284,3 +287,53 @@ def test_series_length_validation():
         PowerSeries(2, (ONE,))
     with pytest.raises(ValueError):
         PowerSeries(1, (ONE, ONE)).coefficient(2)
+
+
+# ---------------------------------------------------------------------------
+# packed polynomials
+# ---------------------------------------------------------------------------
+
+
+def slot_coefficients(width):
+    top = (1 << width) - 1  # the largest coefficient a slot holds
+    return st.lists(st.one_of(st.just(0), st.just(top), st.integers(0, top)), max_size=12)
+
+
+packed_cases = st.integers(1, 80).flatmap(lambda w: st.tuples(st.just(w), slot_coefficients(w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=packed_cases)
+@example(case=(1, []))  # the zero polynomial
+@example(case=(64, [(1 << 64) - 1] * 5))  # the largest coefficients only
+def test_pack_round_trip(case):
+    width, coeffs = case
+    p = IntPoly(coeffs)
+    packed = pack_poly(p, width)
+    assert unpack_poly(packed, width) == p
+    assert (packed == 0) == p.is_zero
+    # multiplying by q^k is a shift of k slots
+    assert pack_poly(p.shift(3), width) == packed << 3 * width
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(2, 40), data=st.data())
+def test_packed_sums_add_slot_by_slot(width, data):
+    # coefficients below half a slot cannot carry when two are added
+    half = st.lists(st.integers(0, (1 << (width - 1)) - 1), max_size=8)
+    p, r = IntPoly(data.draw(half)), IntPoly(data.draw(half))
+    assert pack_poly(p + r, width) == pack_poly(p, width) + pack_poly(r, width)
+
+
+def test_pack_rejects_what_a_slot_cannot_hold():
+    for bad in (P(0, 1 << 8), P(-1), P(3, -1)):
+        with pytest.raises(ValueError):
+            pack_poly(bad, 8)
+    assert pack_poly(P(255, 1), 8) == 255 + (1 << 8)
+    with pytest.raises(ValueError):
+        unpack_poly(-1, 8)
+    for width in (0, -3):
+        with pytest.raises(ValueError):
+            pack_poly(ONE, width)
+        with pytest.raises(ValueError):
+            unpack_poly(1, width)

@@ -22,12 +22,13 @@ from genocchi.motzkin import (
     integer_weight_system,
     iter_motzkin,
     laurent_weight_system,
+    path_sums,
     q_binomial_or_zero,
     tilde_h,
     weighted_path_sum,
 )
 from genocchi.seidel import normalized_h
-from reference import path_weight
+from reference import path_weight, step_weight
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]
 
@@ -187,6 +188,29 @@ def test_dp_equals_explicit_enumeration():
         assert weighted_path_sum(n, ws) == explicit
 
 
+weight_tables = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=8, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(0, 8), tables=st.tuples(weight_tables, weight_tables, weight_tables))
+def test_path_sums_ask_each_weight_once_and_match_the_per_path_sum(order, tables):
+    # zeros cut paths off and negative weights cancel totals
+    asked = []
+
+    def asking(name, table):
+        def weight(m):
+            asked.append((name, m))
+            return table[m]
+
+        return weight
+
+    sums = path_sums(order, WeightSystem(*map(asking, "abg", tables)))
+    assert len(asked) == len(set(asked))
+    ws = WeightSystem(*(table.__getitem__ for table in tables))
+    assert sums == [sum(path_weight(p, ws) for p in paths(n)) for n in range(order + 1)]
+    assert all(type(total) is int for total in sums)
+
+
 # ---------------------------------------------------------------------------
 # the rational formula
 # ---------------------------------------------------------------------------
@@ -308,10 +332,11 @@ def test_laurent_weight_values():
     assert ws.alpha(0) == LaurentPoly(0, ONE)
     assert ws.beta(0) == LaurentPoly(-1, ONE)
     assert ws.gamma(1) == LaurentPoly(-2, IntPoly((1, 2, 1)))
-    assert ws.step_weight(1, 0) == ws.beta(0)
-    assert ws.step_weight(0, 1) == ws.alpha(0)
+    # the per-path reference's choice of weight for one step
+    assert step_weight(ws, 1, 0) == ws.beta(0)
+    assert step_weight(ws, 0, 1) == ws.alpha(0)
     with pytest.raises(ValueError):
-        ws.step_weight(0, 2)
+        step_weight(ws, 0, 2)
 
 
 def test_laurent_golden_values():

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genocchi import iter_admissible, iter_dellac, iter_motzkin
+from genocchi import admissible, dellac, iter_admissible, iter_dellac, iter_motzkin
 from genocchi.walk import SHARED_LEVELS, layered_blocks, layered_sweep, layered_walk
 
 STATES = range(3)
@@ -80,3 +80,10 @@ def test_sweep_sums_the_walk(table, root, salt):
 def test_deep_walks_need_no_recursion_depth(monkeypatch, walk, n, length):
     monkeypatch.setenv("GENOCCHI_MAX_N", str(n))
     assert len(next(walk(n))) == length
+
+
+@pytest.mark.parametrize("model, walk", [(dellac, iter_dellac), (admissible, iter_admissible)])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_block_sizes_count_the_walk(model, walk, n):
+    # counts-agree counts a walk this way past the sizes it builds objects for
+    assert sum(len(tails) for _, _, tails in layered_blocks(*model.layers(n))) == sum(1 for _ in walk(n))
