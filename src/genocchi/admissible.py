@@ -20,10 +20,9 @@ each subset of a shared piece once per stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import limits
 from .walk import layered_sweep, layered_walk
@@ -46,15 +45,19 @@ def _elems(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AdmissibleSequence:
-    """Subsets I_1..I_{n-1} of {1..n}, each stored as a bitmask (bit j = element j)."""
-
+class _AdmissibleFields(NamedTuple):
     n: int
     masks: tuple[int, ...]
 
-    def __post_init__(self):
-        _piece(self.n, self.masks, 1, whole=True)
+
+class AdmissibleSequence(_AdmissibleFields):
+    """Subsets I_1..I_{n-1} of {1..n}, each stored as a bitmask (bit j = element j)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, masks: tuple[int, ...]):
+        _piece(n, masks, 1, whole=True)
+        return super().__new__(cls, n, masks)
 
 
 def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, int]:
@@ -153,8 +156,7 @@ def iter_admissible(n: int) -> Iterator[tuple[int, ...]]:
     return (run[::-1] for run in layered_walk(*layers(n)))
 
 
-@dataclass(frozen=True)
-class GammaGraph:
+class GammaGraph(NamedTuple):
     """Grid digraph on vertices (l, j), 1 <= l <= n-1, 1 <= j <= n, with an
     arrow (l, j) -> (l+1, j) whenever l+1 differs from j."""
 

@@ -20,8 +20,7 @@ classical fraction generating the median numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .exactalg import IntPoly, PowerSeries, q_binomial
 from .motzkin import WeightSystem, path_sums
@@ -31,8 +30,7 @@ Coeff = Union[int, IntPoly]
 CoeffGen = Callable[[int], Coeff]
 
 
-@dataclass(frozen=True)
-class JFraction:
+class JFraction(NamedTuple):
     """gamma(k) for k >= 0 and lam(k) for k >= 1; lam(k) is the product
     weight entering at depth k (it first touches the s^(2k) coefficient)."""
 
@@ -41,16 +39,14 @@ class JFraction:
     head: Coeff = 1
 
 
-@dataclass(frozen=True)
-class SFraction:
+class SFraction(NamedTuple):
     """Head constant c0 and partial numerators c(k) for k >= 1."""
 
     c: CoeffGen
     c0: Coeff = 1
 
 
-@dataclass(frozen=True)
-class AffineSFraction:
+class AffineSFraction(NamedTuple):
     """head + linear * s / (1 - gamma(1) s - lam(1) s^2 / (1 - ...))."""
 
     head: Coeff

@@ -22,26 +22,31 @@ each piece's columns once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import limits
-from .exactalg import ONE, IntPoly, pack_poly, unpack_poly
 from .walk import layered_sweep, layered_walk
 
+if TYPE_CHECKING:
+    from .exactalg import IntPoly
 
-@dataclass(frozen=True)
-class DellacConfig:
-    """Marked boxes, stored per column as the ordered row pair (low, high)."""
 
+class _DellacFields(NamedTuple):
     n: int
     columns: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        _piece(self.n, self.columns, 1, whole=True)
+
+class DellacConfig(_DellacFields):
+    """Marked boxes, stored per column as the ordered row pair (low, high)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, columns: tuple[tuple[int, int], ...]):
+        _piece(n, columns, 1, whole=True)
+        return super().__new__(cls, n, columns)
 
 
 def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
@@ -186,6 +191,8 @@ def h_poly_dellac(n: int) -> IntPoly:
     since each column marks one of the C(n+1, 2) row pairs of its band.  The
     zero polynomial comes back when no configuration exists.
     """
+    from .exactalg import ONE, pack_poly, unpack_poly  # enumerate needs no polynomial
+
     if n < 1:
         raise ValueError("grid size must be positive")
     limits.check_cap("dellac", n)

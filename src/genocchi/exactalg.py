@@ -12,20 +12,22 @@ Types:
 pack_poly and unpack_poly carry a polynomial of bounded nonnegative
 coefficients as one int, for sweeps that only shift and add.
 
-Rationals are fractions.Fraction, which already maintains the canonical form
-(positive denominator, reduced) this package needs.
+Evaluation at q takes any exact number, fractions.Fraction included; no
+route needs a rational, so the package does not import fractions.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import InexactDivisionError
 
-Coefficient = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Coefficient = Union[int, "Fraction"]
 
 
 def _trim(coeffs: list) -> tuple:

@@ -24,10 +24,9 @@ writes each piece's heights once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator
+from math import gcd
+from typing import Callable, Iterator, NamedTuple
 
 from . import limits
 from .errors import InternalInconsistencyError
@@ -42,14 +41,18 @@ from .exactalg import (
 from .walk import layered_sweep, layered_walk
 
 
-@dataclass(frozen=True)
-class MotzkinPath:
-    """Height sequence f_0 .. f_n of a path from (0,0) to (n,0)."""
-
+class _MotzkinFields(NamedTuple):
     heights: tuple[int, ...]
 
-    def __post_init__(self):
-        _piece(self.heights, whole=True)
+
+class MotzkinPath(_MotzkinFields):
+    """Height sequence f_0 .. f_n of a path from (0,0) to (n,0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, heights: tuple[int, ...]):
+        _piece(heights, whole=True)
+        return super().__new__(cls, heights)
 
 
 def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
@@ -132,8 +135,7 @@ def iter_motzkin(n: int) -> Iterator[tuple[int, ...]]:
     return ((0,) + heights for heights in layered_walk(*layers(n)))
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(NamedTuple):
     """Level-indexed step weights: flat steps at level m weigh gamma(m),
     rises from m weigh alpha(m), falls to m weigh beta(m)."""
 
@@ -228,19 +230,21 @@ def laurent_weight_system() -> WeightSystem:
 
 def h_motzkin_rational(n: int) -> int:
     """h(n) as the exact rational path sum of (products of squared
-    height-plus-ones) over 2^(rises + falls)."""
+    height-plus-ones) over 2^(rises + falls), summed as numerators over the
+    common denominator 2^n: a length-n path rises and falls at most n times."""
     if n < 1:
         raise ValueError("n must be positive")
-    total = Fraction(0)
+    total = 0
     for f in iter_motzkin(n):
         num = 1
         for v in f:
             num *= (1 + v) * (1 + v)
         rises_plus_falls = sum(1 for a, b in zip(f, f[1:]) if a != b)
-        total += Fraction(num, 1 << rises_plus_falls)
-    if total.denominator != 1:
-        raise InternalInconsistencyError(f"rational path sum for n={n} is {total}")
-    return total.numerator
+        total += num << (n - rises_plus_falls)
+    if total % (1 << n):
+        g = gcd(total, 1 << n)
+        raise InternalInconsistencyError(f"rational path sum for n={n} is {total // g}/{(1 << n) // g}")
+    return total >> n
 
 
 def q_binomial_or_zero(m: int, n: int) -> IntPoly:

@@ -33,9 +33,8 @@ and triangle-pair sweeps are shared substrate):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import limits
 from .admissible import AdmissibleSequence, GammaGraph, count_closed_column_graded
@@ -77,19 +76,17 @@ DIVISIBILITY_MAX_N = 12
 OBJECTS_MAX_N = 5
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     range: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     n_max: int
     seed: int
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: tuple[CheckResult, ...] = ()
 
     @property
     def failures(self) -> int:
@@ -261,7 +258,7 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
         ("contraction-random", order, f"{RANDOM_INSTANCES} instances, seed={seed}", random_trials()),
     ]
 
-    report = CheckReport(n_max=n_max, seed=seed)
+    checks = []
     for name, rng_text, detail, problems in rows:
         # problems come one at a time, so a check that raises keeps every
         # problem it found before the exception
@@ -270,12 +267,11 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             found.extend(problems)
         except ResourceLimitError as exc:
             if not found:
-                report.checks.append(CheckResult(name, rng_text, "skipped", str(exc)))
+                checks.append(CheckResult(name, rng_text, "skipped", str(exc)))
                 continue
             found.append(repr(exc))
         except Exception as exc:  # a crashed check is a failed check
             found.append(repr(exc))
         status, detail = ("fail", "; ".join(found)) if found else ("pass", detail)
-        report.checks.append(CheckResult(name, rng_text, status, detail))
-    report.checks.sort(key=lambda c: c.name)
-    return report
+        checks.append(CheckResult(name, rng_text, status, detail))
+    return CheckReport(n_max, seed, tuple(sorted(checks, key=lambda c: c.name)))

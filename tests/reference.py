@@ -2,9 +2,11 @@
 
 Each is the direct form of something the package computes by another
 route: q-integers and q-factorials against the q-Pascal binomials, the
-product of step weights along one path against the path sweep, the Dellac
-sweep with IntPoly totals against the packed one, and one triangle-pair
-filling checked mark by mark against the coverage census.  The program
+product of step weights along one path against the path sweep, the
+rational path sum in Fraction arithmetic against the one over a common
+power of two, the Dellac sweep with IntPoly totals against the packed one,
+and one triangle-pair filling checked mark by mark against the coverage
+census.  The program
 runs none of them, so they live here rather than in src/genocchi.  The file name does not match test_*.py, so pytest does not
 collect it; test modules import it as `reference`.
 """
@@ -12,11 +14,13 @@ collect it; test modules import it as `reference`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from genocchi import limits
 from genocchi.dellac import layers
+from genocchi.errors import InternalInconsistencyError
 from genocchi.exactalg import ONE, ZERO, IntPoly
-from genocchi.motzkin import MotzkinPath, WeightSystem
+from genocchi.motzkin import MotzkinPath, WeightSystem, iter_motzkin
 from genocchi.walk import layered_sweep
 
 
@@ -53,6 +57,23 @@ def path_weight(path: MotzkinPath, ws: WeightSystem):
     for a, b in zip(path.heights, path.heights[1:]):
         acc = acc * step_weight(ws, a, b)
     return acc
+
+
+def h_motzkin_rational_fraction(n: int) -> int:
+    """h(n) as the exact rational path sum of (products of squared
+    height-plus-ones) over 2^(rises + falls), one Fraction per path."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    total = Fraction(0)
+    for f in iter_motzkin(n):
+        num = 1
+        for v in f:
+            num *= (1 + v) * (1 + v)
+        rises_plus_falls = sum(1 for a, b in zip(f, f[1:]) if a != b)
+        total += Fraction(num, 1 << rises_plus_falls)
+    if total.denominator != 1:
+        raise InternalInconsistencyError(f"rational path sum for n={n} is {total}")
+    return total.numerator
 
 
 def h_poly_dellac_intpoly(n: int) -> IntPoly:

@@ -445,6 +445,22 @@ INVALID_WALKS = {
 MODULES = {"dellac": dellac, "admissible": admissible, "motzkin": motzkin}
 
 
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        (DellacConfig(2, ((1, 2), (3, 4))), "columns"),
+        (AdmissibleSequence(3, (0b10, 0b110)), "masks"),
+        (MotzkinPath((0, 1, 0)), "heights"),
+    ],
+)
+def test_a_model_object_is_hashable_and_refuses_assignment(obj, field):
+    assert obj in {type(obj)(*obj)}  # hashed and compared by its fields
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
 def reference_line(model, n, item, as_json):
     """One walked object's output line, the per-object way: built through
     its constructor, then its fields dumped by json or formatted."""

@@ -1,6 +1,7 @@
-"""What a command loads: each subcommand imports only its own route, and the
-package namespace loads a name's home module on first use.  The import sets
-are read in a fresh interpreter, since this process has loaded everything.
+"""What a command loads: each subcommand imports only its own route, no
+command imports dataclasses or fractions, and the package namespace loads a
+name's home module on first use.  The import sets are read in a fresh
+interpreter, since this process has loaded everything.
 What the commands reach: every function the package defines runs in some
 command, save a few listed with their reasons."""
 
@@ -13,7 +14,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,7 @@ import genocchi
 from genocchi import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = Path(genocchi.__file__).resolve().parent
 
 # modules every command may load: the CLI, its error types and its bounds
 FRONT = {"cli", "errors", "limits"}
@@ -35,19 +36,23 @@ if sys.argv[1:]:
 """
 
 
-def modules_after(code: str, *argv: str) -> set[str]:
-    """The genocchi.* modules, without the prefix, that a fresh interpreter
-    holds after running code with argv."""
-    listing = "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('genocchi.')))"
+def all_modules_after(code: str, *argv: str) -> set[str]:
+    """Every module a fresh interpreter holds after running code with argv."""
     out = subprocess.run(
-        [sys.executable, "-c", code + listing, *argv],
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)", *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     ).stdout
-    return {name.removeprefix("genocchi.") for name in out.split()}
+    return set(out.split())
+
+
+def modules_after(code: str, *argv: str) -> set[str]:
+    """The genocchi.* modules, without the prefix, that a fresh interpreter
+    holds after running code with argv."""
+    return {m.removeprefix("genocchi.") for m in all_modules_after(code, *argv) if m.startswith("genocchi.")}
 
 
 def loaded(*argv: str) -> set[str]:
@@ -152,16 +157,27 @@ REACH_RUNS = [
 ]
 
 
+def own_code(func) -> bool:
+    """Whether func, unwrapped, is a function compiled from the package's
+    own source files."""
+    code = getattr(inspect.unwrap(func), "__code__", None)
+    return code is not None and Path(code.co_filename).resolve().parent == PACKAGE
+
+
 def defined_functions():
     """(qualified name, function) for each function, method and property
-    accessor that a module of the package defines, dunder names aside."""
+    accessor that a module of the package defines, dunder names aside.
+    Only the package's own code counts: a member a class inherits from the
+    standard library, such as a NamedTuple's _make, _replace and _asdict,
+    shares one code object among all such classes and is not listed."""
     for info in pkgutil.iter_modules(genocchi.__path__):
         module = importlib.import_module(f"genocchi.{info.name}")
         for name, value in vars(module).items():
             if name.startswith("__") or getattr(value, "__module__", None) != module.__name__:
                 continue
             if not isinstance(value, type):
-                yield f"{info.name}.{name}", value
+                if own_code(value):
+                    yield f"{info.name}.{name}", value
                 continue
             for attr, member in vars(value).items():
                 if attr.startswith("__"):
@@ -170,20 +186,51 @@ def defined_functions():
                     accessors = [member.fget, member.fset, member.fdel]
                 else:
                     accessors = [getattr(member, "__func__", member)]  # static and class methods
-                for func in accessors:
+                for func in filter(own_code, accessors):
                     yield f"{info.name}.{name}.{attr}", func
 
 
-def test_the_commands_reach_every_member_the_package_defines(tmp_path):
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    """A directory holding the SPECS files."""
+    directory = tmp_path_factory.mktemp("specs")
     for name, spec in SPECS.items():
-        (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
+        (directory / name).write_text(json.dumps(spec), encoding="utf-8")
+    return directory
+
+
+def with_specs(argv: list[str], spec_dir: Path) -> list[str]:
+    """argv with each @name replaced by the path of that spec file."""
+    return [str(spec_dir / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+# standard modules no command needs: dataclasses loads inspect, ast, dis and
+# tokenize, and fractions loads decimal and numbers, which would cost every
+# command more start-up than most of its computation
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What a fresh interpreter holds before any command: a .pth file in
+    site-packages may import standard modules at start-up."""
+    return all_modules_after("")
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in REACH_RUNS], ids=" ".join)
+def test_no_command_loads_a_heavy_standard_module(argv, spec_dir, bare_modules):
+    added = all_modules_after(RUN_CLI, *with_specs(argv, spec_dir)) - bare_modules
+    assert not added & HEAVY
+    if argv[:2] in (["enumerate", "dellac"], ["enumerate", "admissible"]):
+        assert "genocchi.exactalg" not in added  # the stream does no polynomial arithmetic
+
+
+def test_the_commands_reach_every_member_the_package_defines(spec_dir):
     members = {}
     for name, func in defined_functions():
         if hasattr(func, "cache_clear"):
             func.cache_clear()  # a cached call runs no frame for arguments seen before
-        func = inspect.unwrap(func)
-        if isinstance(func, types.FunctionType):
-            members[func.__code__] = name
+        members[inspect.unwrap(func).__code__] = name
     reached = set()
 
     def profile(frame, event, arg):
@@ -196,8 +243,7 @@ def test_the_commands_reach_every_member_the_package_defines(tmp_path):
         sys.setprofile(profile)
         try:
             for _, argv in REACH_RUNS:
-                argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
-                statuses.append(cli.run(argv))
+                statuses.append(cli.run(with_specs(argv, spec_dir)))
         finally:
             sys.setprofile(previous)
     assert statuses == [status for status, _ in REACH_RUNS]

@@ -8,8 +8,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genocchi import motzkin
 from genocchi.cli import run
-from genocchi.errors import ResourceLimitError
+from genocchi.errors import InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import IntPoly, LaurentPoly, ONE
 from genocchi.dellac import h_poly_dellac
 from genocchi.motzkin import (
@@ -28,7 +29,7 @@ from genocchi.motzkin import (
     weighted_path_sum,
 )
 from genocchi.seidel import normalized_h
-from reference import path_weight, step_weight
+from reference import h_motzkin_rational_fraction, path_weight, step_weight
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]
 
@@ -235,6 +236,18 @@ def test_rational_golden(n, expected):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_rational_equals_triangle(n):
     assert h_motzkin_rational(n) == normalized_h(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rational_sum_over_a_power_of_two_equals_the_fraction_sum(n):
+    assert h_motzkin_rational(n) == h_motzkin_rational_fraction(n)
+
+
+def test_a_rational_sum_that_is_no_integer_is_an_internal_error(monkeypatch):
+    # the one path weighs 3^2 / 2^2
+    monkeypatch.setattr(motzkin, "iter_motzkin", lambda n: iter([(0, 2, 0)]))
+    with pytest.raises(InternalInconsistencyError, match=r"^rational path sum for n=2 is 9/4$"):
+        h_motzkin_rational(2)
 
 
 def test_rational_terms_match_integer_weights_pathwise():
