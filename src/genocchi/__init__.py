@@ -30,7 +30,7 @@ _HOMES = {
     "PowerSeries": "exactalg",
     "ResourceLimitError": "errors",
     "SFraction": "contfrac",
-    "WeightSystem": "motzkin",
+    "WeightSystem": "walk",
     "contract_S_to_J": "contfrac",
     "contract_S_to_J_affine": "contfrac",
     "count_closed_column_graded": "admissible",
@@ -44,7 +44,6 @@ _HOMES = {
     "h_poly_fermionic": "motzkin",
     "h_poly_laurent": "motzkin",
     "h_sequence": "seidel",
-    "hanzeng_C": "hanzeng",
     "hanzeng_barc": "hanzeng",
     "is_closed_in_gamma": "admissible",
     "iter_admissible": "admissible",
@@ -52,7 +51,6 @@ _HOMES = {
     "iter_motzkin": "motzkin",
     "median_genocchi": "seidel",
     "normalized_h": "seidel",
-    "poly_exact_div": "exactalg",
     "poly_reverse": "exactalg",
     "q_binomial": "exactalg",
     "seidel_columns": "seidel",

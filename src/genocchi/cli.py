@@ -6,6 +6,12 @@ Subcommands: seq (integer sequences), poly (q-polynomials), enumerate
 subcommand imports its route when it is called, so a command loads only
 the modules it runs; importing this module loads none of the routes.
 
+The grammar is written once, in COMMANDS.  A well-formed command line
+(exact subcommand and option names, each at most once, decimal ints) is
+read from that table directly; anything else (help, an abbreviation,
+--opt=value, a usage error) goes to the argparse parser built from the same
+table, so importing this module loads neither argparse nor json.
+
 Exit status: 0 success, 1 verification failures, 2 usage error, 3 resource
 limit exceeded, 4 internal error (a broken identity or any other uncaught
 exception, reported as one `internal error:` line), 141 (128 + SIGPIPE)
@@ -16,18 +22,19 @@ integers and round-trip byte-identically.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
 from itertools import islice
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .limits import CROSSCHECK_MAX_N
 
 if TYPE_CHECKING:
+    import argparse
+
     from .exactalg import IntPoly, PowerSeries
 
 USAGE_ERROR = 2
@@ -47,8 +54,12 @@ SERIES_MAX_ORDER = 64
 WRITE_BLOCK_LINES = 256
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+def _decimals(values) -> str:
+    """A JSON array of decimal strings, byte for byte as json.dumps writes
+    it: digits and a minus sign need no escape.  Every payload but the
+    verify report holds only these, ints and fixed keys, so those commands
+    do not load json."""
+    return "[" + ",".join(f'"{v}"' for v in values) + "]"
 
 
 def _internal_error(exc: Exception) -> int:
@@ -58,21 +69,15 @@ def _internal_error(exc: Exception) -> int:
 
 def _print_poly(p: IntPoly, as_json: bool) -> None:
     if as_json:
-        print(_dump({"coeffs": p.coeff_strings()}))
+        print('{"coeffs":' + _decimals(p.coeff_strings()) + "}")
     else:
         print(p.render())
 
 
 def _print_series(series: PowerSeries, as_json: bool) -> None:
     if as_json:
-        print(
-            _dump(
-                {
-                    "order": series.order,
-                    "coeffs": [{"coeffs": c.coeff_strings()} for c in series.coeffs],
-                }
-            )
-        )
+        coeffs = ",".join('{"coeffs":' + _decimals(c.coeff_strings()) + "}" for c in series.coeffs)
+        print(f'{{"order":{series.order},"coeffs":[{coeffs}]}}')
         return
     if all(c.is_zero or c.degree == 0 for c in series.coeffs):
         print(" ".join(str(c.coefficient(0)) for c in series.coeffs))
@@ -94,11 +99,8 @@ def _cmd_seq(args) -> int:
         "genocchi1": genocchi_first_sequence,
     }[args.name](args.count)
     if args.json:
-        payload: dict = {"name": args.name}
-        if args.name == "H":
-            payload["label"] = "H_{2n-1}"
-        payload["values"] = [str(v) for v in values]
-        print(_dump(payload))
+        label = ',"label":"H_{2n-1}"' if args.name == "H" else ""
+        print(f'{{"name":"{args.name}"{label},"values":' + _decimals(map(str, values)) + "}")
     else:
         print(" ".join(str(v) for v in values))
     return 0
@@ -174,7 +176,7 @@ def _cmd_enumerate(args) -> int:
         total = normalized_h(args.n)  # configurations and sequences both number h(n)
 
     if args.json:
-        print(_dump({"total": str(total)}))
+        print(f'{{"total":"{total}"}}')
     else:
         print(f"total {total}")
     return 0
@@ -215,6 +217,8 @@ def _cmd_series(args) -> int:
     if args.name == "custom":
         if not args.spec:
             raise ValueError("series custom requires --spec FILE")
+        import json
+
         with open(args.spec, encoding="utf-8") as fh:
             try:
                 spec = spec_from_dict(json.load(fh))
@@ -236,7 +240,9 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     report = crosscheck(args.n_max, seed=args.seed)
     if args.json:
-        print(_dump(report.json_dict()))
+        import json
+
+        print(json.dumps(report.json_dict(), separators=(",", ":")))
     else:
         print(report.table())
         elapsed = time.monotonic() - started
@@ -244,66 +250,152 @@ def _cmd_verify(args) -> int:
     return 1 if report.failures else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # argparse's own error line without the usage block, so that every
-        # usage error is one line; subcommand parsers inherit this class
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+# The command line, written once: subcommand -> (help, handler, positional,
+# options).  The positional is (dest, choices), or None; each option is
+# (flag, dest, kind, default, help), where kind is int, str or bool (a flag
+# that stores True) and an option whose default is REQUIRED must be given.
+REQUIRED = object()
+COMMANDS = {
+    "seq": (
+        "print the first terms of a sequence",
+        _cmd_seq,
+        ("name", ("h", "H", "genocchi1")),
+        (("--count", "count", int, REQUIRED, None), ("--json", "json", bool, False, None)),
+    ),
+    "poly": (
+        "print one q-polynomial",
+        _cmd_poly,
+        ("name", ("hq", "tildehq", "barc")),
+        (("--n", "n", int, REQUIRED, None), ("--json", "json", bool, False, None)),
+    ),
+    "enumerate": (
+        "stream combinatorial objects",
+        _cmd_enumerate,
+        ("model", ("dellac", "admissible", "motzkin")),
+        (
+            ("--n", "n", int, REQUIRED, None),
+            ("--limit", "limit", int, None, None),
+            ("--json", "json", bool, False, None),
+        ),
+    ),
+    "count": (
+        "run a brute-force oracle count",
+        _cmd_count,
+        ("model", ("dumont", "triangles")),
+        (("--n", "n", int, REQUIRED, None),),
+    ),
+    "series": (
+        "expand a continued fraction",
+        _cmd_series,
+        ("name", ("f1", "f2", "hn", "viennot", "custom")),
+        (
+            ("--order", "order", int, REQUIRED, None),
+            ("--spec", "spec", str, None, "JSON spec file for 'custom'"),
+            ("--json", "json", bool, False, None),
+        ),
+    ),
+    "verify": (
+        "run the cross-check matrix",
+        _cmd_verify,
+        None,
+        (
+            ("--n-max", "n_max", int, CROSSCHECK_MAX_N - 1, None),
+            ("--seed", "seed", int, 0, None),
+            ("--json", "json", bool, False, None),
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # argparse's own error line without the usage block, so that every
+            # usage error is one line; subcommand parsers inherit this class
+            self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
         prog="genocchi",
         description="Median Genocchi numbers and their q-analogues, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("seq", help="print the first terms of a sequence")
-    p.add_argument("name", choices=("h", "H", "genocchi1"))
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_seq)
-
-    p = sub.add_parser("poly", help="print one q-polynomial")
-    p.add_argument("name", choices=("hq", "tildehq", "barc"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_poly)
-
-    p = sub.add_parser("enumerate", help="stream combinatorial objects")
-    p.add_argument("model", choices=("dellac", "admissible", "motzkin"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("count", help="run a brute-force oracle count")
-    p.add_argument("model", choices=("dumont", "triangles"))
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("series", help="expand a continued fraction")
-    p.add_argument("name", choices=("f1", "f2", "hn", "viennot", "custom"))
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--spec", default=None, help="JSON spec file for 'custom'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_series)
-
-    p = sub.add_parser("verify", help="run the cross-check matrix")
-    p.add_argument("--n-max", type=int, default=CROSSCHECK_MAX_N - 1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
-
+    for command, (help_line, handler, positional, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if positional is not None:
+            dest, choices = positional
+            p.add_argument(dest, choices=choices)
+        for flag, dest, kind, default, option_help in options:
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true")
+            elif default is REQUIRED:
+                p.add_argument(flag, dest=dest, type=kind, required=True)
+            else:
+                p.add_argument(flag, dest=dest, type=kind, default=default, help=option_help)
+        p.set_defaults(fn=handler)
     return parser
 
 
+def _fast_parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed command line, read from COMMANDS as
+    build_parser's parser reads them: the exact subcommand, then its
+    positional and options in any order, each given at most once, an int
+    as ASCII decimal digits after an optional minus sign, and a string that
+    does not start with a dash.  None for anything else (help, an
+    abbreviation, --opt=value, --, a repeat, an unknown or missing
+    argument), which the parser then reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, positional, options = COMMANDS[argv[0]]
+    dest, choices = positional or (None, ())
+    by_flag = {option[0]: option for option in options}
+    args = {"command": argv[0], "fn": handler}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in by_flag:
+            if token not in choices or dest in args:
+                return None
+            args[dest] = token
+            continue
+        _, option_dest, kind, _, _ = by_flag[token]
+        if option_dest in args:
+            return None
+        if kind is bool:
+            args[option_dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None:
+            return None
+        if kind is int:
+            digits = value[1:] if value.startswith("-") else value
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() reads
+                return None
+        elif value.startswith("-"):
+            return None
+        args[option_dest] = value
+    if positional is not None and dest not in args:
+        return None
+    for _, option_dest, _, default, _ in options:
+        if option_dest not in args:
+            if default is REQUIRED:
+                return None
+            args[option_dest] = default
+    return SimpleNamespace(**args)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help and usage errors
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse handles --help and usage errors
+            return int(exc.code or 0)
     try:
         return args.fn(args)
     except ResourceLimitError as exc:

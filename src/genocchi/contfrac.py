@@ -8,7 +8,7 @@ affine form adds a constant plus a linear-headed J-style tail.
 Expansion is a path sum (Flajolet, Combinatorial aspects of continued
 fractions, 1980): a J-fraction's s^n coefficient sums weighted Motzkin paths
 of length n, an S-fraction's sums weighted Dyck paths of length 2n, both in
-one sweep of motzkin.path_sums.  The truncation order alone fixes which
+one sweep of walk.path_sums.  The truncation order alone fixes which
 levels are evaluated; there is no separate depth.  Heads default to the
 int 1, so an integer fraction's coefficients stay ints until PowerSeries
 holds them.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Union
 
 from .exactalg import IntPoly, PowerSeries, q_binomial
-from .motzkin import WeightSystem, path_sums
+from .walk import WeightSystem, path_sums
 
 # path_sums takes either kind, and PowerSeries makes every result an IntPoly
 Coeff = Union[int, IntPoly]
@@ -76,7 +76,7 @@ def expand(spec: CFSpec, order: int) -> PowerSeries:
     A J-fraction's s^n coefficient is the weighted Motzkin path sum of
     length n; an S-fraction's is the weighted Dyck path sum of length 2n,
     each fall to height m weighing c(m + 1).  One sweep of
-    motzkin.path_sums yields every coefficient through the order, and only
+    walk.path_sums yields every coefficient through the order, and only
     levels a path of that length can reach are evaluated.
     """
     if order < 0:

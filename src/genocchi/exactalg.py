@@ -1,8 +1,7 @@
 """Exact polynomial arithmetic over the integers, plus q-combinatorial primitives.
 
 Everything here is integer-exact: polynomials carry Python ints (arbitrary
-precision), divisions either succeed exactly or raise InexactDivisionError,
-and no floating point appears anywhere.
+precision), and no floating point appears anywhere.
 
 Types:
   IntPoly     dense polynomial in q, ascending coefficients, no trailing zeros
@@ -21,8 +20,6 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
-
-from .errors import InexactDivisionError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -219,38 +216,6 @@ def unpack_poly(value: int, width: int) -> IntPoly:
         coeffs.append(value & mask)
         value >>= width
     return IntPoly(coeffs)
-
-
-def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Exact division over integer polynomials.
-
-    Returns the quotient when num = quotient * den holds exactly; raises
-    InexactDivisionError otherwise (nonzero remainder, or a non-integer
-    leading quotient at any step).
-    """
-    if den.is_zero:
-        raise ValueError("division by the zero polynomial")
-    if num.is_zero:
-        return ZERO
-    if num.degree < den.degree:
-        raise InexactDivisionError(f"({num}) is not divisible by ({den})")
-    rem = list(num.coeffs)
-    d = den.coeffs
-    lead = d[-1]
-    qlen = len(rem) - len(d) + 1
-    quot = [0] * qlen
-    for i in range(qlen - 1, -1, -1):
-        c = rem[i + len(d) - 1]
-        if c % lead:
-            raise InexactDivisionError(f"({num}) is not divisible by ({den})")
-        qc = c // lead
-        quot[i] = qc
-        if qc:
-            for j, dj in enumerate(d):
-                rem[i + j] -= qc * dj
-    if any(rem):
-        raise InexactDivisionError(f"({num}) is not divisible by ({den})")
-    return IntPoly(quot)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ Three independent routes live here:
   * the same sum rewritten through Laurent-polynomial step weights, where a
     single power of q restores an ordinary polynomial.
 
-Path sums over a generic weight system are computed by level-indexed dynamic
-programming (path_sums, which also expands every continued fraction, and
-asks each weight once per height), and fermionic_exponent is the per-path
-reference the sweep is tested against.
+Path sums over a generic weight system (weighted_path_sum) run the
+level-indexed dynamic programming of walk.path_sums, which also expands
+every continued fraction and asks each weight once per height, and
+fermionic_exponent is the per-path reference the sweep is tested against.
 One rule checks a piece of a path, a run of consecutive heights: integers,
 then nonnegative, then each step within 1, raising the constructor's
 message at the first fault.  Two pieces join when a step of at most 1
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import gcd
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import limits
 from .errors import InternalInconsistencyError
@@ -38,7 +38,7 @@ from .exactalg import (
     poly_reverse,
     q_binomial,
 )
-from .walk import layered_sweep, layered_walk
+from .walk import WeightSystem, layered_sweep, layered_walk, path_sums
 
 
 class _MotzkinFields(NamedTuple):
@@ -133,70 +133,6 @@ def iter_motzkin(n: int) -> Iterator[tuple[int, ...]]:
         raise ValueError("path length must be nonnegative")
     limits.check_cap("motzkin", n)
     return ((0,) + heights for heights in layered_walk(*layers(n)))
-
-
-class WeightSystem(NamedTuple):
-    """Level-indexed step weights: flat steps at level m weigh gamma(m),
-    rises from m weigh alpha(m), falls to m weigh beta(m)."""
-
-    alpha: Callable[[int], object]
-    beta: Callable[[int], object]
-    gamma: Callable[[int], object]
-
-
-def path_sums(order: int, ws: WeightSystem) -> list:
-    """Sums of path weights for every length 0..order, in one transfer-matrix
-    sweep over a height-indexed list: entry n is the sum over all length-n
-    paths.
-
-    After k steps heights are capped at order - k, since a higher path
-    cannot return to 0 by step order.  Each of alpha, beta and gamma is asked
-    at most once per height, when a path first reaches it, and the answers
-    are kept for the call.  Steps of zero weight and heights of zero total
-    are skipped, so a length with no path of nonzero weight sums to the int
-    0.  Works for any exact coefficient kind closed under + and * (int,
-    Fraction, IntPoly, LaurentPoly); the int 1 seeds the empty product.
-    """
-    if order < 0:
-        raise ValueError("path length must be nonnegative")
-    # the weights of the steps out of height h: rise[h], flat[h], fall[h]
-    rise: list = []
-    flat: list = []
-    fall: list = [0]
-    level: list = [1]  # level[h]: the total of the paths that end at height h
-    sums: list = [1]
-    for k in range(order):
-        top = order - k - 1
-        peak = len(level) - 1
-        if peak == len(flat):  # a path reaches this height for the first time
-            if peak:
-                fall.append(ws.beta(peak - 1))
-            flat.append(ws.gamma(peak) if peak <= top else 0)
-            rise.append(ws.alpha(peak) if peak < top else 0)
-        nxt = [0] * min(peak + 2, top + 1)
-        for h, acc in enumerate(level):
-            if not acc:
-                continue
-            w = fall[h]
-            if w:
-                term = acc * w
-                below = nxt[h - 1]
-                nxt[h - 1] = below + term if below else term
-            if h <= top:
-                w = flat[h]
-                if w:
-                    term = acc * w
-                    here = nxt[h]
-                    nxt[h] = here + term if here else term
-                if h < top:
-                    w = rise[h]
-                    if w:
-                        nxt[h + 1] = acc * w  # the first term to reach h + 1
-        while nxt and not nxt[-1]:
-            nxt.pop()
-        level = nxt
-        sums.append(nxt[0] if nxt else 0)
-    return sums
 
 
 def weighted_path_sum(n: int, ws: WeightSystem):

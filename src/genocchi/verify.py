@@ -7,7 +7,7 @@ pass/fail/skipped line.  Failures are reported, never raised; the CLI turns
 a nonzero failure count into a nonzero exit status.
 
 Each identity compares two code paths that share no route-specific code
-(_disagreements, the n-by-n comparison of two routes, motzkin.path_sums,
+(_disagreements, the n-by-n comparison of two routes, walk.path_sums,
 IntPoly arithmetic, walk.layered_walk under the three walks and the Dumont
 oracle, and walk.layered_sweep under the Dellac, fermionic, closed-subset
 and triangle-pair sweeps are shared substrate):
@@ -17,8 +17,9 @@ and triangle-pair sweeps are shared substrate):
                     contraction (S-fractions never expand via contract_S_to_J)
   q1-hn-series      Motzkin walk of f1 at q=1 vs Dyck walk of the integer hn
   viennot-doubling  Dyck walk vs the Seidel triangle
-  hanzeng-reversal  the Han-Zeng recurrence in shift-and-add steps vs
-                    tilde_h's fermionic pair-state sweep
+  hanzeng-reversal  the Han-Zeng recurrence at the q-integers, in running
+                    sums with two exactness checks, vs tilde_h's fermionic
+                    pair-state sweep
   hq-three-way      Dellac used-row transfer sweep (h_poly_dellac) vs fermionic
                     pair-state sweep vs Laurent-weight sweep
   counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
@@ -104,7 +105,7 @@ class CheckReport(NamedTuple):
         }
 
     def table(self) -> str:
-        width = max(len(c.name) for c in self.checks)
+        width = max((len(c.name) for c in self.checks), default=0)
         lines = [
             f"{c.status.upper():7} {c.name:{width}}  {c.range:12} {c.detail}"
             for c in self.checks

@@ -5,9 +5,11 @@ route: q-integers and q-factorials against the q-Pascal binomials, the
 product of step weights along one path against the path sweep, the
 rational path sum in Fraction arithmetic against the one over a common
 power of two, the Dellac sweep with IntPoly totals against the packed one,
-and one triangle-pair filling checked mark by mark against the coverage
-census.  The program
-runs none of them, so they live here rather than in src/genocchi.  The file name does not match test_*.py, so pytest does not
+one triangle-pair filling checked mark by mark against the coverage
+census, and the bivariate Han-Zeng recurrence, stepped on x-coefficient
+lists with general exact division, against the table at the q-integers.
+The program runs none of them, so they live here rather than in
+src/genocchi.  The file name does not match test_*.py, so pytest does not
 collect it; test modules import it as `reference`.
 """
 
@@ -18,10 +20,11 @@ from fractions import Fraction
 
 from genocchi import limits
 from genocchi.dellac import layers
-from genocchi.errors import InternalInconsistencyError
+from genocchi.errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import ONE, ZERO, IntPoly
-from genocchi.motzkin import MotzkinPath, WeightSystem, iter_motzkin
-from genocchi.walk import layered_sweep
+from genocchi.hanzeng import HANZENG_MAX_N
+from genocchi.motzkin import MotzkinPath, iter_motzkin
+from genocchi.walk import WeightSystem, layered_sweep
 
 
 def q_int(n: int) -> IntPoly:
@@ -117,3 +120,90 @@ class TrianglePair:
             == sum(1 for i, j in self.m_marks if i <= k <= j)
             for k in range(1, n + 1)
         )
+
+
+def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
+    """Exact division over integer polynomials.
+
+    Returns the quotient when num = quotient * den holds exactly; raises
+    InexactDivisionError otherwise (nonzero remainder, or a non-integer
+    leading quotient at any step).
+    """
+    if den.is_zero:
+        raise ValueError("division by the zero polynomial")
+    if num.is_zero:
+        return ZERO
+    if num.degree < den.degree:
+        raise InexactDivisionError(f"({num}) is not divisible by ({den})")
+    rem = list(num.coeffs)
+    d = den.coeffs
+    lead = d[-1]
+    qlen = len(rem) - len(d) + 1
+    quot = [0] * qlen
+    for i in range(qlen - 1, -1, -1):
+        c = rem[i + len(d) - 1]
+        if c % lead:
+            raise InexactDivisionError(f"({num}) is not divisible by ({den})")
+        qc = c // lead
+        quot[i] = qc
+        if qc:
+            for j, dj in enumerate(d):
+                rem[i + j] -= qc * dj
+    if any(rem):
+        raise InexactDivisionError(f"({num}) is not divisible by ({den})")
+    return IntPoly(quot)
+
+
+def _times_one_plus_qx(c: list[IntPoly]) -> list[IntPoly]:
+    # (1 + qx) * sum c_i x^i, as x-coefficients
+    return [a + b.shift(1) for a, b in zip(c + [ZERO], [ZERO] + c)]
+
+
+def _over_divisor(b: list[IntPoly]) -> list[IntPoly]:
+    """The exact quotient of sum b_i x^i by 1 + qx - x, ascending in x:
+    u_i = b_i + u_{i-1} - q u_{i-1}.  The term past the quotient's top is
+    the remainder; InexactDivisionError when it is not zero."""
+    u = ZERO
+    quotient = []
+    for c in b:
+        u = c + u - u.shift(1)
+        quotient.append(u)
+    if quotient.pop():
+        raise InexactDivisionError("bivariate division leaves a remainder")
+    return quotient
+
+
+def _substitute(c: list[IntPoly]) -> list[IntPoly]:
+    """Substitute x -> 1 + qx by Horner: sum c_i (1 + qx)^i, as x-coefficients."""
+    out: list[IntPoly] = []
+    for a in reversed(c):
+        out = _times_one_plus_qx(out)
+        out[0] = out[0] + a
+    return out
+
+
+def _step(prev: list[IntPoly]) -> list[IntPoly]:
+    """C_n from C_{n-1}: (1 + qx) (C_{n-1}(1 + qx) (1 + qx) - x C_{n-1}(x))
+    divided by 1 + qx - x."""
+    bracket = _times_one_plus_qx(_substitute(prev))
+    for i, c in enumerate(prev, start=1):
+        bracket[i] = bracket[i] - c
+    return _times_one_plus_qx(_over_divisor(bracket))
+
+
+def hanzeng_C(n: int) -> tuple[IntPoly, ...]:
+    """The n-th recurrence polynomial in x and q, as its x-coefficient tuple
+    (n entries, the last one nonzero)."""
+    if n < 1:
+        raise ValueError("index must be positive")
+    if n > HANZENG_MAX_N:
+        raise ResourceLimitError(f"Han-Zeng recurrence capped at n={HANZENG_MAX_N}")
+    coeffs = [ONE]
+    for k in range(2, n + 1):
+        try:
+            coeffs = _step(coeffs)
+        except InexactDivisionError as exc:
+            raise InternalInconsistencyError(
+                f"recurrence step n={k} is not divisible by 1 + qx - x"
+            ) from exc
+    return tuple(coeffs)

@@ -14,7 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from genocchi import admissible, dellac, hanzeng, iter_admissible, iter_dellac, iter_motzkin, motzkin
 from genocchi.admissible import AdmissibleSequence
-from genocchi.cli import SEQ_MAX_COUNT, SERIES_MAX_ORDER, WRITE_BLOCK_LINES, run
+from genocchi.cli import (
+    COMMANDS,
+    SEQ_MAX_COUNT,
+    SERIES_MAX_ORDER,
+    WRITE_BLOCK_LINES,
+    _decimals,
+    _fast_parse,
+    build_parser,
+    run,
+)
 from genocchi.dellac import DellacConfig
 from genocchi.errors import InternalInconsistencyError
 from genocchi.motzkin import MotzkinPath
@@ -206,6 +215,32 @@ def test_series_json_round_trip(capsys):
         "coeffs": [{"coeffs": ["1"]}, {"coeffs": ["1"]}, {"coeffs": ["2"]}, {"coeffs": ["7"]}],
     }
     assert json.dumps(data, separators=(",", ":")) == raw
+
+
+@given(st.lists(st.integers().map(str)))
+def test_decimal_arrays_are_what_json_writes(values):
+    assert _decimals(values) == json.dumps(values, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "genocchi1", "--count", "4"],
+        ["seq", "H", "--count", "1"],
+        ["poly", "barc", "--n", "5"],
+        ["poly", "tildehq", "--n", "0"],
+        ["series", "f1", "--order", "3"],
+        ["series", "custom", "--order", "4", "--spec", "@signed.json"],
+        ["enumerate", "motzkin", "--n", "3", "--limit", "1"],
+    ],
+    ids=" ".join,
+)
+def test_hand_written_payloads_are_what_json_writes(tmp_path, argv):
+    # every payload but the verify report is written without json
+    (tmp_path / "signed.json").write_text('{"kind": "J", "gamma": [-3, 0, 2], "lambda": [-1, 5]}')
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    for line in output_lines(argv + ["--json"]):
+        assert json.dumps(json.loads(line), separators=(",", ":")) == line
 
 
 def test_series_custom_catalan(tmp_path, capsys):
@@ -665,6 +700,191 @@ def test_env_cap_past_the_int_digit_limit_is_a_usage_error(monkeypatch, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+HELP = {
+    (): """\
+usage: genocchi [-h] {seq,poly,enumerate,count,series,verify} ...
+
+Median Genocchi numbers and their q-analogues, exactly.
+
+positional arguments:
+  {seq,poly,enumerate,count,series,verify}
+    seq                 print the first terms of a sequence
+    poly                print one q-polynomial
+    enumerate           stream combinatorial objects
+    count               run a brute-force oracle count
+    series              expand a continued fraction
+    verify              run the cross-check matrix
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("seq",): """\
+usage: genocchi seq [-h] --count COUNT [--json] {h,H,genocchi1}
+
+positional arguments:
+  {h,H,genocchi1}
+
+options:
+  -h, --help       show this help message and exit
+  --count COUNT
+  --json
+""",
+    ("poly",): """\
+usage: genocchi poly [-h] --n N [--json] {hq,tildehq,barc}
+
+positional arguments:
+  {hq,tildehq,barc}
+
+options:
+  -h, --help         show this help message and exit
+  --n N
+  --json
+""",
+    ("enumerate",): """\
+usage: genocchi enumerate [-h] --n N [--limit LIMIT] [--json]
+                          {dellac,admissible,motzkin}
+
+positional arguments:
+  {dellac,admissible,motzkin}
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --limit LIMIT
+  --json
+""",
+    ("count",): """\
+usage: genocchi count [-h] --n N {dumont,triangles}
+
+positional arguments:
+  {dumont,triangles}
+
+options:
+  -h, --help          show this help message and exit
+  --n N
+""",
+    ("series",): """\
+usage: genocchi series [-h] --order ORDER [--spec SPEC] [--json]
+                       {f1,f2,hn,viennot,custom}
+
+positional arguments:
+  {f1,f2,hn,viennot,custom}
+
+options:
+  -h, --help            show this help message and exit
+  --order ORDER
+  --spec SPEC           JSON spec file for 'custom'
+  --json
+""",
+    ("verify",): """\
+usage: genocchi verify [-h] [--n-max N_MAX] [--seed SEED] [--json]
+
+options:
+  -h, --help     show this help message and exit
+  --n-max N_MAX
+  --seed SEED
+  --json
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: " ".join(c) or "top")
+def test_help_text_golden(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    assert run([*command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == HELP[command]
+    assert captured.err == ""
+
+
+USAGE_ERRORS = [
+    (["frobnicate"], 2, "genocchi: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'seq', 'poly', 'enumerate', 'count', 'series', 'verify')\n"),
+    (["seq", "nope", "--count", "3"], 2,
+     "genocchi seq: error: argument name: invalid choice: 'nope' (choose from 'h', 'H', 'genocchi1')\n"),
+    (["seq", "h"], 2, "genocchi seq: error: the following arguments are required: --count\n"),
+    (["series", "custom", "--order", "3"], 2, "error: series custom requires --spec FILE\n"),
+    (["series", "f1", "--order", "3", "--spec", "x.json"], 2, "error: --spec applies only to 'series custom'\n"),
+    (["verify", "--n-max", "99"], 2, "error: n_max must be between 1 and 8\n"),
+    (["seq", "h", "--count", "0"], 2, "error: --count must be positive\n"),
+    (["seq", "h", "--cou", "3"], 0, ""),  # argparse reads the abbreviation
+]
+
+
+@pytest.mark.parametrize("argv, status, err", USAGE_ERRORS, ids=[" ".join(a) for a, _, _ in USAGE_ERRORS])
+def test_usage_error_lines_are_unchanged(capsys, argv, status, err):
+    assert run(argv) == status
+    assert capsys.readouterr().err == err
+
+
+@lru_cache(maxsize=None)
+def full_parser():
+    return build_parser()
+
+
+# every word of the grammar, and what only the full parser reads or refuses:
+# abbreviations, --opt=value, --, help, repeats, ints argparse's int() reads
+# (signs, spaces, underscores, full-width and Arabic-Indic digits) and stray words
+WORDS = sorted(
+    {
+        *COMMANDS,
+        *(choice for _, _, pos, _ in COMMANDS.values() if pos for choice in pos[1]),
+        *(option[0] for _, _, _, options in COMMANDS.values() for option in options),
+        "--cou", "--n-m", "--lim", "--js", "--ord", "--se", "--n=5", "--count=3", "--json=1",
+        "--", "-h", "--help", "-", "", "stray", "x.json", "-x.json",
+    }
+)
+VALUES = ["0", "3", "-2", "-0", "007", str(10**30), "+5", " 5", "1_0", "\uff15", "\u0663", "2.5", "abc", "x.json"]
+TOKENS = st.sampled_from(WORDS + VALUES)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's positional and option pairs in a drawn order, with
+    stray tokens dropped in: many well-formed lines, and many near misses."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    _, _, positional, options = COMMANDS[command]
+    usually = st.sampled_from([True, True, True, False])
+    parts = [[draw(st.sampled_from(positional[1]))]] if positional and draw(usually) else []
+    for flag, _, kind, _, _ in options:
+        if draw(usually):
+            well_formed = st.integers(-3, 60).map(str) if kind is int else st.just("x.json")
+            value = st.sampled_from([well_formed, well_formed, well_formed, TOKENS]).flatmap(lambda v: v)
+            parts.append([flag] if kind is bool else [flag, draw(value)])
+    parts = draw(st.permutations(parts))
+    stray = st.lists(st.tuples(st.integers(0, len(parts)), TOKENS), min_size=1, max_size=2)
+    for at, token in draw(st.sampled_from([st.just([]), st.just([]), stray]).flatmap(lambda v: v)):
+        parts.insert(at, [token])
+    return [command] + [token for part in parts for token in part]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.one_of(command_lines(), command_lines(), st.lists(TOKENS, max_size=7)))
+def test_the_fast_parse_agrees_with_argparse_wherever_it_reads(argv):
+    fast = _fast_parse(argv)
+    if fast is not None:
+        assert vars(fast) == vars(full_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "h", "--count", "7"],
+        ["poly", "--json", "--n", "24", "barc"],
+        ["enumerate", "motzkin", "--limit", "-1", "--n", "4"],
+        ["count", "dumont", "--n", "3"],
+        ["series", "custom", "--spec", "s.json", "--order", "4", "--json"],
+        ["verify"],
+        ["verify", "--seed", "-3", "--n-max", "5", "--json"],
+    ],
+    ids=" ".join,
+)
+def test_a_well_formed_line_takes_the_fast_parse(argv):
+    fast = _fast_parse(argv)
+    assert fast is not None
+    assert vars(fast) == vars(full_parser().parse_args(argv))
 
 
 def read_one_line_then_close(argv):

@@ -15,12 +15,11 @@ from genocchi.exactalg import (
     LaurentPoly,
     PowerSeries,
     pack_poly,
-    poly_exact_div,
     poly_reverse,
     q_binomial,
     unpack_poly,
 )
-from reference import q_factorial, q_int
+from reference import poly_exact_div, q_factorial, q_int
 
 
 def P(*coeffs):

@@ -2,9 +2,10 @@ import pytest
 
 from genocchi.errors import ResourceLimitError
 from genocchi.exactalg import IntPoly, ONE, Q, ZERO
-from genocchi.hanzeng import HANZENG_MAX_N, _substitute, hanzeng_C, hanzeng_barc
+from genocchi.hanzeng import HANZENG_MAX_N, hanzeng_barc
 from genocchi.motzkin import tilde_h
 from genocchi.seidel import normalized_h
+from reference import _substitute, hanzeng_C, poly_exact_div
 
 # frozen by a hand-executed run of the recurrence, as x-coefficient tuples:
 # C_2 = 1 + qx, C_3 = (1+q)(1+qx)^2
@@ -37,6 +38,16 @@ def test_substitution_examples():
 @pytest.mark.parametrize("n, coeffs", sorted(BARC.items()))
 def test_normalized_polynomials_golden(n, coeffs):
     assert hanzeng_barc(n) == IntPoly(coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_the_q_integer_table_equals_the_bivariate_recurrence(n):
+    # C_n(1, q) / (1+q)^(n-1) from the x-coefficient lists, divided by the
+    # general exact division
+    at_one = sum(hanzeng_C(n), ZERO)
+    for _ in range(n - 1):
+        at_one = poly_exact_div(at_one, ONE + Q)
+    assert hanzeng_barc(n) == at_one
 
 
 @pytest.mark.parametrize("n", range(0, 15))

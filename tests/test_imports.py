@@ -1,6 +1,8 @@
 """What a command loads: each subcommand imports only its own route, no
-command imports dataclasses or fractions, and the package namespace loads a
-name's home module on first use.  The import sets are read in a fresh
+command imports dataclasses or fractions, a well-formed command line is
+read without argparse and written without json (save the verify report and
+the spec files), and the package namespace loads a name's home module
+on first use.  The import sets are read in a fresh
 interpreter, since this process has loaded everything.
 What the commands reach: every function the package defines runs in some
 command, save a few listed with their reasons."""
@@ -87,7 +89,7 @@ def test_enumerate_loads_only_its_model():
 
 def test_a_public_name_loads_its_home_module_on_first_use():
     assert modules_after("import genocchi") == set()
-    assert modules_after("import genocchi; genocchi.IntPoly") == {"errors", "exactalg"}
+    assert modules_after("import genocchi; genocchi.IntPoly") == {"exactalg"}
 
 
 @pytest.mark.parametrize("name", genocchi.__all__)
@@ -97,7 +99,9 @@ def test_every_public_name_is_its_home_modules_object(name):
     assert vars(genocchi)[name] is value  # bound on first use
 
 
-@pytest.mark.parametrize("name", ["q_int", "q_factorial", "TrianglePair", "genocchi_first"])
+@pytest.mark.parametrize(
+    "name", ["q_int", "q_factorial", "TrianglePair", "genocchi_first", "hanzeng_C", "poly_exact_div"]
+)
 def test_a_name_only_tests_used_is_not_public(name):
     # the references live in tests/reference.py; genocchi_first_sequence
     # serves for the single number
@@ -223,6 +227,24 @@ def test_no_command_loads_a_heavy_standard_module(argv, spec_dir, bare_modules):
     assert not added & HEAVY
     if argv[:2] in (["enumerate", "dellac"], ["enumerate", "admissible"]):
         assert "genocchi.exactalg" not in added  # the stream does no polynomial arithmetic
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_json(bare_modules):
+    assert not (all_modules_after("import genocchi.cli") - bare_modules) & {"argparse", "json"}
+
+
+@pytest.mark.parametrize("argv", [argv for status, argv in REACH_RUNS if status == 0], ids=" ".join)
+def test_a_well_formed_command_line_skips_argparse_and_json(argv, spec_dir, bare_modules):
+    added = all_modules_after(RUN_CLI, *with_specs(argv, spec_dir)) - bare_modules
+    assert "argparse" not in added
+    if argv[0] != "verify" and "custom" not in argv:  # the report and the spec reader use json
+        assert "json" not in added
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in REACH_RUNS if argv[0] == "series"], ids=" ".join)
+def test_a_series_command_loads_only_the_path_sweep(argv, spec_dir):
+    # contfrac expands by walk.path_sums; motzkin.py is not compiled
+    assert loaded(*with_specs(argv, spec_dir)) == FRONT | {"contfrac", "walk", "exactalg"}
 
 
 def test_the_commands_reach_every_member_the_package_defines(spec_dir):

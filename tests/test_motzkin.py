@@ -15,7 +15,6 @@ from genocchi.exactalg import IntPoly, LaurentPoly, ONE
 from genocchi.dellac import h_poly_dellac
 from genocchi.motzkin import (
     MotzkinPath,
-    WeightSystem,
     fermionic_exponent,
     h_motzkin_rational,
     h_poly_fermionic,
@@ -23,12 +22,12 @@ from genocchi.motzkin import (
     integer_weight_system,
     iter_motzkin,
     laurent_weight_system,
-    path_sums,
     q_binomial_or_zero,
     tilde_h,
     weighted_path_sum,
 )
 from genocchi.seidel import normalized_h
+from genocchi.walk import WeightSystem, path_sums
 from reference import h_motzkin_rational_fraction, path_weight, step_weight
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]

@@ -1,8 +1,9 @@
 import pytest
 
 from genocchi import admissible, dellac, hanzeng, verify
-from genocchi.errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
-from genocchi.exactalg import ZERO, IntPoly
+from genocchi.errors import InternalInconsistencyError, ResourceLimitError
+from genocchi.exactalg import IntPoly
+from genocchi.hanzeng import _over_q_power
 from genocchi.verify import CROSSCHECK_MAX_N, CheckReport, crosscheck
 
 EXPECTED_CHECKS = {
@@ -70,6 +71,10 @@ def test_table_rendering():
     assert "0 failure(s)" in table
 
 
+def test_a_report_without_checks_renders_only_its_summary():
+    assert CheckReport(n_max=1, seed=0).table() == "0 checks, 0 failure(s), seed=0"
+
+
 def test_json_shape():
     data = crosscheck(2).json_dict()
     assert set(data) == {"n_max", "seed", "checks", "failures"}
@@ -99,19 +104,14 @@ def test_corrupted_window_fails_the_polynomial_check(monkeypatch):
     )
 
 
-def over_one_plus_qx(b):
-    # the Han-Zeng division with the wrong divisor 1 + qx
-    u, quotient = ZERO, []
-    for c in b:
-        u = c - u.shift(1)
-        quotient.append(u)
-    if quotient.pop():
-        raise InexactDivisionError("bivariate division leaves a remainder")
-    return quotient
+def over_q_power_too_high(p, j):
+    # the Han-Zeng division with the wrong divisor q (1 + qx - x), which is
+    # q^(j+1) at x = [j]_q
+    return _over_q_power(p, j + 1)
 
 
 def test_wrong_hanzeng_divisor_fails_the_reversal_check(monkeypatch):
-    monkeypatch.setattr(hanzeng, "_over_divisor", over_one_plus_qx)
+    monkeypatch.setattr(hanzeng, "_over_q_power", over_q_power_too_high)
     by_name = {c.name: c for c in crosscheck(3).checks}
     assert by_name["hanzeng-reversal"].status == "fail"
     assert "InternalInconsistencyError('recurrence step n=2" in by_name["hanzeng-reversal"].detail
