@@ -12,6 +12,10 @@ read from that table directly; anything else (help, an abbreviation,
 --opt=value, a usage error) goes to the argparse parser built from the same
 table, so importing this module loads neither argparse nor json.
 
+enumerate writes its lines through stream.py, which checks, joins and
+encodes each piece the walk shares once.  A spec file for series custom
+must be a regular file of at most SPEC_MAX_BYTES.
+
 Exit status: 0 success, 1 verification failures, 2 usage error, 3 resource
 limit exceeded, 4 internal error (a broken identity or any other uncaught
 exception, reported as one `internal error:` line), 141 (128 + SIGPIPE)
@@ -47,11 +51,10 @@ BROKEN_PIPE = 141
 # a q-fraction expansion climbs steeply with the order
 SEQ_MAX_COUNT = 900
 SERIES_MAX_ORDER = 64
-
-# enumerate writes its lines in blocks of this many (about 18 KB of Dellac
-# JSON at n = 7): one system call per block, not per line, where stdout is
-# unbuffered; larger blocks were no faster and hold more memory
-WRITE_BLOCK_LINES = 256
+# a spec file is read to at most this many bytes, so a device or a huge file
+# cannot exhaust memory; a few hundred coefficients of the 4300 digits an
+# int may print fit, against the SERIES_MAX_ORDER + 1 a spec can use
+SPEC_MAX_BYTES = 1 << 20
 
 
 def _decimals(values) -> str:
@@ -118,14 +121,18 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .walk import layered_blocks, layered_sweep
+    from .stream import write_lines
+    from .walk import layered_sweep
 
     if args.model == "dellac":
-        from .dellac import DellacConfig as build, iter_dellac as walk, layers, stream_pieces
+        from . import dellac as model
+        from .dellac import DellacConfig as build, iter_dellac as walk
     elif args.model == "admissible":
-        from .admissible import AdmissibleSequence as build, iter_admissible as walk, layers, stream_pieces
+        from . import admissible as model
+        from .admissible import AdmissibleSequence as build, iter_admissible as walk
     else:
-        from .motzkin import MotzkinPath, iter_motzkin as walk, layers, stream_pieces
+        from . import motzkin as model
+        from .motzkin import MotzkinPath, iter_motzkin as walk
 
         def build(n, heights):
             return MotzkinPath(heights)
@@ -135,40 +142,18 @@ def _cmd_enumerate(args) -> int:
     items = walk(args.n)  # checks n, before anything is walked
     # a blank line closes each Dellac grid in text mode
     end = "\n\n" if args.model == "dellac" and not args.json else "\n"
-    prefix_piece, tail_piece, joined = stream_pieces(args.n, args.json, end)
-    write = sys.stdout.write
-    # each state's tails, checked and encoded once for this stream
-    tails_of: dict = {}
-    block: list[str] = []
-    written = 0  # the objects in blocks already written
-    for prefix, state, tails in layered_blocks(*layers(args.n)):
-        summary, text = _checked(prefix_piece, prefix)
-        pieces = tails_of.get(state)
-        if pieces is None:
-            pieces = tails_of[state] = [_checked(tail_piece, tail, len(prefix)) for tail in tails]
-        if args.limit is not None:
-            pieces = pieces[: args.limit - written - len(block)]
-        for tail_summary, pair in pieces:
-            if not joined(summary, tail_summary):
-                # n was checked above, so an object its walk yields and its
-                # rules reject is a fault of the walk; the lines before it
-                # still go out
-                write("".join(block))
-                return _walk_fault(build, args.n, items, written + len(block))
-            block.append(text.join(pair))  # the tail's before, the prefix, its after
-            if len(block) == WRITE_BLOCK_LINES:
-                write("".join(block))
-                written += len(block)
-                block.clear()
-        if written + len(block) == args.limit:
-            break
-    write("".join(block))
+    stop = sys.maxsize if args.limit is None else args.limit
+    written, faulty = write_lines(sys.stdout.write, model, args.n, args.json, end, stop)
+    if faulty:
+        # n was checked above, so an object its walk yields and its rules
+        # reject is a fault of the walk
+        return _walk_fault(build, args.n, items, written)
 
     if args.limit is None:
-        total = written + len(block)
+        total = written
     elif args.model == "motzkin":
         # the walk's own layers, swept over heights: the total visits no path
-        swept = layered_sweep(*layers(args.n), lambda level, state, item, runs: runs)
+        swept = layered_sweep(*model.layers(args.n), lambda level, state, item, runs: runs)
         total = sum(swept.values())
     else:
         from .seidel import normalized_h
@@ -180,15 +165,6 @@ def _cmd_enumerate(args) -> int:
     else:
         print(f"total {total}")
     return 0
-
-
-def _checked(piece, *args):
-    """A stream piece's (summary, text), or (None, None) when its check
-    raises; the object's constructor then names the fault."""
-    try:
-        return piece(*args)
-    except (TypeError, ValueError):
-        return None, None
 
 
 def _walk_fault(build, n: int, items, index: int) -> int:
@@ -217,15 +193,28 @@ def _cmd_series(args) -> int:
     if args.name == "custom":
         if not args.spec:
             raise ValueError("series custom requires --spec FILE")
+        import io
         import json
+        import stat
 
-        with open(args.spec, encoding="utf-8") as fh:
-            try:
-                spec = spec_from_dict(json.load(fh))
-            except RecursionError:
-                raise ValueError(f"{args.spec}: JSON nested too deeply") from None
-            except ValueError as exc:  # malformed JSON, or a field of the wrong kind
-                raise ValueError(f"{args.spec}: {exc}") from None
+        # opened without blocking, so that a FIFO with no writer is refused, not waited on
+        fd = os.open(args.spec, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise ValueError(f"{args.spec}: not a regular file")
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read(SPEC_MAX_BYTES + 1)
+        finally:
+            os.close(fd)
+        if len(data) > SPEC_MAX_BYTES:
+            raise ResourceLimitError(f"{args.spec}: spec files are capped at {SPEC_MAX_BYTES} bytes")
+        try:
+            # decoded as a text-mode read of the file decodes it
+            spec = spec_from_dict(json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()))
+        except RecursionError:
+            raise ValueError(f"{args.spec}: JSON nested too deeply") from None
+        except ValueError as exc:  # malformed JSON or UTF-8, or a field of the wrong kind
+            raise ValueError(f"{args.spec}: {exc}") from None
     else:
         if args.spec:
             raise ValueError("--spec applies only to 'series custom'")

@@ -8,7 +8,7 @@ affine form adds a constant plus a linear-headed J-style tail.
 Expansion is a path sum (Flajolet, Combinatorial aspects of continued
 fractions, 1980): a J-fraction's s^n coefficient sums weighted Motzkin paths
 of length n, an S-fraction's sums weighted Dyck paths of length 2n, both in
-one sweep of walk.path_sums.  The truncation order alone fixes which
+one sweep of pathsums.path_sums.  The truncation order alone fixes which
 levels are evaluated; there is no separate depth.  Heads default to the
 int 1, so an integer fraction's coefficients stay ints until PowerSeries
 holds them.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Union
 
 from .exactalg import IntPoly, PowerSeries, q_binomial
-from .walk import WeightSystem, path_sums
+from .pathsums import WeightSystem, path_sums
 
 # path_sums takes either kind, and PowerSeries makes every result an IntPoly
 Coeff = Union[int, IntPoly]
@@ -76,23 +76,30 @@ def expand(spec: CFSpec, order: int) -> PowerSeries:
     A J-fraction's s^n coefficient is the weighted Motzkin path sum of
     length n; an S-fraction's is the weighted Dyck path sum of length 2n,
     each fall to height m weighing c(m + 1).  One sweep of
-    walk.path_sums yields every coefficient through the order, and only
+    pathsums.path_sums yields every coefficient through the order, and only
     levels a path of that length can reach are evaluated.
     """
+    return PowerSeries(order, coefficients(spec, order))
+
+
+def coefficients(spec: CFSpec, order: int) -> list:
+    """The s^0..s^order coefficients of expand, before PowerSeries holds
+    them: in whatever ring the spec's weights lie, with an int for a
+    coefficient that no weight reaches."""
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     if isinstance(spec, JFraction):
         sums = _j_sums(spec.gamma, spec.lam, order)
-        return PowerSeries(order, [spec.head * v for v in sums])
+        return [spec.head * v for v in sums]
     if isinstance(spec, SFraction):
         cs = [spec.c(k) for k in range(1, order + 1)]
         dyck = WeightSystem(alpha=lambda m: 1, beta=cs.__getitem__, gamma=lambda m: 0)
         sums = path_sums(2 * order, dyck)
-        return PowerSeries(order, [spec.c0 * v for v in sums[::2]])
+        return [spec.c0 * v for v in sums[::2]]
     if isinstance(spec, AffineSFraction):
         # the tail's outermost level holds gamma(1), with lam(1) s^2 below it
         tail = _j_sums(lambda k: spec.gamma(k + 1), spec.lam, order - 1) if order else []
-        return PowerSeries(order, [spec.head] + [spec.linear * v for v in tail])
+        return [spec.head] + [spec.linear * v for v in tail]
     raise TypeError(f"not a continued-fraction spec: {spec!r}")
 
 

@@ -16,8 +16,12 @@ message at the first fault.  The piece's used rows come back as a bitmask,
 and two pieces join when they hold n columns in all and their masks
 together mark 2n rows.  DellacConfig checks the column count and its
 columns as one piece; the enumerate stream checks each prefix and each
-shared tail of the walk once, joins them per configuration, and writes
-each piece's columns once.
+shared tail of the walk once, joins a prefix's mask to a state's tails
+once, and writes each piece's columns once.
+
+The walk shares its last SHARED_LEVELS = 4 columns: the completion lists
+hold one run per way to finish each used-row mask met four columns from
+the end.  At the cap n = 8 that is 6,880 runs from 70 masks, about 0.5 MB.
 """
 
 from __future__ import annotations
@@ -141,6 +145,11 @@ def _column_pairs(n: int, col: int, used: int) -> Iterable[tuple[int, int]]:
     return [(a, b) for i, a in enumerate(free) if a <= col for b in free[i + 1 :]]
 
 
+# few used-row masks remain four columns from the end, so sharing four
+# columns checks and encodes far fewer pieces than three (see the module's bound)
+SHARED_LEVELS = 4
+
+
 def layers(n: int):
     """The walk behind iter_dellac, unchecked: (depth, root, choices) for n
     columns from the empty used-row mask, each column marking a pair from
@@ -164,7 +173,7 @@ def iter_dellac(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n < 1:
         raise ValueError("grid size must be positive")
     limits.check_cap("dellac", n)
-    return layered_walk(*layers(n))
+    return layered_walk(*layers(n), SHARED_LEVELS)
 
 
 def dellac_length(config: DellacConfig) -> int:

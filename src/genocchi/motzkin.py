@@ -10,7 +10,7 @@ Three independent routes live here:
     single power of q restores an ordinary polynomial.
 
 Path sums over a generic weight system (weighted_path_sum) run the
-level-indexed dynamic programming of walk.path_sums, which also expands
+level-indexed dynamic programming of pathsums.path_sums, which also expands
 every continued fraction and asks each weight once per height, and
 fermionic_exponent is the per-path reference the sweep is tested against.
 One rule checks a piece of a path, a run of consecutive heights: integers,
@@ -18,27 +18,27 @@ then nonnegative, then each step within 1, raising the constructor's
 message at the first fault.  Two pieces join when a step of at most 1
 leads across and the path starts and ends at height 0.  MotzkinPath checks
 its ends and its heights as one piece; the enumerate stream checks each
-prefix and each shared tail of the walk once, joins them per path, and
-writes each piece's heights once.
+prefix and each shared tail of the walk once, joins a prefix's end height
+to a state's tails once, and writes each piece's heights once.
+
+The walk shares its last SHARED_LEVELS = 6 steps.  A path six steps from
+its end is at most 6 high, so the completion lists hold 267 runs from at
+most 7 heights, whatever the length: about 0.05 MB.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import limits
 from .errors import InternalInconsistencyError
-from .exactalg import (
-    IntPoly,
-    LaurentPoly,
-    ONE,
-    ZERO,
-    poly_reverse,
-    q_binomial,
-)
-from .walk import WeightSystem, layered_sweep, layered_walk, path_sums
+from .walk import layered_sweep, layered_walk
+
+if TYPE_CHECKING:
+    from .exactalg import IntPoly, LaurentPoly
+    from .pathsums import WeightSystem
 
 
 class _MotzkinFields(NamedTuple):
@@ -114,6 +114,11 @@ def stream_pieces(n: int, as_json: bool, end: str):
     return prefix_piece, tail_piece, _joined
 
 
+# the state is only the height, so six shared steps cost 267 runs at any
+# length (see the module's bound) and leave few prefixes to walk
+SHARED_LEVELS = 6
+
+
 def layers(n: int):
     """The walk behind iter_motzkin, unchecked: (depth, root, choices) for n
     steps from height 0, step k going to a height within 1 of the last
@@ -132,11 +137,13 @@ def iter_motzkin(n: int) -> Iterator[tuple[int, ...]]:
     if n < 0:
         raise ValueError("path length must be nonnegative")
     limits.check_cap("motzkin", n)
-    return ((0,) + heights for heights in layered_walk(*layers(n)))
+    return ((0,) + heights for heights in layered_walk(*layers(n), SHARED_LEVELS))
 
 
 def weighted_path_sum(n: int, ws: WeightSystem):
     """Sum of path weights over all length-n paths (see path_sums)."""
+    from .pathsums import path_sums  # enumerate needs no path sweep
+
     limits.check_cap("motzkin", n)
     return path_sums(n, ws)[n]
 
@@ -144,12 +151,16 @@ def weighted_path_sum(n: int, ws: WeightSystem):
 def integer_weight_system() -> WeightSystem:
     """The integer weights whose path sum gives h(n) directly:
     alpha(m) = beta(m) = (m+1)(m+2)/2, gamma(m) = (m+1)^2."""
+    from .pathsums import WeightSystem
+
     half_pair = lambda m: (m + 1) * (m + 2) // 2
     return WeightSystem(alpha=half_pair, beta=half_pair, gamma=lambda m: (m + 1) ** 2)
 
 
 def laurent_weight_system() -> WeightSystem:
     """Laurent-polynomial weights whose path sum is q^(-n(n-1)/2) h_n(q)."""
+    from .exactalg import LaurentPoly, q_binomial
+    from .pathsums import WeightSystem
 
     def alpha(m: int) -> LaurentPoly:
         return LaurentPoly(-3 * m, q_binomial(m + 2, 2))
@@ -186,6 +197,8 @@ def h_motzkin_rational(n: int) -> int:
 def q_binomial_or_zero(m: int, n: int) -> IntPoly:
     """Gaussian binomial extended by zero when the lower index exceeds the
     upper; makes the unrestricted product sum agree with the path sum."""
+    from .exactalg import IntPoly, q_binomial
+
     if n < 0 or n > m:
         return IntPoly()
     return q_binomial(m, n)
@@ -208,6 +221,8 @@ def h_poly_fermionic(n: int) -> IntPoly:
     height triple, and shifts by (k - f_k)(1 - f_k + f_{k+1}).  Index 0
     carries no factor.
     """
+    from .exactalg import ONE, ZERO
+
     if n < 1:
         raise ValueError("n must be positive")
     limits.check_cap("motzkin", n)
@@ -248,6 +263,8 @@ def h_poly_laurent(n: int) -> IntPoly:
 
 def tilde_h(n: int) -> IntPoly:
     """The coefficient-reversed polynomial q^(n(n-1)/2) h_n(1/q)."""
+    from .exactalg import ONE, poly_reverse
+
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:

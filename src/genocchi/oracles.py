@@ -13,6 +13,8 @@ from .walk import layered_sweep, layered_walk
 
 DUMONT_MAX_N = 4  # search space is S_{2n+2}; 10! is the practical ceiling
 TRIANGLE_MAX_N = 6
+# the Dumont walk lists its last three positions once per placed-value mask
+SHARED_LEVELS = 3
 
 
 def count_dumont(n: int) -> int:
@@ -50,7 +52,7 @@ def dumont_permutations(n: int) -> Iterator[tuple[int, ...]]:
                 continue  # 2k must come before 2k+1
             yield v, placed | 1 << v
 
-    return layered_walk(size, 0, choices)
+    return layered_walk(size, 0, choices, SHARED_LEVELS)
 
 
 def _coverage_census(n: int, left_anchored: bool) -> dict[int, int]:

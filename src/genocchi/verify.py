@@ -7,14 +7,15 @@ pass/fail/skipped line.  Failures are reported, never raised; the CLI turns
 a nonzero failure count into a nonzero exit status.
 
 Each identity compares two code paths that share no route-specific code
-(_disagreements, the n-by-n comparison of two routes, walk.path_sums,
+(_disagreements, the n-by-n comparison of two routes, pathsums.path_sums,
 IntPoly arithmetic, walk.layered_walk under the three walks and the Dumont
 oracle, and walk.layered_sweep under the Dellac, fermionic, closed-subset
 and triangle-pair sweeps are shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
                     path sweep vs tilde_h's fermionic pair-state sweep
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
-                    contraction (S-fractions never expand via contract_S_to_J)
+                    contraction (S-fractions never expand via contract_S_to_J);
+                    the random instances expand together, one int lane each
   q1-hn-series      Motzkin walk of f1 at q=1 vs Dyck walk of the integer hn
   viennot-doubling  Dyck walk vs the Seidel triangle
   hanzeng-reversal  the Han-Zeng recurrence at the q-integers, in running
@@ -27,22 +28,25 @@ and triangle-pair sweeps are shared substrate):
                     each walked object validated through OBJECTS_MAX_N, an
                     admissible one also as a closed set of the grid digraph;
                     beyond it the Dellac and admissible walks are counted
-                    by their blocks (walk.layered_blocks), each prefix by
-                    the length of its shared list of tails
+                    by their blocks (walk.layered_blocks) at each model's
+                    split, each prefix by the length of its shared list of
+                    tails
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache, partial
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple
 
 from . import limits
 from .admissible import AdmissibleSequence, GammaGraph, count_closed_column_graded
 from .admissible import is_closed_in_gamma, iter_admissible
-from .admissible import layers as admissible_layers
+from .admissible import SHARED_LEVELS as ADMISSIBLE_SHARED, layers as admissible_layers
 from .contfrac import (
     SFraction,
+    coefficients,
     contract_S_to_J,
     contract_S_to_J_affine,
     expand,
@@ -52,7 +56,7 @@ from .contfrac import (
     fraction_viennot,
 )
 from .dellac import DellacConfig, h_poly_dellac, iter_dellac
-from .dellac import layers as dellac_layers
+from .dellac import SHARED_LEVELS as DELLAC_SHARED, layers as dellac_layers
 from .errors import ResourceLimitError
 from .hanzeng import hanzeng_barc
 from .limits import CROSSCHECK_MAX_N
@@ -114,6 +118,37 @@ class CheckReport(NamedTuple):
         return "\n".join(lines)
 
 
+class _Lanes(tuple):
+    """Ints side by side, one lane per random trial, added and multiplied
+    lane by lane; a plain int is the same value in every lane, and the
+    lanes are false only when all are 0.  That is all pathsums.path_sums
+    asks of a coefficient, so one expansion serves every trial."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _Lanes([a + other for a in self])
+        return _Lanes(map(add, self, other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Lanes([a * other for a in self])
+        return _Lanes(map(mul, self, other))
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return any(self)
+
+
+def _lane(values: list, trial: int) -> list[int]:
+    """One trial's coefficients from a list of lanes and plain ints."""
+    return [v[trial] if type(v) is _Lanes else v for v in values]
+
+
 def _disagreements(ns: Iterable[int], lhs, rhs, label: str = "") -> Iterator[str]:
     """One problem for each n in ns where the routes lhs(n) and rhs(n) differ."""
     for n in ns:
@@ -142,12 +177,17 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     def counts_agree() -> Iterator[str]:
         ws = integer_weight_system()
 
-        def walked(label: str, walk, layers, build, n: int):
+        def walked(label: str, walk, layers, shared, build, n: int):
             # yields the walk's problems, returns its count
             items = walk(n)  # checks the argument and the cap
             if n > OBJECTS_MAX_N:
-                # each block's tails complete its prefix, one object each
-                return sum(len(tails) for _, _, tails in layered_blocks(*layers(n)))
+                # each block's tails complete its prefix, one object each; a
+                # state's list is read once, then emptied to free its memory
+                total, sizes = 0, {}
+                for _, state, tails in layered_blocks(*layers(n), shared):
+                    total += sizes.setdefault(state, len(tails))
+                    tails.clear()
+                return total
             items = list(items)
             try:
                 if len({build(item) for item in items}) < len(items):
@@ -165,9 +205,12 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             return sequence
 
         for n in ns:
-            n_dellac = yield from walked("dellac", iter_dellac, dellac_layers, partial(DellacConfig, n), n)
+            dellac = partial(DellacConfig, n)
+            n_dellac = yield from walked("dellac", iter_dellac, dellac_layers, DELLAC_SHARED, dellac, n)
             closed = partial(closed_sequence, n, GammaGraph(n))
-            n_admissible = yield from walked("admissible", iter_admissible, admissible_layers, closed, n)
+            n_admissible = yield from walked(
+                "admissible", iter_admissible, admissible_layers, ADMISSIBLE_SHARED, closed, n
+            )
             for label, got in (
                 ("dellac", n_dellac),
                 ("admissible", n_admissible),
@@ -177,7 +220,7 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             ):
                 yield from _disagreements((n,), lambda n: got, h, f"{label} ")
             if n <= OBJECTS_MAX_N:
-                yield from walked("motzkin", iter_motzkin, None, MotzkinPath, n)
+                yield from walked("motzkin", iter_motzkin, None, None, MotzkinPath, n)
 
     # (3) the three q-polynomial routes coincide
     def three_way() -> Iterator[str]:
@@ -222,14 +265,20 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             yield "affine contraction of the median fraction disagrees"
 
     def random_trials() -> Iterator[str]:
+        # each trial's numerators, drawn trial after trial, then expanded
+        # together: one lane per trial
         rng = random.Random(seed)
+        draws = [[rng.randint(1, 5) for _ in range(2 * CONTRACTION_ORDER + 2)] for _ in range(RANDOM_INSTANCES)]
+        cs = [_Lanes(values) for values in zip(*draws)]
+        spec = SFraction(c=lambda k: cs[k - 1] if k <= len(cs) else 0)
+        reference, pairwise, affine = (
+            coefficients(s, CONTRACTION_ORDER) for s in (spec, contract_S_to_J(spec), contract_S_to_J_affine(spec))
+        )
         for trial in range(RANDOM_INSTANCES):
-            values = [rng.randint(1, 5) for _ in range(2 * CONTRACTION_ORDER + 2)]
-            spec = SFraction(c=lambda k, v=tuple(values): v[k - 1] if k <= len(v) else 0)
-            reference = expand(spec, CONTRACTION_ORDER)
-            if expand(contract_S_to_J(spec), CONTRACTION_ORDER) != reference:
+            expected = _lane(reference, trial)
+            if _lane(pairwise, trial) != expected:
                 yield f"pairwise contraction fails on trial {trial}"
-            if expand(contract_S_to_J_affine(spec), CONTRACTION_ORDER) != reference:
+            if _lane(affine, trial) != expected:
                 yield f"affine contraction fails on trial {trial}"
 
     try:

@@ -24,7 +24,8 @@ from genocchi.errors import InexactDivisionError, InternalInconsistencyError, Re
 from genocchi.exactalg import ONE, ZERO, IntPoly
 from genocchi.hanzeng import HANZENG_MAX_N
 from genocchi.motzkin import MotzkinPath, iter_motzkin
-from genocchi.walk import WeightSystem, layered_sweep
+from genocchi.pathsums import WeightSystem
+from genocchi.walk import layered_sweep
 
 
 def q_int(n: int) -> IntPoly:

@@ -12,13 +12,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genocchi import admissible, dellac, hanzeng, iter_admissible, iter_dellac, iter_motzkin, motzkin
+from genocchi import admissible, cli, dellac, hanzeng, iter_admissible, iter_dellac, iter_motzkin, motzkin
 from genocchi.admissible import AdmissibleSequence
 from genocchi.cli import (
     COMMANDS,
     SEQ_MAX_COUNT,
     SERIES_MAX_ORDER,
-    WRITE_BLOCK_LINES,
     _decimals,
     _fast_parse,
     build_parser,
@@ -27,7 +26,8 @@ from genocchi.cli import (
 from genocchi.dellac import DellacConfig
 from genocchi.errors import InternalInconsistencyError
 from genocchi.motzkin import MotzkinPath
-from genocchi.walk import SHARED_LEVELS, layered_blocks
+from genocchi.stream import WRITE_BLOCK_LINES
+from genocchi.walk import layered_blocks
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -341,6 +341,29 @@ def test_missing_spec_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_spec_path_that_is_not_a_regular_file_exits_2(tmp_path, capsys):
+    # refused before a byte is read: a device or a FIFO could be read, or
+    # waited on, without end
+    for path in (tmp_path, Path(os.devnull)):
+        assert run(["series", "custom", "--order", "3", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not a regular file\n"
+
+
+def test_a_spec_file_past_its_byte_bound_exits_3(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    text = json.dumps({"preset": "hn"})
+    spec.write_text(text.ljust(cli.SPEC_MAX_BYTES), encoding="utf-8")
+    assert run(["series", "custom", "--order", "4", "--spec", str(spec)]) == 0
+    assert lines_of(capsys) == ["1 1 2 7 38"]
+    spec.write_text(text.ljust(cli.SPEC_MAX_BYTES + 1), encoding="utf-8")
+    assert run(["series", "custom", "--order", "4", "--spec", str(spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {spec}: spec files are capped at {cli.SPEC_MAX_BYTES} bytes\n"
+
+
 def test_spec_file_content_errors_name_the_file(tmp_path, capsys):
     cases = {
         '{"kind":': "Expecting value: line 1 column 9 (char 8)",
@@ -426,34 +449,35 @@ def bits(*members):
 
 
 # walks whose objects the constructor rejects: (n, layers, message, lines
-# before).  The first three are one run of at most three levels, so the
-# split is at level 0: a repeated row, a subset outside its successor plus
-# one, a step of two.  The others rewire one choice of the model's own walk,
-# deeper than SHARED_LEVELS, so that the one fault lies in a prefix (a band,
-# a size, a negative height), in a tail shared by several prefixes, or only
-# across the split (a row used on both sides, a containment, a step of two,
-# each after a prefix that leads to the wrong state)
+# before).  The first three are one run no deeper than the model's shared
+# levels, so the split is at level 0 and the fault lies in the one tail: a
+# repeated row, a subset outside its successor plus one, a step of two.  The
+# others rewire one choice of the model's own walk, deeper than its shared
+# levels, so that the one fault lies in a prefix (a band, a size, a negative
+# height), in a tail shared by several prefixes, or only across the split (a
+# row used on both sides, a containment, a step of two, each after a prefix
+# that leads to the wrong state); the case's name gives the side
 INVALID_WALKS = {
     "dellac": (3, one_run(((1, 2), (2, 4), (5, 6))), "row 2 marked twice", 0),
     "admissible": (3, one_run((0b0110, 0b1000)), "I_1 exceeds I_2 plus {2}", 0),
     "motzkin": (3, one_run((2, 0, 0)), "steps must change height by at most 1", 0),
     "dellac-prefix": (
-        5,
+        6,
         rewired(dellac, 1, ((3, 5), bits(1, 2, 3, 5)), ((3, 11), bits(1, 2, 3, 5))),
         "box (2, 11) outside the allowed band",
-        18,
+        162,
     ),
     "dellac-tail": (
-        5,
+        6,
         rewired(dellac, 3, ((6, 8), bits(*range(1, 9))), ((6, 11), bits(*range(1, 9)))),
         "box (4, 11) outside the allowed band",
-        3,
+        18,
     ),
     "dellac-across": (
-        5,
+        6,
         rewired(dellac, 1, ((3, 5), bits(1, 2, 3, 5)), ((3, 5), bits(1, 2, 3, 6))),
         "row 5 marked twice",
-        18,
+        162,
     ),
     "admissible-prefix": (
         6,
@@ -473,9 +497,9 @@ INVALID_WALKS = {
         "I_3 exceeds I_4 plus {4}",
         60,
     ),
-    "motzkin-prefix": (8, rewired(motzkin, 3, (1, 1), (-1, 1)), "heights must stay nonnegative", 9),
+    "motzkin-prefix": (11, rewired(motzkin, 3, (1, 1), (-1, 1)), "heights must stay nonnegative", 127),
     "motzkin-tail": (8, rewired(motzkin, 6, (1, 1), (-1, 1)), "heights must stay nonnegative", 1),
-    "motzkin-across": (8, rewired(motzkin, 4, (0, 0), (0, 2)), "steps must change height by at most 1", 2),
+    "motzkin-across": (11, rewired(motzkin, 4, (0, 0), (0, 2)), "steps must change height by at most 1", 30),
 }
 MODULES = {"dellac": dellac, "admissible": admissible, "motzkin": motzkin}
 
@@ -515,16 +539,37 @@ def reference_line(model, n, item, as_json):
     return " ".join(map(str, heights)) + "\n"
 
 
+def fault_side(module, n):
+    """Where the first object of the model's walk that its rules reject
+    fails the stream's checks: "prefix", "tail", or "across" when both
+    pieces pass and only their join fails."""
+    prefix_piece, tail_piece, joined = module.stream_pieces(n, True, "\n")
+    for prefix, _, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
+        for tail in tails:
+            try:
+                summary, _ = prefix_piece(prefix)
+            except ValueError:
+                return "prefix"
+            try:
+                tail_summary, _ = tail_piece(tail, len(prefix))
+            except ValueError:
+                return "tail"
+            if not joined(summary, tail_summary):
+                return "across"
+    return None
+
+
 @pytest.mark.parametrize("case", sorted(INVALID_WALKS))
 def test_an_invalid_walked_object_is_an_internal_error(monkeypatch, capsys, case):
     # the streamed objects are still validated: a walk that yields one the
     # constructor rejects stops the stream with exit 4, after the lines of
     # the objects before it
     n, layers, message, before = INVALID_WALKS[case]
-    model = case.split("-")[0]
-    monkeypatch.setattr(MODULES[model], "layers", layers)
-    if "-" in case:
-        assert layers(n)[0] > SHARED_LEVELS  # the split is past level 0
+    model, _, side = case.partition("-")
+    module = MODULES[model]
+    monkeypatch.setattr(module, "layers", layers)
+    assert (layers(n)[0] > module.SHARED_LEVELS) == bool(side)  # where the split is
+    assert fault_side(module, n) == (side or "tail")
     lines = []
     for item in WALKS[model](n):
         try:
@@ -610,10 +655,38 @@ def test_stream_checks_each_shared_piece_once(monkeypatch):
     piece = dellac._piece
     monkeypatch.setattr(dellac, "_piece", lambda *args, **kw: calls.append(args) or piece(*args, **kw))
     objects = len(output_lines(["enumerate", "dellac", "--n", "6", "--json"])) - 1
-    blocks = list(layered_blocks(*dellac.layers(6)))
+    blocks = list(layered_blocks(*dellac.layers(6), dellac.SHARED_LEVELS))
     tails = {state: len(tails) for _, state, tails in blocks}
-    assert len(calls) == len(blocks) + sum(tails.values()) == 244 + 244
+    assert len(calls) == len(blocks) + sum(tails.values()) == 33 + 1138
     assert objects == 3098
+
+
+@pytest.mark.parametrize("model, n", [("dellac", 6), ("admissible", 7), ("motzkin", 12)])
+def test_stream_joins_once_per_tail_of_each_prefix_summary_and_state(monkeypatch, model, n):
+    # whether a tail joins depends only on the prefix's summary and the
+    # state, so the join rule runs once per tail of each distinct pair
+    module = MODULES[model]
+    prefix_piece, _, _ = module.stream_pieces(n, True, "\n")
+    pairs = {
+        (prefix_piece(prefix)[0], state): len(tails)
+        for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS)
+    }
+    calls = []
+    joined = module._joined
+    monkeypatch.setattr(module, "_joined", lambda *args: calls.append(args) or joined(*args))
+    objects = len(output_lines(["enumerate", model, "--n", str(n), "--json"])) - 1
+    assert len(calls) == sum(pairs.values()) < objects
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_admissible_stream_formats_each_distinct_subset_once(monkeypatch, as_json):
+    masks = {mask for item in iter_admissible(7) for mask in item}
+    calls = []
+    elems = admissible._elems
+    monkeypatch.setattr(admissible, "_elems", lambda mask: calls.append(mask) or elems(mask))
+    output_lines(["enumerate", "admissible", "--n", "7"] + ["--json"] * as_json)
+    assert sorted(calls) == sorted(masks)
+    assert len(masks) == 126
 
 
 def test_limit_across_a_block_boundary():

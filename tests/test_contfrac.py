@@ -19,7 +19,7 @@ from genocchi.contfrac import (
 from genocchi.exactalg import IntPoly, ONE, q_binomial
 from genocchi.motzkin import MotzkinPath, iter_motzkin, tilde_h
 from genocchi.seidel import h_sequence, median_sequence
-from genocchi.walk import WeightSystem
+from genocchi.pathsums import WeightSystem
 from reference import path_weight
 
 

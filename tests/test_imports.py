@@ -82,9 +82,9 @@ def test_series_loads_no_enumeration_or_matrix():
 
 
 def test_enumerate_loads_only_its_model():
-    modules = loaded("enumerate", "motzkin", "--n", "4")
-    assert {"motzkin", "walk"} <= modules
-    assert modules.isdisjoint({"dellac", "admissible", "verify"})
+    # and the walk and the stream: no path sweep and no polynomial code
+    for model in ("dellac", "admissible", "motzkin"):
+        assert loaded("enumerate", model, "--n", "4") == FRONT | {model, "walk", "stream"}
 
 
 def test_a_public_name_loads_its_home_module_on_first_use():
@@ -225,7 +225,7 @@ def bare_modules():
 def test_no_command_loads_a_heavy_standard_module(argv, spec_dir, bare_modules):
     added = all_modules_after(RUN_CLI, *with_specs(argv, spec_dir)) - bare_modules
     assert not added & HEAVY
-    if argv[:2] in (["enumerate", "dellac"], ["enumerate", "admissible"]):
+    if argv[0] == "enumerate":
         assert "genocchi.exactalg" not in added  # the stream does no polynomial arithmetic
 
 
@@ -243,8 +243,8 @@ def test_a_well_formed_command_line_skips_argparse_and_json(argv, spec_dir, bare
 
 @pytest.mark.parametrize("argv", [argv for _, argv in REACH_RUNS if argv[0] == "series"], ids=" ".join)
 def test_a_series_command_loads_only_the_path_sweep(argv, spec_dir):
-    # contfrac expands by walk.path_sums; motzkin.py is not compiled
-    assert loaded(*with_specs(argv, spec_dir)) == FRONT | {"contfrac", "walk", "exactalg"}
+    # contfrac expands by pathsums.path_sums; neither motzkin.py nor the walk is compiled
+    assert loaded(*with_specs(argv, spec_dir)) == FRONT | {"contfrac", "pathsums", "exactalg"}
 
 
 def test_the_commands_reach_every_member_the_package_defines(spec_dir):

@@ -27,7 +27,7 @@ from genocchi.motzkin import (
     weighted_path_sum,
 )
 from genocchi.seidel import normalized_h
-from genocchi.walk import WeightSystem, path_sums
+from genocchi.pathsums import WeightSystem, path_sums
 from reference import h_motzkin_rational_fraction, path_weight, step_weight
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]

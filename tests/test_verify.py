@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from genocchi import admissible, dellac, hanzeng, verify
+from genocchi.contfrac import SFraction, contract_S_to_J, expand
 from genocchi.errors import InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import IntPoly
 from genocchi.hanzeng import _over_q_power
@@ -187,3 +190,24 @@ def test_skipped_status_when_a_model_is_capped(monkeypatch):
 def test_failures_property_counts_only_failures():
     report = CheckReport(n_max=1, seed=0)
     assert report.failures == 0
+
+
+def test_a_contraction_wrong_on_some_trials_names_exactly_those(monkeypatch):
+    # the trials are expanded together, one lane each; a contraction that
+    # squares c(3) for lambda_2 is wrong exactly where c(3) != c(4), and the
+    # report names the trials that one expansion per trial finds wrong
+    def wrong(spec):
+        right = contract_S_to_J(spec)
+        return right._replace(lam=lambda k: spec.c(3) * spec.c(3) if k == 2 else right.lam(k))
+
+    monkeypatch.setattr(verify, "contract_S_to_J", wrong)
+    rng = random.Random(7)
+    expected = []
+    for trial in range(verify.RANDOM_INSTANCES):
+        values = [rng.randint(1, 5) for _ in range(2 * verify.CONTRACTION_ORDER + 2)]
+        spec = SFraction(c=lambda k, v=tuple(values): v[k - 1] if k <= len(v) else 0)
+        if expand(wrong(spec), verify.CONTRACTION_ORDER) != expand(spec, verify.CONTRACTION_ORDER):
+            expected.append(f"pairwise contraction fails on trial {trial}")
+    assert 0 < len(expected) < verify.RANDOM_INSTANCES
+    check = next(c for c in crosscheck(1, seed=7).checks if c.name == "contraction-random")
+    assert (check.status, check.detail) == ("fail", "; ".join(expected))

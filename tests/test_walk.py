@@ -3,14 +3,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genocchi import admissible, dellac, iter_admissible, iter_dellac, iter_motzkin
-from genocchi.walk import SHARED_LEVELS, layered_blocks, layered_sweep, layered_walk
+from genocchi import admissible, dellac, iter_admissible, iter_dellac, iter_motzkin, motzkin
+from genocchi.walk import layered_blocks, layered_sweep, layered_walk
 
 STATES = range(3)
+MAX_DEPTH = 7
 
 # one level: the (state, item, next_state) edges open at it, in walk order
 edge = st.tuples(st.sampled_from(STATES), st.integers(0, 3), st.sampled_from(STATES))
-tables = st.lists(st.lists(edge, max_size=4), max_size=SHARED_LEVELS + 3)
+tables = st.lists(st.lists(edge, max_size=4), max_size=MAX_DEPTH)
 
 
 def naive_chains(table, root):
@@ -32,18 +33,19 @@ def naive_walk(table, root):
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=tables, root=st.sampled_from(STATES))
-def test_walk_matches_a_filtered_product(table, root):
+@given(table=tables, root=st.sampled_from(STATES), shared=st.integers(0, MAX_DEPTH + 1))
+def test_walk_matches_a_filtered_product(table, root, shared):
     def choices(level, state):
         return ((item, nxt) for s, item, nxt in table[level] if s == state)
 
-    assert list(layered_walk(len(table), root, choices)) == naive_walk(table, root)
+    # the walk order does not depend on the split
+    assert list(layered_walk(len(table), root, choices, shared)) == naive_walk(table, root)
 
     # the blocks flatten to the walk; every prefix stops at the split level,
     # and the prefixes that end in one state share one tails list
-    blocks = list(layered_blocks(len(table), root, choices))
+    blocks = list(layered_blocks(len(table), root, choices, shared))
     assert [p + t for p, _, tails in blocks for t in tails] == naive_walk(table, root)
-    assert {len(p) for p, _, _ in blocks} <= {max(len(table) - SHARED_LEVELS, 0)}
+    assert {len(p) for p, _, _ in blocks} <= {max(len(table) - shared, 0)}
     shared = {}
     assert all(shared.setdefault(state, tails) is tails for _, state, tails in blocks)
 
@@ -59,7 +61,7 @@ def test_sweep_sums_the_walk(table, root, salt):
 
     depth = len(table)
     counted = layered_sweep(depth, root, choices, lambda level, state, item, total: total)
-    assert sum(counted.values()) == len(list(layered_walk(depth, root, choices)))
+    assert sum(counted.values()) == len(list(layered_walk(depth, root, choices, 3)))
 
     weighted = layered_sweep(
         depth, root, choices, lambda level, state, item, total: total * weight(level, state, item)
@@ -86,4 +88,16 @@ def test_deep_walks_need_no_recursion_depth(monkeypatch, walk, n, length):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_block_sizes_count_the_walk(model, walk, n):
     # counts-agree counts a walk this way past the sizes it builds objects for
-    assert sum(len(tails) for _, _, tails in layered_blocks(*model.layers(n))) == sum(1 for _ in walk(n))
+    blocks = layered_blocks(*model.layers(n), model.SHARED_LEVELS)
+    assert sum(len(tails) for _, _, tails in blocks) == sum(1 for _ in walk(n))
+
+
+@pytest.mark.parametrize(
+    "model, walk", [(dellac, iter_dellac), (admissible, iter_admissible), (motzkin, iter_motzkin)]
+)
+def test_each_walk_shares_its_models_levels(monkeypatch, model, walk):
+    seen = []
+    real = layered_blocks
+    monkeypatch.setattr("genocchi.walk.layered_blocks", lambda *args: seen.append(args[-1]) or real(*args))
+    next(walk(7))
+    assert seen == [model.SHARED_LEVELS]
