@@ -116,7 +116,7 @@ def _encode(texts, start: int, as_json: bool) -> str:
     return sep + text if text and start > 1 else text
 
 
-def stream_pieces(n: int, as_json: bool, end: str):
+def stream_pieces(n: int, as_json: bool):
     """The rules above for the stream, as dellac.stream_pieces gives them.
     The walk meets I_{n-1} first, so a prefix, reversed, is the upper piece
     of a sequence and a tail, reversed, the lower one.  Each distinct subset
@@ -133,7 +133,7 @@ def stream_pieces(n: int, as_json: bool, end: str):
         summary = _piece(n, lower, 1)
         # only n = 1 has an empty tail, and its prefix is empty too
         body = _encode(map(subset, lower), 1, as_json) if lower or as_json else "()"
-        return summary, (head + body, foot + end)
+        return summary, (head + body, foot + "\n")
 
     return prefix_piece, tail_piece, partial(_joined, n)
 

@@ -140,10 +140,8 @@ def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be nonnegative")
     items = walk(args.n)  # checks n, before anything is walked
-    # a blank line closes each Dellac grid in text mode
-    end = "\n\n" if args.model == "dellac" and not args.json else "\n"
     stop = sys.maxsize if args.limit is None else args.limit
-    written, faulty = write_lines(sys.stdout.write, model, args.n, args.json, end, stop)
+    written, faulty = write_lines(sys.stdout.write, model, args.n, args.json, stop)
     if faulty:
         # n was checked above, so an object its walk yields and its rules
         # reject is a fault of the walk
@@ -219,7 +217,14 @@ def _cmd_series(args) -> int:
         if args.spec:
             raise ValueError("--spec applies only to 'series custom'")
         spec = NAMED_FRACTIONS[args.name]()
-    _print_series(expand(spec, args.order), args.json)
+    series = expand(spec, args.order)
+    # checked before the first line: past the interpreter's limit on printing
+    # an int (0: none, as before Python 3.10.7), str() would raise midway
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    largest = max((max(map(abs, c.coeffs)) for c in series.coeffs if c.coeffs), default=0)
+    if limit and largest >= 10**limit:
+        raise ResourceLimitError(f"series --order {args.order} gives a coefficient of more than {limit} digits")
+    _print_series(series, args.json)
     return 0
 
 

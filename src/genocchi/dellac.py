@@ -27,7 +27,7 @@ the end.  At the cap n = 8 that is 6,880 runs from 70 masks, about 0.5 MB.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -62,9 +62,7 @@ def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
     if (
         type(n) is not int
         or type(columns) is not tuple
-        or set(map(type, columns)) - {tuple}
-        or set(map(len, columns)) - {2}
-        or set(map(type, chain.from_iterable(columns))) - {int}
+        or not all(type(c) is tuple and len(c) == 2 and type(c[0]) is type(c[1]) is int for c in columns)
     ):
         raise TypeError("n and rows must be integers")
     if whole and len(columns) != n:
@@ -106,21 +104,22 @@ def _encode(columns, start: int, as_json: bool) -> str:
     return sep + text if text and start > 1 else text
 
 
-def stream_pieces(n: int, as_json: bool, end: str):
+def stream_pieces(n: int, as_json: bool):
     """The rules above, for a stream of walk blocks: (prefix_piece,
     tail_piece, joined).  prefix_piece(prefix) gives the summary and text of
     the columns a prefix holds; tail_piece(tail, level) gives the summary of
     the columns a tail from that level holds, and the texts that go before
-    and after a prefix's text in the line, end included.  Both raise where
-    the piece's check does.  joined(prefix summary, tail summary) accepts
-    exactly the objects the constructor accepts."""
-    head, foot = (f'{{"n":{n},"columns":[', "]}") if as_json else ("", "")
+    and after a prefix's text in the line, line end included (a blank line
+    closes each grid in text).  Both raise where the piece's check does.
+    joined(prefix summary, tail summary) accepts exactly the objects the
+    constructor accepts."""
+    head, foot = (f'{{"n":{n},"columns":[', "]}\n") if as_json else ("", "\n\n")
 
     def prefix_piece(prefix):
         return _piece(n, prefix, 1), _encode(prefix, 1, as_json)
 
     def tail_piece(tail, level):
-        return _piece(n, tail, level + 1), (head, _encode(tail, level + 1, as_json) + foot + end)
+        return _piece(n, tail, level + 1), (head, _encode(tail, level + 1, as_json) + foot)
 
     return prefix_piece, tail_piece, partial(_joined, n)
 
@@ -194,13 +193,14 @@ def h_poly_dellac(n: int) -> IntPoly:
     used-row mask carries the length polynomial of every partial
     configuration that reaches it.  Marking rows a < b next to the mask
     adds one inversion for every row above a, and every row above b, that
-    is already used.  Each total is packed into one int (exactalg.pack_poly),
-    so an inversion is a shift by one slot and totals add as ints; one
-    unpack gives the polynomial.  A slot holds any count of configurations,
+    is already used.  Each total is packed into one int, a slot per power of
+    q (exactalg.unpack_poly), so the empty configuration is the int 1, an
+    inversion is a shift by one slot and totals add as ints; one unpack
+    gives the polynomial.  A slot holds any count of configurations,
     since each column marks one of the C(n+1, 2) row pairs of its band.  The
     zero polynomial comes back when no configuration exists.
     """
-    from .exactalg import ONE, pack_poly, unpack_poly  # enumerate needs no polynomial
+    from .exactalg import unpack_poly  # enumerate needs no polynomial
 
     if n < 1:
         raise ValueError("grid size must be positive")
@@ -211,4 +211,4 @@ def h_poly_dellac(n: int) -> IntPoly:
         a, b = pair
         return total << width * ((used >> (a + 1)).bit_count() + (used >> (b + 1)).bit_count())
 
-    return unpack_poly(sum(layered_sweep(*layers(n), extend, pack_poly(ONE, width)).values()), width)
+    return unpack_poly(sum(layered_sweep(*layers(n), extend, 1).values()), width)

@@ -8,23 +8,17 @@ Types:
   LaurentPoly IntPoly shifted by an integer exponent offset (negative powers ok)
   PowerSeries truncated series in s with IntPoly coefficients
 
-pack_poly and unpack_poly carry a polynomial of bounded nonnegative
-coefficients as one int, for sweeps that only shift and add.
-
-Evaluation at q takes any exact number, fractions.Fraction included; no
-route needs a rational, so the package does not import fractions.
+LaurentPoly and PowerSeries are NamedTuples, canonical when built, so that
+tuple equality is value equality.  unpack_poly reads a polynomial of
+nonnegative coefficients carried as one int, for sweeps that only shift
+and add.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-Coefficient = Union[int, "Fraction"]
+from typing import Iterable, NamedTuple, Sequence
 
 
 def _trim(coeffs: list) -> tuple:
@@ -48,8 +42,6 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
-    # -- structure -------------------------------------------------------
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -62,8 +54,6 @@ class IntPoly:
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    # -- arithmetic ------------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "IntPoly":
@@ -109,7 +99,7 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __call__(self, value: Coefficient) -> Coefficient:
+    def __call__(self, value):
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
@@ -122,8 +112,6 @@ class IntPoly:
         if not self.coeffs:
             return self
         return IntPoly((0,) * k + self.coeffs)
-
-    # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -140,9 +128,7 @@ class IntPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    # -- rendering ---------------------------------------------------------
-
-    def render(self, var: str = "q") -> str:
+    def render(self) -> str:
         """Ascending-power text form, e.g. '1 + 2*q + 3*q^2 + q^3'."""
         if not self.coeffs:
             return "0"
@@ -154,9 +140,9 @@ class IntPoly:
             if i == 0:
                 term = str(mag)
             elif i == 1:
-                term = var if mag == 1 else f"{mag}*{var}"
+                term = "q" if mag == 1 else f"{mag}*q"
             else:
-                term = f"{var}^{i}" if mag == 1 else f"{mag}*{var}^{i}"
+                term = f"q^{i}" if mag == 1 else f"{mag}*q^{i}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -188,24 +174,11 @@ def poly_reverse(p: IntPoly, d: int) -> IntPoly:
     return IntPoly(tuple(p.coefficient(d - i) for i in range(d + 1)))
 
 
-def pack_poly(p: IntPoly, width: int) -> int:
-    """The int whose bits i*width .. (i+1)*width - 1 hold coefficient i of p
-    (Kronecker substitution q = 2^width).  While every coefficient stays in
-    0 .. 2^width - 1, multiplying p by q^k is a shift by k*width bits and
-    adding polynomials is int +.  Raises ValueError for a coefficient
-    outside that range."""
-    if width < 1:
-        raise ValueError("slot width must be positive")
-    value, limit = 0, 1 << width
-    for c in reversed(p.coeffs):
-        if not 0 <= c < limit:
-            raise ValueError(f"coefficient {c} does not fit a {width}-bit slot")
-        value = value << width | c
-    return value
-
-
 def unpack_poly(value: int, width: int) -> IntPoly:
-    """The polynomial pack_poly(p, width) packed: one slot per coefficient."""
+    """The polynomial whose coefficient i sits in bits i*width .. (i+1)*width - 1
+    of value (Kronecker substitution q = 2^width): while every coefficient
+    fits its slot, multiplying by q^k is a shift by k*width bits and adding
+    polynomials is int +."""
     if width < 1:
         raise ValueError("slot width must be positive")
     if value < 0:
@@ -229,11 +202,14 @@ def q_binomial(m: int, n: int) -> IntPoly:
 
     Computed by the q-Pascal recurrence, which is division-free and keeps
     every intermediate value integral.  Degree is n*(m-n); the value at
-    q=1 is the ordinary binomial coefficient.  The rows are built in a loop,
-    so no recursion depth grows with m.
+    q=1 is the ordinary binomial coefficient, and the value is zero for n
+    outside 0..m.  The rows are built in a loop, so no recursion depth grows
+    with m.
     """
-    if n < 0 or m < 0 or n > m:
-        raise ValueError(f"q_binomial requires 0 <= n <= m, got m={m}, n={n}")
+    if m < 0:
+        raise ValueError(f"q_binomial requires m >= 0, got m={m}")
+    if n < 0 or n > m:
+        return ZERO
     n = min(n, m - n)  # [m choose n]_q = [m choose m-n]_q; a shorter row is cheaper
     # after j passes row[i] = [i+j choose i]_q, by
     # [i+j choose i]_q = [i+j-1 choose i-1]_q + q^i [i+j-1 choose i]_q
@@ -249,88 +225,49 @@ def q_binomial(m: int, n: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
-    """An IntPoly shifted by an integer exponent offset.
+class _LaurentFields(NamedTuple):
+    offset: int
+    body: IntPoly
 
-    Represents q^offset * body, where the body has a nonzero constant term
-    (or is zero, in which case the offset is 0).
-    """
 
-    __slots__ = ("offset", "body")
+class LaurentPoly(_LaurentFields):
+    """q^offset * body, where the body has a nonzero constant term (or is
+    zero, in which case the offset is 0)."""
 
-    def __init__(self, offset: int, body: IntPoly):
-        lead = 0
+    __slots__ = ()
+
+    def __new__(cls, offset: int, body: IntPoly):
         coeffs = body.coeffs
-        while lead < len(coeffs) and coeffs[lead] == 0:
+        if not coeffs:
+            return super().__new__(cls, 0, body)
+        lead = 0
+        while not coeffs[lead]:  # the last coefficient is nonzero
             lead += 1
-        if lead == len(coeffs):
-            offset, coeffs = 0, ()
-        elif lead:
-            offset, coeffs = offset + lead, coeffs[lead:]
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "body", IntPoly(coeffs))
+        if lead:
+            offset, body = offset + lead, IntPoly(coeffs[lead:])
+        return super().__new__(cls, offset, body)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.body.is_zero
-
-    def shift(self, k: int) -> "LaurentPoly":
+    def shift(self, k: int) -> LaurentPoly:
         """Multiply by q^k (k may be negative)."""
-        if self.is_zero:
-            return self
         return LaurentPoly(self.offset + k, self.body)
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, IntPoly):
-            return LaurentPoly(0, other)
-        if isinstance(other, int):
-            return LaurentPoly(0, IntPoly((other,)))
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         off = min(self.offset, other.offset)
-        return LaurentPoly(
-            off,
-            self.body.shift(self.offset - off) + other.body.shift(other.offset - off),
-        )
-
-    __radd__ = __add__
+        return LaurentPoly(off, self.body.shift(self.offset - off) + other.body.shift(other.offset - off))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentPoly(self.offset + other.offset, self.body * other.body)
+        if isinstance(other, LaurentPoly):
+            return LaurentPoly(self.offset + other.offset, self.body * other.body)
+        if isinstance(other, int):
+            return LaurentPoly(self.offset, self.body * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.offset == other.offset and self.body == other.body
-
-    def __hash__(self):
-        # pure-polynomial values hash like the IntPoly they equal
-        return hash(self.body) if self.offset == 0 else hash((self.offset, self.body))
-
     def to_poly(self) -> IntPoly:
         """Convert to an ordinary polynomial; fails if any exponent is negative."""
-        if self.is_zero:
-            return ZERO
         if self.offset < 0:
             raise ValueError(f"negative exponent q^{self.offset} survives")
         return self.body.shift(self.offset)
@@ -341,22 +278,21 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-class PowerSeries:
+class _SeriesFields(NamedTuple):
+    order: int
+    coeffs: tuple[IntPoly, ...]
+
+
+class PowerSeries(_SeriesFields):
     """Power series in s truncated at s^order (inclusive), IntPoly coefficients."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, order: int, coeffs: Sequence):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+    def __new__(cls, order: int, coeffs: Sequence):
         polys = tuple(c if isinstance(c, IntPoly) else IntPoly((c,)) for c in coeffs)
         if len(polys) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(polys)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", polys)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries is immutable")
+        return super().__new__(cls, order, polys)
 
     def coefficient(self, n: int) -> IntPoly:
         if not 0 <= n <= self.order:
@@ -364,7 +300,7 @@ class PowerSeries:
         return self.coeffs[n]
 
     # no route calls this, but the perfbench tracer patches it by name
-    def inverse(self) -> "PowerSeries":
+    def inverse(self) -> PowerSeries:
         """Multiplicative inverse, requiring constant term 1."""
         if self.coeffs[0] != ONE:
             raise ValueError("series inversion requires constant term 1")
@@ -378,11 +314,6 @@ class PowerSeries:
             inv[n] = -acc
         return PowerSeries(self.order, inv)
 
-    def evaluate_q(self, value: Coefficient) -> list:
+    def evaluate_q(self, value) -> list:
         """Specialize q in every coefficient, e.g. value=1 for counting."""
         return [c(value) for c in self.coeffs]
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs

@@ -97,7 +97,7 @@ def _encode(heights, start: int, as_json: bool) -> str:
     return sep + text if text and start > 0 else text
 
 
-def stream_pieces(n: int, as_json: bool, end: str):
+def stream_pieces(n: int, as_json: bool):
     """The rules above for the stream, as dellac.stream_pieces gives them.
     A prefix piece starts with f_0 = 0, which the walk does not yield."""
 
@@ -109,7 +109,7 @@ def stream_pieces(n: int, as_json: bool, end: str):
         summary = _piece(tail)
         length = level + len(tail)  # of the path
         head, foot = (f'{{"n":{length},"heights":[', "]}") if as_json else ("", "")
-        return summary, (head, _encode(tail, level + 1, as_json) + foot + end)
+        return summary, (head, _encode(tail, level + 1, as_json) + foot + "\n")
 
     return prefix_piece, tail_piece, _joined
 
@@ -194,16 +194,6 @@ def h_motzkin_rational(n: int) -> int:
     return total >> n
 
 
-def q_binomial_or_zero(m: int, n: int) -> IntPoly:
-    """Gaussian binomial extended by zero when the lower index exceeds the
-    upper; makes the unrestricted product sum agree with the path sum."""
-    from .exactalg import IntPoly, q_binomial
-
-    if n < 0 or n > m:
-        return IntPoly()
-    return q_binomial(m, n)
-
-
 def fermionic_exponent(heights: tuple[int, ...]) -> int:
     """Power of q attached to one height vector in the q-binomial formula."""
     n = len(heights) - 1
@@ -221,7 +211,7 @@ def h_poly_fermionic(n: int) -> IntPoly:
     height triple, and shifts by (k - f_k)(1 - f_k + f_{k+1}).  Index 0
     carries no factor.
     """
-    from .exactalg import ONE, ZERO
+    from .exactalg import ONE, ZERO, q_binomial
 
     if n < 1:
         raise ValueError("n must be positive")
@@ -233,7 +223,7 @@ def h_poly_fermionic(n: int) -> IntPoly:
 
     @cache  # for this call: each height triple recurs on many edges
     def factor(before: int, h: int, after: int) -> IntPoly:
-        return q_binomial_or_zero(1 + before, h) * q_binomial_or_zero(1 + after, h)
+        return q_binomial(1 + before, h) * q_binomial(1 + after, h)
 
     def extend(k: int, pair: tuple[int, int], after: int, total: IntPoly) -> IntPoly:
         if k == 0:

@@ -18,12 +18,13 @@ from .walk import layered_blocks
 WRITE_BLOCK_LINES = 256
 
 
-def write_lines(write, model, n: int, as_json: bool, end: str, stop: int) -> tuple[int, bool]:
+def write_lines(write, model, n: int, as_json: bool, stop: int) -> tuple[int, bool]:
     """Write through write the lines of the first stop objects of the walk
-    of model (dellac, admissible or motzkin) for n, each closed by end.
+    of model (dellac, admissible or motzkin) for n, each closed by the
+    model's line end.
     Returns how many lines went out, and whether the stream stopped at an
     object that fails its checks: the walk's object after those lines."""
-    prefix_piece, tail_piece, joined = model.stream_pieces(n, as_json, end)
+    prefix_piece, tail_piece, joined = model.stream_pieces(n, as_json)
     # per state: its tails' summaries and texts, checked and encoded once
     tails_of: dict = {}
     distinct: dict = {}  # one object for each distinct tail summary

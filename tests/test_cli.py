@@ -543,7 +543,7 @@ def fault_side(module, n):
     """Where the first object of the model's walk that its rules reject
     fails the stream's checks: "prefix", "tail", or "across" when both
     pieces pass and only their join fails."""
-    prefix_piece, tail_piece, joined = module.stream_pieces(n, True, "\n")
+    prefix_piece, tail_piece, joined = module.stream_pieces(n, True)
     for prefix, _, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
         for tail in tails:
             try:
@@ -666,7 +666,7 @@ def test_stream_joins_once_per_tail_of_each_prefix_summary_and_state(monkeypatch
     # whether a tail joins depends only on the prefix's summary and the
     # state, so the join rule runs once per tail of each distinct pair
     module = MODULES[model]
-    prefix_piece, _, _ = module.stream_pieces(n, True, "\n")
+    prefix_piece, _, _ = module.stream_pieces(n, True)
     pairs = {
         (prefix_piece(prefix)[0], state): len(tails)
         for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS)
@@ -728,6 +728,31 @@ def test_series_order_is_bounded(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: series --order capped at 64, got {SERIES_MAX_ORDER + 1}\n"
+
+
+def test_a_series_past_the_int_print_limit_exits_3(tmp_path, capsys):
+    # checked before the first line: str() of such an int would raise midway
+    spec = tmp_path / "spec.json"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for c0, c1, status in (
+            (10**2000, 10**2300 - 1, 0),  # s^1 is 10^4300 - 10^2000: 4300 digits
+            (10**2000, 10**2300, 3),  # s^1 is 10^4300: 4301 digits
+            (-(10**2000), 10**2300, 3),
+        ):
+            spec.write_text(json.dumps({"kind": "S", "c0": c0, "c": [c1]}), encoding="utf-8")
+            for as_json in ([], ["--json"]):
+                assert run(["series", "custom", "--order", "1", "--spec", str(spec), *as_json]) == status
+                captured = capsys.readouterr()
+                if status:
+                    assert captured.out == ""
+                    assert captured.err == "error: series --order 1 gives a coefficient of more than 4300 digits\n"
+        sys.set_int_max_str_digits(0)  # no limit, no check
+        assert run(["series", "custom", "--order", "1", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out == f"{-(10**2000)} {-(10**4300)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_env_cap_reaches_the_cli(monkeypatch, capsys):

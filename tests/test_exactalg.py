@@ -14,7 +14,6 @@ from genocchi.exactalg import (
     IntPoly,
     LaurentPoly,
     PowerSeries,
-    pack_poly,
     poly_reverse,
     q_binomial,
     unpack_poly,
@@ -150,10 +149,19 @@ def test_q_binomial_needs_no_recursion_depth():
 
 
 def test_q_binomial_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        q_binomial(2, 3)
-    with pytest.raises(ValueError):
-        q_binomial(-1, 0)
+    # a negative upper index has no subsets to count; a lower index outside
+    # 0..m is not bad, it counts none (below)
+    for m, n in ((-1, 0), (-1, -1), (-2, 1)):
+        with pytest.raises(ValueError):
+            q_binomial(m, n)
+
+
+def test_q_binomial_is_zero_outside_its_range():
+    # the standard convention, which lets the fermionic sum run over every
+    # height vector: a jump of two or more meets a zero factor
+    for m, n in ((2, 3), (2, 5), (3, -1), (0, 1), (0, -1)):
+        assert q_binomial(m, n) == ZERO
+    assert q_binomial(4, 2) == P(1, 1, 2, 1, 1)
 
 
 def brute_qbin(m, n):
@@ -226,7 +234,6 @@ def test_q_binomial_memo_survives_concurrent_use():
 def test_constants_hash_like_their_int_value():
     assert hash(IntPoly((5,))) == hash(5)
     assert hash(ZERO) == hash(0)
-    assert hash(LaurentPoly(0, P(1, 1))) == hash(P(1, 1))
     assert {IntPoly((2,)): "a"}[IntPoly((2,))] == "a"
 
 
@@ -236,9 +243,17 @@ def test_constants_hash_like_their_int_value():
 
 
 def test_laurent_canonicalization():
-    assert LaurentPoly(-2, P(0, 1, 1)) == LaurentPoly(-1, P(1, 1))
-    z = LaurentPoly(5, ZERO)
-    assert z.is_zero and z.offset == 0
+    # the body's leading zeros move into the offset, and zero sits at offset
+    # 0, so that tuple equality is value equality
+    assert LaurentPoly(-2, P(0, 1, 1)) == LaurentPoly(-1, P(1, 1)) == (-1, P(1, 1))
+    assert LaurentPoly(3, P(0, 0, 5)) == (5, P(5))
+    assert LaurentPoly(5, ZERO) == (0, ZERO)
+    assert hash(LaurentPoly(-2, P(0, 1, 1))) == hash((-1, P(1, 1)))
+
+
+def test_a_laurent_poly_equals_no_poly_or_int():
+    assert LaurentPoly(0, P(1, 1)) != P(1, 1)
+    assert LaurentPoly(0, ONE) != 1
 
 
 def test_laurent_arithmetic():
@@ -246,12 +261,30 @@ def test_laurent_arithmetic():
     b = LaurentPoly(0, P(1))
     assert a + b == LaurentPoly(-1, P(1, 2))
     assert a * a == LaurentPoly(-2, P(1, 2, 1))
-    assert 3 * b == LaurentPoly(0, P(3))
-    assert (a + LaurentPoly(-1, P(-1, -1))).is_zero
+    assert 3 * b == b * 3 == LaurentPoly(0, P(3))
+    assert 0 * a == (0, ZERO)
+    assert a + LaurentPoly(-1, P(-1, -1)) == (0, ZERO)
+    assert a.shift(-2) + LaurentPoly(2, ONE) == LaurentPoly(-3, P(1, 1, 0, 0, 0, 1))
+
+
+laurent_parts = st.tuples(st.integers(-6, 6), st.lists(st.integers(-4, 4), max_size=5).map(IntPoly))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=laurent_parts, y=laurent_parts, k=st.integers(-3, 3))
+def test_laurent_arithmetic_agrees_with_shifted_polynomials(x, y, k):
+    # q^12 clears every negative exponent the parts and their product reach
+    (a, p), (b, r) = x, y
+    u, v = LaurentPoly(a, p), LaurentPoly(b, r)
+    assert (u + v).shift(12).to_poly() == p.shift(a + 12) + r.shift(b + 12)
+    assert (u * v).shift(12).to_poly() == (p * r).shift(a + b + 12)
+    assert (k * u).shift(12).to_poly() == (u * k).shift(12).to_poly() == (k * p).shift(a + 12)
+    assert u.shift(k).shift(-k) == u
 
 
 def test_laurent_to_poly():
     assert LaurentPoly(2, P(1, 1)).to_poly() == P(0, 0, 1, 1)
+    assert LaurentPoly(-4, ZERO).to_poly() == ZERO
     with pytest.raises(ValueError):
         LaurentPoly(-1, P(1)).to_poly()
 
@@ -288,9 +321,22 @@ def test_series_length_validation():
         PowerSeries(1, (ONE, ONE)).coefficient(2)
 
 
+def test_series_coefficients_are_polynomials():
+    series = PowerSeries(2, (1, Q, 0))
+    assert series == (2, (ONE, Q, ZERO))
+    assert series.coefficient(1) == Q
+    assert series.evaluate_q(3) == [1, 3, 0]
+
+
 # ---------------------------------------------------------------------------
 # packed polynomials
 # ---------------------------------------------------------------------------
+
+
+def pack(p, width):
+    """The int whose slot i, bits i*width .. (i+1)*width - 1, holds
+    coefficient i of p: what unpack_poly reads."""
+    return sum(c << i * width for i, c in enumerate(p.coeffs))
 
 
 def slot_coefficients(width):
@@ -308,11 +354,11 @@ packed_cases = st.integers(1, 80).flatmap(lambda w: st.tuples(st.just(w), slot_c
 def test_pack_round_trip(case):
     width, coeffs = case
     p = IntPoly(coeffs)
-    packed = pack_poly(p, width)
+    packed = pack(p, width)
     assert unpack_poly(packed, width) == p
     assert (packed == 0) == p.is_zero
     # multiplying by q^k is a shift of k slots
-    assert pack_poly(p.shift(3), width) == packed << 3 * width
+    assert unpack_poly(packed << 3 * width, width) == p.shift(3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,18 +367,13 @@ def test_packed_sums_add_slot_by_slot(width, data):
     # coefficients below half a slot cannot carry when two are added
     half = st.lists(st.integers(0, (1 << (width - 1)) - 1), max_size=8)
     p, r = IntPoly(data.draw(half)), IntPoly(data.draw(half))
-    assert pack_poly(p + r, width) == pack_poly(p, width) + pack_poly(r, width)
+    assert unpack_poly(pack(p, width) + pack(r, width), width) == p + r
 
 
-def test_pack_rejects_what_a_slot_cannot_hold():
-    for bad in (P(0, 1 << 8), P(-1), P(3, -1)):
-        with pytest.raises(ValueError):
-            pack_poly(bad, 8)
-    assert pack_poly(P(255, 1), 8) == 255 + (1 << 8)
+def test_unpack_rejects_what_no_packing_gives():
+    assert unpack_poly(255 + (1 << 8), 8) == P(255, 1)
     with pytest.raises(ValueError):
         unpack_poly(-1, 8)
     for width in (0, -3):
-        with pytest.raises(ValueError):
-            pack_poly(ONE, width)
         with pytest.raises(ValueError):
             unpack_poly(1, width)

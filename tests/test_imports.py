@@ -51,10 +51,15 @@ def all_modules_after(code: str, *argv: str) -> set[str]:
     return set(out.split())
 
 
+def package_modules(modules: set[str]) -> set[str]:
+    """The genocchi.* modules among modules, without the prefix."""
+    return {m.removeprefix("genocchi.") for m in modules if m.startswith("genocchi.")}
+
+
 def modules_after(code: str, *argv: str) -> set[str]:
     """The genocchi.* modules, without the prefix, that a fresh interpreter
     holds after running code with argv."""
-    return {m.removeprefix("genocchi.") for m in all_modules_after(code, *argv) if m.startswith("genocchi.")}
+    return package_modules(all_modules_after(code, *argv))
 
 
 def loaded(*argv: str) -> set[str]:
@@ -134,6 +139,12 @@ UNREACHED = {
     "dellac.dellac_length": "the acceptance criteria's per-configuration statistic",
     "motzkin.fermionic_exponent": "the acceptance criteria's per-path exponent",
     "exactalg.PowerSeries.inverse": "the perfbench tracer reads and patches it by name",
+    "exactalg.IntPoly.__setattr__": "the immutability guard: runs only when code misuses a value",
+    "exactalg.IntPoly.__str__": "failure details and debugging: the commands print render()",
+    "exactalg.IntPoly.__repr__": "failure details and debugging",
+    "exactalg.IntPoly.__neg__": "PowerSeries.inverse uses it",
+    "exactalg.IntPoly.__sub__": "the Han-Zeng reference in tests/reference.py uses it",
+    "exactalg.IntPoly.__hash__": "IntPoly defines __eq__, so it must hash as the ints it equals do",
 }
 
 SPECS = {
@@ -170,10 +181,12 @@ def own_code(func) -> bool:
 
 def defined_functions():
     """(qualified name, function) for each function, method and property
-    accessor that a module of the package defines, dunder names aside.
+    accessor that a module of the package defines, dunder methods included.
     Only the package's own code counts: a member a class inherits from the
-    standard library, such as a NamedTuple's _make, _replace and _asdict,
-    shares one code object among all such classes and is not listed."""
+    standard library, such as a NamedTuple's _make, _replace, _asdict and
+    generated __new__ and __repr__, shares its code with all such classes
+    and is not listed.  An alias such as __rmul__ = __mul__ shares its
+    original's code, and one name is listed for both."""
     for info in pkgutil.iter_modules(genocchi.__path__):
         module = importlib.import_module(f"genocchi.{info.name}")
         for name, value in vars(module).items():
@@ -184,8 +197,6 @@ def defined_functions():
                     yield f"{info.name}.{name}", value
                 continue
             for attr, member in vars(value).items():
-                if attr.startswith("__"):
-                    continue
                 if isinstance(member, property):
                     accessors = [member.fget, member.fset, member.fdel]
                 else:
@@ -221,9 +232,24 @@ def bare_modules():
     return all_modules_after("")
 
 
+@pytest.fixture(scope="module")
+def command_modules(spec_dir):
+    """all_modules_after(RUN_CLI, *argv) for a REACH_RUNS argv, from one
+    fresh interpreter per command form however many tests ask."""
+    seen: dict = {}
+
+    def modules(argv: list[str]) -> set[str]:
+        key = tuple(with_specs(argv, spec_dir))
+        if key not in seen:
+            seen[key] = all_modules_after(RUN_CLI, *key)
+        return seen[key]
+
+    return modules
+
+
 @pytest.mark.parametrize("argv", [argv for _, argv in REACH_RUNS], ids=" ".join)
-def test_no_command_loads_a_heavy_standard_module(argv, spec_dir, bare_modules):
-    added = all_modules_after(RUN_CLI, *with_specs(argv, spec_dir)) - bare_modules
+def test_no_command_loads_a_heavy_standard_module(argv, command_modules, bare_modules):
+    added = command_modules(argv) - bare_modules
     assert not added & HEAVY
     if argv[0] == "enumerate":
         assert "genocchi.exactalg" not in added  # the stream does no polynomial arithmetic
@@ -234,17 +260,17 @@ def test_importing_the_cli_loads_neither_argparse_nor_json(bare_modules):
 
 
 @pytest.mark.parametrize("argv", [argv for status, argv in REACH_RUNS if status == 0], ids=" ".join)
-def test_a_well_formed_command_line_skips_argparse_and_json(argv, spec_dir, bare_modules):
-    added = all_modules_after(RUN_CLI, *with_specs(argv, spec_dir)) - bare_modules
+def test_a_well_formed_command_line_skips_argparse_and_json(argv, command_modules, bare_modules):
+    added = command_modules(argv) - bare_modules
     assert "argparse" not in added
     if argv[0] != "verify" and "custom" not in argv:  # the report and the spec reader use json
         assert "json" not in added
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in REACH_RUNS if argv[0] == "series"], ids=" ".join)
-def test_a_series_command_loads_only_the_path_sweep(argv, spec_dir):
+def test_a_series_command_loads_only_the_path_sweep(argv, command_modules):
     # contfrac expands by pathsums.path_sums; neither motzkin.py nor the walk is compiled
-    assert loaded(*with_specs(argv, spec_dir)) == FRONT | {"contfrac", "pathsums", "exactalg"}
+    assert package_modules(command_modules(argv)) == FRONT | {"contfrac", "pathsums", "exactalg"}
 
 
 def test_the_commands_reach_every_member_the_package_defines(spec_dir):

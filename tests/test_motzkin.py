@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from genocchi import motzkin
 from genocchi.cli import run
 from genocchi.errors import InternalInconsistencyError, ResourceLimitError
-from genocchi.exactalg import IntPoly, LaurentPoly, ONE
+from genocchi.exactalg import IntPoly, LaurentPoly, ONE, q_binomial
 from genocchi.dellac import h_poly_dellac
 from genocchi.motzkin import (
     MotzkinPath,
@@ -22,7 +22,6 @@ from genocchi.motzkin import (
     integer_weight_system,
     iter_motzkin,
     laurent_weight_system,
-    q_binomial_or_zero,
     tilde_h,
     weighted_path_sum,
 )
@@ -286,8 +285,8 @@ def fermionic_by_paths(n):
     for f in iter_motzkin(n):
         term = ONE
         for k in range(1, n):
-            term = term * q_binomial_or_zero(1 + f[k - 1], f[k])
-            term = term * q_binomial_or_zero(1 + f[k + 1], f[k])
+            term = term * q_binomial(1 + f[k - 1], f[k])
+            term = term * q_binomial(1 + f[k + 1], f[k])
         total = total + term.shift(fermionic_exponent(f))
     return total
 
@@ -318,20 +317,14 @@ def test_unrestricted_sum_equals_path_sum(n):
         f = (0,) + mids + (0,)
         term = ONE
         for k in range(1, n):
-            term = term * q_binomial_or_zero(1 + f[k - 1], f[k])
-            term = term * q_binomial_or_zero(1 + f[k + 1], f[k])
+            term = term * q_binomial(1 + f[k - 1], f[k])
+            term = term * q_binomial(1 + f[k + 1], f[k])
         if term.is_zero:
             continue
         expo = fermionic_exponent(f)
         assert expo >= 0
         total = total + term.shift(expo)
     assert total == h_poly_fermionic(n)
-
-
-def test_qbin_or_zero_extends_by_zero():
-    assert q_binomial_or_zero(2, 5).is_zero
-    assert q_binomial_or_zero(3, -1).is_zero
-    assert q_binomial_or_zero(4, 2) == IntPoly((1, 1, 2, 1, 1))
 
 
 # ---------------------------------------------------------------------------
