@@ -13,8 +13,9 @@ read from that table directly; anything else (help, an abbreviation,
 table, so importing this module loads neither argparse nor json.
 
 enumerate writes its lines through stream.py, which checks, joins and
-encodes each piece the walk shares once.  A spec file for series custom
-must be a regular file of at most SPEC_MAX_BYTES.
+encodes each piece the walk shares once; seq and series write each term or
+coefficient as soon as it is known.  contfrac.read_spec reads the spec file
+of series custom.
 
 Exit status: 0 success, 1 verification failures, 2 usage error, 3 resource
 limit exceeded, 4 internal error (a broken identity or any other uncaught
@@ -51,18 +52,30 @@ BROKEN_PIPE = 141
 # a q-fraction expansion climbs steeply with the order
 SEQ_MAX_COUNT = 900
 SERIES_MAX_ORDER = 64
-# a spec file is read to at most this many bytes, so a device or a huge file
-# cannot exhaust memory; a few hundred coefficients of the 4300 digits an
-# int may print fit, against the SERIES_MAX_ORDER + 1 a spec can use
-SPEC_MAX_BYTES = 1 << 20
+
+
+# a decimal string as json.dumps writes it: digits and a minus sign need no
+# escape.  Every payload but the verify report holds only these, ints and
+# fixed keys, so those commands do not load json.
+_quoted = '"{}"'.format
 
 
 def _decimals(values) -> str:
-    """A JSON array of decimal strings, byte for byte as json.dumps writes
-    it: digits and a minus sign need no escape.  Every payload but the
-    verify report holds only these, ints and fixed keys, so those commands
-    do not load json."""
-    return "[" + ",".join(f'"{v}"' for v in values) + "]"
+    """A JSON array of decimal strings, byte for byte as json.dumps writes it."""
+    return "[" + ",".join(map(_quoted, values)) + "]"
+
+
+def _write_joined(head: str, pieces, sep: str, end: str) -> None:
+    """Write head, the pieces separated by sep, then end, each piece as soon
+    as it is made: a command holds one piece's text, not its whole output.
+    A fault while a piece is made leaves the pieces before it written."""
+    write = sys.stdout.write
+    write(head)
+    lead = ""
+    for piece in pieces:
+        write(lead + piece)
+        lead = sep
+    write(end)
 
 
 def _internal_error(exc: Exception) -> int:
@@ -78,15 +91,14 @@ def _print_poly(p: IntPoly, as_json: bool) -> None:
 
 
 def _print_series(series: PowerSeries, as_json: bool) -> None:
+    coeffs = series.coeffs
     if as_json:
-        coeffs = ",".join('{"coeffs":' + _decimals(c.coeff_strings()) + "}" for c in series.coeffs)
-        print(f'{{"order":{series.order},"coeffs":[{coeffs}]}}')
-        return
-    if all(c.is_zero or c.degree == 0 for c in series.coeffs):
-        print(" ".join(str(c.coefficient(0)) for c in series.coeffs))
+        pieces = ('{"coeffs":' + _decimals(c.coeff_strings()) + "}" for c in coeffs)
+        _write_joined(f'{{"order":{series.order},"coeffs":[', pieces, ",", "]}\n")
+    elif all(c.is_zero or c.degree == 0 for c in coeffs):
+        _write_joined("", (str(c.coefficient(0)) for c in coeffs), " ", "\n")
     else:
-        for n, c in enumerate(series.coeffs):
-            print(f"s^{n}: {c.render()}")
+        _write_joined("", (f"s^{n}: {c.render()}" for n, c in enumerate(coeffs)), "\n", "\n")
 
 
 def _cmd_seq(args) -> int:
@@ -101,11 +113,13 @@ def _cmd_seq(args) -> int:
         "H": median_sequence,
         "genocchi1": genocchi_first_sequence,
     }[args.name](args.count)
+    # each term is written as soon as its column is reached, and its int
+    # dropped once its text is made
     if args.json:
         label = ',"label":"H_{2n-1}"' if args.name == "H" else ""
-        print(f'{{"name":"{args.name}"{label},"values":' + _decimals(map(str, values)) + "}")
+        _write_joined(f'{{"name":"{args.name}"{label},"values":[', map(_quoted, values), ",", "]}\n")
     else:
-        print(" ".join(str(v) for v in values))
+        _write_joined("", map(str, values), " ", "\n")
     return 0
 
 
@@ -184,43 +198,23 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from .contfrac import NAMED_FRACTIONS, expand, spec_from_dict
+    from .contfrac import NAMED_FRACTIONS, expand, read_spec
 
     if args.order > SERIES_MAX_ORDER:
         raise ResourceLimitError(f"series --order capped at {SERIES_MAX_ORDER}, got {args.order}")
+    # the interpreter's limit on converting an int from or to a string (0: none,
+    # as before Python 3.10.7): a spec literal past it is refused before int()
+    # reads it, and a coefficient past it before the first line is written
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     if args.name == "custom":
         if not args.spec:
             raise ValueError("series custom requires --spec FILE")
-        import io
-        import json
-        import stat
-
-        # opened without blocking, so that a FIFO with no writer is refused, not waited on
-        fd = os.open(args.spec, os.O_RDONLY | os.O_NONBLOCK)
-        try:
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
-                raise ValueError(f"{args.spec}: not a regular file")
-            with open(fd, "rb", closefd=False) as fh:
-                data = fh.read(SPEC_MAX_BYTES + 1)
-        finally:
-            os.close(fd)
-        if len(data) > SPEC_MAX_BYTES:
-            raise ResourceLimitError(f"{args.spec}: spec files are capped at {SPEC_MAX_BYTES} bytes")
-        try:
-            # decoded as a text-mode read of the file decodes it
-            spec = spec_from_dict(json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()))
-        except RecursionError:
-            raise ValueError(f"{args.spec}: JSON nested too deeply") from None
-        except ValueError as exc:  # malformed JSON or UTF-8, or a field of the wrong kind
-            raise ValueError(f"{args.spec}: {exc}") from None
+        spec = read_spec(args.spec, limit)
     else:
         if args.spec:
             raise ValueError("--spec applies only to 'series custom'")
         spec = NAMED_FRACTIONS[args.name]()
     series = expand(spec, args.order)
-    # checked before the first line: past the interpreter's limit on printing
-    # an int (0: none, as before Python 3.10.7), str() would raise midway
-    limit = getattr(sys, "get_int_max_str_digits", int)()
     largest = max((max(map(abs, c.coeffs)) for c in series.coeffs if c.coeffs), default=0)
     if limit and largest >= 10**limit:
         raise ResourceLimitError(f"series --order {args.order} gives a coefficient of more than {limit} digits")

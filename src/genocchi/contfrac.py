@@ -20,8 +20,12 @@ classical fraction generating the median numbers.
 
 from __future__ import annotations
 
+import io
+import os
+import stat
 from typing import Callable, NamedTuple, Union
 
+from .errors import ResourceLimitError
 from .exactalg import IntPoly, PowerSeries, q_binomial
 from .pathsums import WeightSystem, path_sums
 
@@ -192,6 +196,11 @@ NAMED_FRACTIONS: dict[str, Callable[[], CFSpec]] = {
 }
 
 
+# a spec file is read to at most this many bytes, so a device or a huge file
+# cannot exhaust memory; a few hundred coefficients of the 4300 digits an
+# int may print fit, against the 65 a spec can use at the CLI's order cap
+SPEC_MAX_BYTES = 1 << 20
+
 _SPEC_KEYS = {"preset": {"preset"}, "J": {"kind", "gamma", "lambda"}, "S": {"kind", "c0", "c"}}
 
 
@@ -239,3 +248,41 @@ def spec_from_dict(data: dict) -> CFSpec:
         c=lambda k: cs[k - 1] if 1 <= k <= len(cs) else 0,
         c0=c0,
     )
+
+
+def read_spec(path: str, digits: int) -> CFSpec:
+    """The spec in the JSON file at path, through spec_from_dict.
+
+    The file must be a regular file, opened without blocking so that a FIFO
+    with no writer is refused rather than waited on, and is read to at most
+    SPEC_MAX_BYTES.  An integer literal of more than digits digits (0: no
+    bound) is refused before int() reads it.  Raises OSError when the file
+    cannot be opened, ValueError naming the path for a bad file or spec, and
+    ResourceLimitError for a bound passed.
+    """
+    import json
+
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ValueError(f"{path}: not a regular file")
+        with open(fd, "rb", closefd=False) as fh:
+            data = fh.read(SPEC_MAX_BYTES + 1)
+    finally:
+        os.close(fd)
+    if len(data) > SPEC_MAX_BYTES:
+        raise ResourceLimitError(f"{path}: spec files are capped at {SPEC_MAX_BYTES} bytes")
+
+    def parse_int(literal: str) -> int:
+        if digits and len(literal) - literal.startswith("-") > digits:
+            raise ResourceLimitError(f"{path}: an integer has more than {digits} digits")
+        return int(literal)
+
+    try:
+        # decoded as a text-mode read of the file decodes it
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        return spec_from_dict(json.loads(text, parse_int=parse_int))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # malformed JSON or UTF-8, or a field of the wrong kind
+        raise ValueError(f"{path}: {exc}") from None

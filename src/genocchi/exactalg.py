@@ -77,12 +77,6 @@ class IntPoly:
     def __neg__(self):
         return IntPoly(map(operator.neg, self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -9,8 +9,10 @@ normalized values h(n) = H(2n+1) / 2^n are integers (Barsky-Dumont), which
 this module asserts rather than proves.
 
 Columns are produced as running sums of the one before, so a sweep through
-N columns costs O(N^2) additions and keeps a single column alive.  Nothing
-is cached: every call sweeps afresh from g(1,1).
+N columns costs O(N^2) additions and keeps a single column alive.  The
+sequences are iterators over that sweep: each term is yielded as soon as
+its column is reached, and no list of terms is kept.  Nothing is cached:
+every call sweeps afresh from g(1,1).
 """
 
 from __future__ import annotations
@@ -45,41 +47,49 @@ def _sweep(n_columns: int) -> Iterator[tuple[int, ...]]:
         yield col
 
 
-def genocchi_first_sequence(count: int) -> list[int]:
-    """Genocchi numbers of the first kind g(n, 2n-1) for n = 1..count."""
+def genocchi_first_sequence(count: int) -> Iterator[int]:
+    """Genocchi numbers of the first kind g(n, 2n-1) for n = 1..count, each
+    yielded as its column is reached."""
     if count < 1:
-        return []
-    return [col[-1] for col in islice(seidel_columns(2 * count - 1), 0, None, 2)]
+        return iter(())
+    return (col[-1] for col in islice(seidel_columns(2 * count - 1), 0, None, 2))
 
 
-def median_sequence(count: int) -> list[int]:
-    """H(1), H(3), ..., H(2*count - 1)."""
+def median_sequence(count: int) -> Iterator[int]:
+    """H(1), H(3), ..., H(2*count - 1), each yielded as its column is reached."""
     if count < 1:
-        return []
-    return [col[0] for col in islice(seidel_columns(2 * count), 1, None, 2)]
+        return iter(())
+    return (col[0] for col in islice(seidel_columns(2 * count), 1, None, 2))
 
 
-def h_sequence(count: int) -> list[int]:
-    """h(0), h(1), ..., h(count-1)."""
-    values = []
+def h_sequence(count: int) -> Iterator[int]:
+    """h(0), h(1), ..., h(count-1), each yielded as its column is reached;
+    InternalInconsistencyError at the first H(2n+1) that 2^n does not divide,
+    after the terms before it."""
     for n, big in enumerate(median_sequence(count)):
         if big % (1 << n):
             raise InternalInconsistencyError(
                 f"H({2 * n + 1}) = {big} is not divisible by 2^{n}"
             )
-        values.append(big >> n)
-    return values
+        yield big >> n
+
+
+def _last(values: Iterator[int]) -> int:
+    """The last term of a nonempty sequence, holding no list of them."""
+    for value in values:
+        pass
+    return value
 
 
 def median_genocchi(n: int) -> int:
     """Median Genocchi number H(2n-1) = g(1, 2n)."""
     if n < 1:
         raise ValueError("index must be positive")
-    return median_sequence(n)[-1]
+    return _last(median_sequence(n))
 
 
 def normalized_h(n: int) -> int:
     """Normalized median Genocchi number h(n) = H(2n+1) / 2^n."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return h_sequence(n + 1)[-1]
+    return _last(h_sequence(n + 1))

@@ -155,6 +155,11 @@ def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     return IntPoly(quot)
 
 
+def _minus(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a - b: IntPoly has no subtraction, since no route subtracts polynomials."""
+    return a + (-b)
+
+
 def _times_one_plus_qx(c: list[IntPoly]) -> list[IntPoly]:
     # (1 + qx) * sum c_i x^i, as x-coefficients
     return [a + b.shift(1) for a, b in zip(c + [ZERO], [ZERO] + c)]
@@ -167,7 +172,7 @@ def _over_divisor(b: list[IntPoly]) -> list[IntPoly]:
     u = ZERO
     quotient = []
     for c in b:
-        u = c + u - u.shift(1)
+        u = _minus(c + u, u.shift(1))
         quotient.append(u)
     if quotient.pop():
         raise InexactDivisionError("bivariate division leaves a remainder")
@@ -188,7 +193,7 @@ def _step(prev: list[IntPoly]) -> list[IntPoly]:
     divided by 1 + qx - x."""
     bracket = _times_one_plus_qx(_substitute(prev))
     for i, c in enumerate(prev, start=1):
-        bracket[i] = bracket[i] - c
+        bracket[i] = _minus(bracket[i], c)
     return _times_one_plus_qx(_over_divisor(bracket))
 
 

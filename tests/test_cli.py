@@ -12,7 +12,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genocchi import admissible, cli, dellac, hanzeng, iter_admissible, iter_dellac, iter_motzkin, motzkin
+from genocchi import (
+    admissible,
+    cli,
+    contfrac,
+    dellac,
+    hanzeng,
+    iter_admissible,
+    iter_dellac,
+    iter_motzkin,
+    motzkin,
+    seidel,
+)
 from genocchi.admissible import AdmissibleSequence
 from genocchi.cli import (
     COMMANDS,
@@ -354,14 +365,36 @@ def test_a_spec_path_that_is_not_a_regular_file_exits_2(tmp_path, capsys):
 def test_a_spec_file_past_its_byte_bound_exits_3(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     text = json.dumps({"preset": "hn"})
-    spec.write_text(text.ljust(cli.SPEC_MAX_BYTES), encoding="utf-8")
+    spec.write_text(text.ljust(contfrac.SPEC_MAX_BYTES), encoding="utf-8")
     assert run(["series", "custom", "--order", "4", "--spec", str(spec)]) == 0
     assert lines_of(capsys) == ["1 1 2 7 38"]
-    spec.write_text(text.ljust(cli.SPEC_MAX_BYTES + 1), encoding="utf-8")
+    spec.write_text(text.ljust(contfrac.SPEC_MAX_BYTES + 1), encoding="utf-8")
     assert run(["series", "custom", "--order", "4", "--spec", str(spec)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {spec}: spec files are capped at {cli.SPEC_MAX_BYTES} bytes\n"
+    assert captured.err == f"error: {spec}: spec files are capped at {contfrac.SPEC_MAX_BYTES} bytes\n"
+
+
+def test_a_spec_literal_past_the_int_digit_limit_exits_3(tmp_path, capsys):
+    # refused before int() reads it, whose own error names a Python call
+    spec = tmp_path / "spec.json"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for literal, status in (("1" * 4300, 0), ("-" + "1" * 4300, 0), ("1" * 4301, 3), ("-" + "1" * 4301, 3)):
+            spec.write_text(f'{{"kind": "S", "c": [{literal}]}}', encoding="utf-8")
+            assert run(["series", "custom", "--order", "0", "--spec", str(spec)]) == status
+            captured = capsys.readouterr()
+            if status:
+                assert captured.out == ""
+                assert captured.err == f"error: {spec}: an integer has more than 4300 digits\n"
+            else:
+                assert captured.out == "1\n"
+        sys.set_int_max_str_digits(0)  # no limit, no check
+        assert run(["series", "custom", "--order", "0", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out == "1\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_spec_file_content_errors_name_the_file(tmp_path, capsys):
@@ -718,6 +751,71 @@ def test_seq_count_is_bounded(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: seq --count capped at 900, got {SEQ_MAX_COUNT + 1}\n"
+
+
+@pytest.mark.parametrize("as_json, out", [(False, "1 1 2"), (True, '{"name":"h","values":["1","1","2"')])
+def test_seq_writes_the_terms_before_an_inexact_term(monkeypatch, capsys, as_json, out):
+    # each term goes out as it is computed; the fault stops the output there
+    monkeypatch.setattr(seidel, "median_sequence", lambda count: iter([1, 2, 8, 57]))
+    assert run(["seq", "h", "--count", "4"] + ["--json"] * as_json) == 4
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == "internal error: InternalInconsistencyError: H(7) = 57 is not divisible by 2^3\n"
+
+
+def test_seq_and_series_write_a_piece_at_a_time():
+    for argv, pieces in (
+        (["seq", "H", "--count", "5"], 5),
+        (["seq", "h", "--count", "7", "--json"], 7),
+        (["series", "hn", "--order", "4"], 5),
+        (["series", "f1", "--order", "3"], 4),
+        (["series", "f1", "--order", "3", "--json"], 4),
+    ):
+        out = CountingStdout()
+        with redirect_stdout(out):
+            assert run(argv) == 0
+        assert out.writes == pieces + 2  # the head, one write per term, the end
+
+
+# A launcher that imports nothing of its own, as perfbench/launch.py: Linux
+# carries a process's peak RSS across exec, so a command forked from pytest
+# would report at least pytest's peak.
+PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        os.execv(sys.executable, [sys.executable, "-m", "genocchi.cli", *sys.argv[1:]])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mb(*argv: str) -> float:
+    """The peak RSS of a fresh `genocchi argv` process, read with os.wait4."""
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", PEAK_RSS, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    status, kib = map(int, out.split())
+    assert status == 0
+    return kib / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_seq_holds_one_column_not_the_sequence():
+    # 900 terms of up to 4,300 digits: kept, with their texts and the joined
+    # output, they raised the peak by about 13.7 MB over a one-term command;
+    # written as they come, by about 5 MB
+    grown = peak_rss_mb("seq", "H", "--count", "900", "--json") - peak_rss_mb("seq", "h", "--count", "1", "--json")
+    assert grown < 9
 
 
 def test_series_order_is_bounded(capsys):

@@ -51,7 +51,7 @@ def test_arithmetic_small_cases():
     assert P(1, 1) * P(1, 1) == P(1, 2, 1)
     assert (ONE + Q) * (ONE + Q) * (ONE + Q) == P(1, 3, 3, 1)
     assert 2 * Q == P(0, 2)
-    assert Q - Q == ZERO
+    assert Q + (-Q) == ZERO
     assert P(1, 2, 3)(10) == 321
     assert P(1, 2, 3)(Fraction(1, 2)) == Fraction(11, 4)
 

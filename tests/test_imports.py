@@ -142,8 +142,7 @@ UNREACHED = {
     "exactalg.IntPoly.__setattr__": "the immutability guard: runs only when code misuses a value",
     "exactalg.IntPoly.__str__": "failure details and debugging: the commands print render()",
     "exactalg.IntPoly.__repr__": "failure details and debugging",
-    "exactalg.IntPoly.__neg__": "PowerSeries.inverse uses it",
-    "exactalg.IntPoly.__sub__": "the Han-Zeng reference in tests/reference.py uses it",
+    "exactalg.IntPoly.__neg__": "PowerSeries.inverse and the Han-Zeng reference in tests/reference.py use it",
     "exactalg.IntPoly.__hash__": "IntPoly defines __eq__, so it must hash as the ints it equals do",
 }
 

@@ -1,5 +1,7 @@
 import pytest
 
+from genocchi import seidel
+from genocchi.errors import InternalInconsistencyError
 from genocchi.seidel import (
     genocchi_first_sequence,
     h_sequence,
@@ -71,20 +73,20 @@ def test_matches_independent_implementation():
 
 
 def test_genocchi_first_golden():
-    assert genocchi_first_sequence(5) == [1, 1, 3, 17, 155]
-    assert genocchi_first_sequence(1)[-1] == 1
+    assert list(genocchi_first_sequence(5)) == [1, 1, 3, 17, 155]
+    assert list(genocchi_first_sequence(1))[-1] == 1
     # n=6 pinned by the independent oracle implementation
-    assert genocchi_first_sequence(6)[-1] == independent_triangle(11)[(6, 11)]
+    assert list(genocchi_first_sequence(6))[-1] == independent_triangle(11)[(6, 11)]
 
 
 def test_median_golden():
-    assert median_sequence(5) == [1, 2, 8, 56, 608]
+    assert list(median_sequence(5)) == [1, 2, 8, 56, 608]
     assert median_genocchi(1) == 1
     assert median_genocchi(6) == 32 * 295  # 2^5 h(5)
 
 
 def test_normalized_golden():
-    assert h_sequence(7) == [1, 1, 2, 7, 38, 295, 3098]
+    assert list(h_sequence(7)) == [1, 1, 2, 7, 38, 295, 3098]
     assert normalized_h(0) == 1
 
 
@@ -97,8 +99,35 @@ def test_divisibility_through_12():
 def test_domain_errors():
     with pytest.raises(ValueError):
         seidel_columns(0)  # fires at the call, before anything is iterated
-    assert genocchi_first_sequence(0) == []
+    assert list(genocchi_first_sequence(0)) == []
     with pytest.raises(ValueError):
         median_genocchi(0)
     with pytest.raises(ValueError):
         normalized_h(-1)
+
+
+def test_sequences_yield_each_term_as_its_column_is_reached(monkeypatch):
+    swept = []
+    columns = seidel.seidel_columns
+
+    def counted(n_columns):
+        for col in columns(n_columns):
+            swept.append(col)
+            yield col
+
+    monkeypatch.setattr(seidel, "seidel_columns", counted)
+    terms = median_sequence(100)
+    assert swept == []
+    assert (next(terms), next(terms)) == (1, 2)
+    assert len(swept) == 4  # columns 1..4: H(3) = g(1, 4)
+    swept.clear()
+    assert next(genocchi_first_sequence(100)) == 1
+    assert len(swept) == 1
+
+
+def test_h_sequence_yields_the_terms_before_an_inexact_term(monkeypatch):
+    monkeypatch.setattr(seidel, "median_sequence", lambda count: iter([1, 2, 8, 57, 608]))
+    terms = h_sequence(5)
+    assert [next(terms) for _ in range(3)] == [1, 1, 2]
+    with pytest.raises(InternalInconsistencyError, match=r"H\(7\) = 57 is not divisible by 2\^3"):
+        next(terms)
