@@ -9,13 +9,15 @@ takes a few minutes on 2 vCPUs.  The file holds:
   the environment variables that change what a fresh command costs;
 - "fresh": for every command form of the three perfbench workloads (read from
   perfbench/run.py's WORKLOADS, which this imports and does not change), for
-  the largest `seq` and `series` forms and for the start-up floor, the
+  the largest `seq` and `series` forms, `verify --n-max 8`, the smallest
+  command (`seq h --count 1`) and the start-up floor, the
   minimum wall time and the maximum peak RSS over FRESH_RUNS fresh
   processes, each read with os.wait4 on the one child by perfbench/launch.py,
   and whether every run's output passed its perfbench check;
 - "layers": the minimum and maximum seconds over LAYER_RUNS in-process calls
-  of each route's core call, and of the IntPoly multiply under them, at
-  fixed sizes, each call with the q-binomial cache emptied first;
+  of each route's core call, of the IntPoly multiply under them, and of
+  the Dellac and admissible walks counted by their blocks, at fixed sizes,
+  each call with the q-binomial cache emptied first;
 - "tier1": the wall time and summary line of one run of the tier-1 suite;
 - "end_to_end": the metrics line of perfbench/run.py for each workload, run
   unchanged for PERFBENCH_SECONDS.
@@ -48,11 +50,15 @@ PERFBENCH_SECONDS = 10
 # the caps sized for desk-scale enumeration stop the sweeps below n = 14
 LAYER_CAP = "14"
 
-# forms no workload runs: the largest each of seq and series takes, and the
-# floor every command pays before it computes anything
+# forms no workload runs: the largest each of seq and series takes, the full
+# cross-check matrix, the smallest command, and the floor every command pays
+# before it computes anything
 EXTRA_FORMS = {
     "seq H --count 900 --json": perfbench.cli_argv(["seq", "H", "--count", "900", "--json"]),
+    "series f1 --order 64 --json": perfbench.cli_argv(["series", "f1", "--order", "64", "--json"]),
     "series f2 --order 64 --json": perfbench.cli_argv(["series", "f2", "--order", "64", "--json"]),
+    "verify --n-max 8 --json": perfbench.cli_argv(["verify", "--n-max", "8", "--json"]),
+    "seq h --count 1 --json": perfbench.cli_argv(["seq", "h", "--count", "1", "--json"]),
     "python -c pass": [sys.executable, "-c", "pass"],
     "python -c 'import genocchi.cli'": perfbench.SETUP_ARGV,
 }
@@ -105,6 +111,7 @@ def fresh_rows(work: Path) -> dict:
 
 
 def layer_calls() -> dict:
+    from genocchi import admissible, dellac
     from genocchi.admissible import count_closed_column_graded
     from genocchi.contfrac import expand, fraction_f1, fraction_f2
     from genocchi.dellac import h_poly_dellac
@@ -112,6 +119,7 @@ def layer_calls() -> dict:
     from genocchi.hanzeng import hanzeng_barc
     from genocchi.limits import ENV_VAR
     from genocchi.verify import crosscheck
+    from genocchi.walk import layered_blocks
 
     rng = random.Random(SEED)
     a, b = (IntPoly([rng.randrange(1 << 64) for _ in range(256)]) for _ in range(2))
@@ -126,6 +134,18 @@ def layer_calls() -> dict:
 
         return call
 
+    def block_count(model, n):
+        # what crosscheck's counts-agree does past the object-checked sizes:
+        # each block adds its state's tail count, read once per state
+        def call():
+            total, sizes = 0, {}
+            for _, state, tails in layered_blocks(*model.layers(n), model.SHARED_LEVELS):
+                total += sizes.setdefault(state, len(tails))
+                tails.clear()
+            return total
+
+        return call
+
     return {
         "IntPoly * IntPoly, 256 terms of 64 bits each": lambda: a * b,
         "expand(fraction_f1(), 48)": lambda: expand(fraction_f1(), 48),
@@ -134,6 +154,8 @@ def layer_calls() -> dict:
         "count_closed_column_graded(14)": capped(count_closed_column_graded, 14),
         "hanzeng_barc(48)": lambda: hanzeng_barc(48),
         "crosscheck(8)": lambda: crosscheck(8),
+        "Dellac walk block count at n = 8": block_count(dellac, 8),
+        "admissible walk block count at n = 8": block_count(admissible, 8),
     }
 
 

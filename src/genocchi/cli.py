@@ -20,7 +20,10 @@ of series custom.
 Exit status: 0 success, 1 verification failures, 2 usage error, 3 resource
 limit exceeded, 4 internal error (a broken identity or any other uncaught
 exception, reported as one `internal error:` line), 141 (128 + SIGPIPE)
-when the reader closes stdout early.
+when the reader closes stdout early.  A failed final write maps like any
+other: main flushes stdout after run() returns (141, or one `error:` line
+and 2), then skips the interpreter's teardown with os._exit, so atexit
+hooks that other code puts into the CLI process do not run.
 All output is deterministic; JSON payloads use decimal strings for big
 integers and round-trip byte-identically.
 """
@@ -401,7 +404,18 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    status = run()
+    try:
+        if sys.stdout is not None:  # None when the process starts with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        status = BROKEN_PIPE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = USAGE_ERROR
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

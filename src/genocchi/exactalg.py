@@ -78,8 +78,13 @@ class IntPoly:
         return IntPoly(map(operator.neg, self.coeffs))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            # a scalar, as the path sweeps' int 1 weights and heads: no
+            # wrapper and no double loop, and no copy for the 1
+            if other == 1:
+                return self
+            return IntPoly([c * other for c in self.coeffs])
+        if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:

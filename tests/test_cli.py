@@ -1116,6 +1116,63 @@ def test_closed_stdout_pipe_exits_quietly_json():
     assert err == b""
 
 
+def fresh_buffered(argv, **streams):
+    """Run `python -m genocchi.cli argv` with a buffered stdout: a short
+    output then stays in memory until the one flush after run() returns."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, "-m", "genocchi.cli", *argv], env=env, timeout=120, **streams)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_disk_at_the_final_flush_exits_2():
+    with open("/dev/full", "wb") as full:
+        done = fresh_buffered(["seq", "h", "--count", "3"], stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+def test_a_pipe_closed_before_the_final_flush_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = fresh_buffered(["seq", "h", "--count", "3"], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
+@pytest.mark.parametrize("fd, line, out", [(1, "count dumont --n 3", b""), (2, "seq h --count 3", b"1 1 2\n")])
+def test_a_command_started_with_a_closed_stream_exits_as_run_returns(fd, line, out):
+    # the interpreter then sets sys.stdout or sys.stderr to None, which the final flush skips
+    done = fresh_buffered(line.split(), capture_output=True, preexec_fn=lambda: os.close(fd))
+    assert done.returncode == 0
+    assert done.stdout == out
+
+
+@pytest.mark.parametrize(
+    "line, status",
+    [
+        ("seq h --count 7", 0),
+        ("series f1 --order 5 --json", 0),
+        ("verify --n-max 3 --json --seed 1", 0),
+        ("seq h --count 0", 2),
+        ("seq h --count 901", 3),
+    ],
+)
+def test_a_fresh_command_ends_with_everything_run_wrote(line, status):
+    # the process ends with os._exit, after its own flush: nothing written may be lost
+    argv = line.split()
+    done = fresh_buffered(argv, capture_output=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert run(argv) == status
+    assert done.returncode == status
+    assert done.stdout == out.getvalue().encode()
+    assert done.stderr == err.getvalue().encode()
+
+
 # hostile values for any numeric argument: argparse rejects the last three
 HOSTILE = ("-1", "-7", str(10**30), "abc", "2.5", "")
 

@@ -56,6 +56,15 @@ def test_arithmetic_small_cases():
     assert P(1, 2, 3)(Fraction(1, 2)) == Fraction(11, 4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.integers(-(2**70), 2**70), max_size=6).map(IntPoly), k=st.sampled_from((-3, 0, 1, 7)))
+def test_an_int_multiplies_as_its_constant_polynomial(p, k):
+    # the int path scales the coefficients without the constant's double loop
+    assert (p * k).coeffs == (p * IntPoly((k,))).coeffs
+    assert (k * p).coeffs == (p * k).coeffs
+    assert p * 1 is p
+
+
 def test_shift_multiplies_by_power_of_q():
     assert P(1, 1).shift(2) == P(0, 0, 1, 1)
     assert ZERO.shift(5) == ZERO
