@@ -17,8 +17,8 @@ __version__ = "1.0.0"
 _HOMES = {
     "AdmissibleSequence": "admissible",
     "AffineSFraction": "contfrac",
-    "CheckReport": "verify",
-    "CheckResult": "verify",
+    "CheckReport": "report",
+    "CheckResult": "report",
     "DellacConfig": "dellac",
     "GammaGraph": "admissible",
     "IntPoly": "exactalg",
@@ -45,7 +45,6 @@ _HOMES = {
     "h_poly_laurent": "motzkin",
     "h_sequence": "seidel",
     "hanzeng_barc": "hanzeng",
-    "is_closed_in_gamma": "admissible",
     "iter_admissible": "admissible",
     "iter_dellac": "dellac",
     "iter_motzkin": "motzkin",

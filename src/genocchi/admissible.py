@@ -177,10 +177,6 @@ class GammaGraph(NamedTuple):
 
     n: int
 
-    def has_vertex(self, v: tuple[int, int]) -> bool:
-        l, j = v
-        return 1 <= l <= self.n - 1 and 1 <= j <= self.n
-
     def arrow_target(self, v: tuple[int, int]) -> tuple[int, int] | None:
         """The unique outgoing arrow's head, or None when out-degree is 0."""
         l, j = v
@@ -188,14 +184,12 @@ class GammaGraph(NamedTuple):
             return (l + 1, j)
         return None
 
-
-def is_closed_in_gamma(subset: Iterable[tuple[int, int]], graph: GammaGraph) -> bool:
-    """True iff every arrow starting in the subset also ends in it."""
-    vs = set(subset)
-    for v in vs:
-        if not graph.has_vertex(v):
-            raise ValueError(f"vertex {v} outside the graph for n={graph.n}")
-    return all(t in vs for v in vs if (t := graph.arrow_target(v)) is not None)
+    def heads(self, l: int, mask: int) -> int:
+        """The mask of column l + 1 that the arrows leaving the vertices
+        (l, j), j in mask, point to, read from arrow_target: a set of
+        columns is closed exactly when each column holds the heads of the
+        one before it, and the last column's are 0."""
+        return _mask(t[1] for j in _elems(mask) if (t := self.arrow_target((l, j))) is not None)
 
 
 def count_closed_column_graded(n: int) -> int:
@@ -204,9 +198,9 @@ def count_closed_column_graded(n: int) -> int:
     A layered sweep over columns l = 1..n-1 whose state is the vertex mask of
     column l (column 0 is empty), carrying the number of closed prefixes that
     end in it.  A column extends a state when it holds every arrow head
-    leaving the state's column, derived from GammaGraph.arrow_target: the
-    extensions are those heads plus each choice of further vertices, listed
-    without scanning the other l-subsets.  This runs the constraint in the
+    leaving the state's column (GammaGraph.heads): the extensions are those
+    heads plus each choice of further vertices, listed without scanning the
+    other l-subsets.  This runs the constraint in the
     opposite direction from iter_admissible and visits no object, so the two
     counts check each other.
     """
@@ -218,9 +212,7 @@ def count_closed_column_graded(n: int) -> int:
 
     def choices(level: int, prev: int):
         # column l = level + 1 holds the required heads plus any others
-        required = _mask(
-            t[1] for j in _elems(prev) if (t := graph.arrow_target((level, j))) is not None
-        )
+        required = graph.heads(level, prev)
         others = [b for b in bits if not b & required]
         for extra in combinations(others, level + 1 - required.bit_count()):
             mask = required | sum(extra)

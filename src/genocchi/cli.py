@@ -43,7 +43,7 @@ from .limits import CROSSCHECK_MAX_N
 if TYPE_CHECKING:
     import argparse
 
-    from .exactalg import IntPoly, PowerSeries
+    from .exactalg import PowerSeries
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -59,7 +59,7 @@ SERIES_MAX_ORDER = 64
 
 # a decimal string as json.dumps writes it: digits and a minus sign need no
 # escape.  Every payload but the verify report holds only these, ints and
-# fixed keys, so those commands do not load json.
+# fixed keys.
 _quoted = '"{}"'.format
 
 
@@ -81,16 +81,15 @@ def _write_joined(head: str, pieces, sep: str, end: str) -> None:
     write(end)
 
 
+def _complain(line: str) -> None:
+    # None when the process starts with fd 2 closed: print would use stdout
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 def _internal_error(exc: Exception) -> int:
-    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    _complain(f"internal error: {type(exc).__name__}: {exc}")
     return INTERNAL_ERROR
-
-
-def _print_poly(p: IntPoly, as_json: bool) -> None:
-    if as_json:
-        print('{"coeffs":' + _decimals(p.coeff_strings()) + "}")
-    else:
-        print(p.render())
 
 
 def _print_series(series: PowerSeries, as_json: bool) -> None:
@@ -116,8 +115,6 @@ def _cmd_seq(args) -> int:
         "H": median_sequence,
         "genocchi1": genocchi_first_sequence,
     }[args.name](args.count)
-    # each term is written as soon as its column is reached, and its int
-    # dropped once its text is made
     if args.json:
         label = ',"label":"H_{2n-1}"' if args.name == "H" else ""
         _write_joined(f'{{"name":"{args.name}"{label},"values":[', map(_quoted, values), ",", "]}\n")
@@ -133,7 +130,8 @@ def _cmd_poly(args) -> int:
         from .motzkin import h_poly_fermionic, tilde_h
 
         route = h_poly_fermionic if args.name == "hq" else tilde_h
-    _print_poly(route(args.n), args.json)
+    p = route(args.n)
+    print('{"coeffs":' + _decimals(p.coeff_strings()) + "}" if args.json else p.render())
     return 0
 
 
@@ -231,13 +229,10 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     report = crosscheck(args.n_max, seed=args.seed)
     if args.json:
-        import json
-
-        print(json.dumps(report.json_dict(), separators=(",", ":")))
+        print(report.json_text())
     else:
         print(report.table())
-        elapsed = time.monotonic() - started
-        print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
+        _complain(f"elapsed: {time.monotonic() - started:.2f}s")
     return 1 if report.failures else 0
 
 
@@ -390,14 +385,20 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return RESOURCE_ERROR
     except BrokenPipeError:
-        # keep the flush at exit quiet, and exit as SIGPIPE would have
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # exit as SIGPIPE would; a stdout with a descriptor goes to /dev/null
+        # to keep a flush at exit quiet
+        try:
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+        except (OSError, ValueError):  # an in-process stream may have none
+            return BROKEN_PIPE
+        os.dup2(null, fd)
+        os.close(null)
         return BROKEN_PIPE
     except (ValueError, OSError) as exc:  # includes malformed JSON spec files
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return USAGE_ERROR
     except Exception as exc:  # a fault of the program, not of its input
         return _internal_error(exc)
@@ -411,7 +412,7 @@ def main() -> None:
     except BrokenPipeError:
         status = BROKEN_PIPE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         status = USAGE_ERROR
     if sys.stderr is not None:
         sys.stderr.flush()

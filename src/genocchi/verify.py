@@ -4,13 +4,22 @@ Runs every independent route to h(n), h_n(q), the reversed polynomials and
 the generating-function identities as one table of rows (name, range,
 detail on a pass, generator of problems); one loop turns each row into a
 pass/fail/skipped line.  Failures are reported, never raised; the CLI turns
-a nonzero failure count into a nonzero exit status.
+a nonzero failure count into a nonzero exit status.  The report and its
+renderings live in report.py.
+
+Each piece of route work runs once per call: one fermionic sweep per n
+(tilde_h's, which hq-three-way reverses back to h_n(q)), one expansion
+per named fraction at CONTRACTION_ORDER, which the series, q = 1 and
+contraction checks all read, and the closure of each walked admissible
+sequence checked per column, from the arrow heads of each (column, mask)
+the walk meets, read once.
 
 Each identity compares two code paths that share no route-specific code
 (_disagreements, the n-by-n comparison of two routes, pathsums.path_sums,
 IntPoly arithmetic, walk.layered_walk under the three walks and the Dumont
-oracle, and walk.layered_sweep under the Dellac, fermionic, closed-subset
-and triangle-pair sweeps are shared substrate):
+oracle, walk.layered_sweep under the Dellac, fermionic, closed-subset
+and triangle-pair sweeps, and GammaGraph.heads under the closed-subset
+sweep and the closure check of walked sequences are shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
                     path sweep vs tilde_h's fermionic pair-state sweep
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
@@ -22,11 +31,13 @@ and triangle-pair sweeps are shared substrate):
                     sums with two exactness checks, vs tilde_h's fermionic
                     pair-state sweep
   hq-three-way      Dellac used-row transfer sweep (h_poly_dellac) vs fermionic
-                    pair-state sweep vs Laurent-weight sweep
+                    pair-state sweep (tilde_h's, reversed back) vs
+                    Laurent-weight sweep
   counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
                     transfer sweep and the integer-weight sweep vs Seidel,
                     each walked object validated through OBJECTS_MAX_N, an
-                    admissible one also as a closed set of the grid digraph;
+                    admissible one also as a closed set of the grid digraph,
+                    each column holding the heads of the one before;
                     beyond it the Dellac and admissible walks are counted
                     by their blocks (walk.layered_blocks) at each model's
                     split, each prefix by the length of its shared list of
@@ -37,12 +48,12 @@ from __future__ import annotations
 
 import random
 from functools import cache, partial
+from itertools import islice, repeat
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from . import limits
-from .admissible import AdmissibleSequence, GammaGraph, count_closed_column_graded
-from .admissible import is_closed_in_gamma, iter_admissible
+from .admissible import AdmissibleSequence, GammaGraph, count_closed_column_graded, iter_admissible
 from .admissible import SHARED_LEVELS as ADMISSIBLE_SHARED, layers as admissible_layers
 from .contfrac import (
     SFraction,
@@ -58,12 +69,12 @@ from .contfrac import (
 from .dellac import DellacConfig, h_poly_dellac, iter_dellac
 from .dellac import SHARED_LEVELS as DELLAC_SHARED, layers as dellac_layers
 from .errors import ResourceLimitError
+from .exactalg import poly_reverse
 from .hanzeng import hanzeng_barc
 from .limits import CROSSCHECK_MAX_N
 from .motzkin import (
     MotzkinPath,
     h_motzkin_rational,
-    h_poly_fermionic,
     h_poly_laurent,
     integer_weight_system,
     iter_motzkin,
@@ -71,51 +82,18 @@ from .motzkin import (
     weighted_path_sum,
 )
 from .oracles import DUMONT_MAX_N, TRIANGLE_MAX_N, count_dumont, count_triangle_pairs
+from .report import CheckReport, CheckResult
 from .seidel import median_genocchi, normalized_h
 from .walk import layered_blocks
 
+# the order of the contraction checks and of each q-fraction's and the median
+# fraction's one expansion: at least CROSSCHECK_MAX_N, so that the series
+# checks read that expansion through n_max
 CONTRACTION_ORDER = 10
 RANDOM_INSTANCES = 100
 DIVISIBILITY_MAX_N = 12
 # through this n counts-agree also validates every walked object
 OBJECTS_MAX_N = 5
-
-
-class CheckResult(NamedTuple):
-    name: str
-    range: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str
-
-
-class CheckReport(NamedTuple):
-    n_max: int
-    seed: int
-    checks: tuple[CheckResult, ...] = ()
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
-
-    def json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "checks": [
-                {"name": c.name, "range": c.range, "status": c.status, "detail": c.detail}
-                for c in self.checks
-            ],
-            "failures": self.failures,
-        }
-
-    def table(self) -> str:
-        width = max((len(c.name) for c in self.checks), default=0)
-        lines = [
-            f"{c.status.upper():7} {c.name:{width}}  {c.range:12} {c.detail}"
-            for c in self.checks
-        ]
-        lines.append(f"{len(self.checks)} checks, {self.failures} failure(s), seed={self.seed}")
-        return "\n".join(lines)
 
 
 class _Lanes(tuple):
@@ -149,6 +127,14 @@ def _lane(values: list, trial: int) -> list[int]:
     return [v[trial] if type(v) is _Lanes else v for v in values]
 
 
+def _draws(seed: int, size: int) -> list[int]:
+    """The first size values randint(1, 5) gives from random.Random(seed),
+    drawn as it draws them, with no Python frame per value: 3 random bits,
+    drawn again while they read 5 or more."""
+    bits = map(random.Random(seed).getrandbits, repeat(3))
+    return [r + 1 for r in islice(filter((5).__gt__, bits), size)]
+
+
 def _disagreements(ns: Iterable[int], lhs, rhs, label: str = "") -> Iterator[str]:
     """One problem for each n in ns where the routes lhs(n) and rhs(n) differ."""
     for n in ns:
@@ -171,7 +157,12 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     # reads the module's name when a check first asks, so a patched name is seen
     h = cache(lambda n: normalized_h(n))
     tilde = cache(lambda n: tilde_h(n))
-    fermionic = cache(lambda n: h_poly_fermionic(n))
+    # h_n(q) from tilde_h's fermionic sweep, reversed back: one sweep per n
+    fermionic = cache(lambda n: poly_reverse(tilde(n), n * (n - 1) // 2))
+    # one expansion per fraction, read by every check that compares with it
+    f1 = cache(lambda: expand(fraction_f1(), CONTRACTION_ORDER))
+    f2 = cache(lambda: expand(fraction_f2(), CONTRACTION_ORDER))
+    viennot = cache(lambda: expand(fraction_viennot(), CONTRACTION_ORDER))
 
     # (1) every counting model agrees with the triangle
     def counts_agree() -> Iterator[str]:
@@ -196,18 +187,20 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
                 yield f"{label} n={n}: invalid item: {exc}"
             return len(items)
 
-        def closed_sequence(n: int, graph: GammaGraph, masks: tuple[int, ...]) -> AdmissibleSequence:
-            # admissible exactly when {(l, j): j in I_l} is closed in the digraph
+        def closed_sequence(n: int, heads, masks: tuple[int, ...]) -> AdmissibleSequence:
+            # admissible exactly when {(l, j): j in I_l} is closed in the
+            # digraph: each I_{l+1} holds the heads of the arrows leaving I_l
             sequence = AdmissibleSequence(n, masks)
-            vertices = [(l, j) for l, m in enumerate(masks, 1) for j in range(1, n + 1) if m >> j & 1]
-            if not is_closed_in_gamma(vertices, graph):
+            if any(heads(l, m) & ~after for l, (m, after) in enumerate(zip(masks, masks[1:] + (0,)), 1)):
+                vertices = [(l, j) for l, m in enumerate(masks, 1) for j in range(1, n + 1) if m >> j & 1]
                 raise ValueError(f"vertex set {vertices} is not closed in GammaGraph({n})")
             return sequence
 
         for n in ns:
             dellac = partial(DellacConfig, n)
             n_dellac = yield from walked("dellac", iter_dellac, dellac_layers, DELLAC_SHARED, dellac, n)
-            closed = partial(closed_sequence, n, GammaGraph(n))
+            # each column's heads are read once per mask the walk meets
+            closed = partial(closed_sequence, n, cache(GammaGraph(n).heads))
             n_admissible = yield from walked(
                 "admissible", iter_admissible, admissible_layers, ADMISSIBLE_SHARED, closed, n
             )
@@ -229,17 +222,17 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             yield from _disagreements((n,), fermionic, h_poly_laurent, "fermionic/laurent ")
 
     # (4) both named q-fractions generate the reversed polynomials
-    def series_check(fraction) -> Iterator[str]:
-        yield from _disagreements(n0s, expand(fraction(), n_max).coefficient, tilde)
+    def series_check(series) -> Iterator[str]:
+        yield from _disagreements(n0s, series().coefficient, tilde)
 
     # (6) q = 1 chain
     def q1_series() -> Iterator[str]:
-        at_one = expand(fraction_f1(), n_max).evaluate_q(1)
+        at_one = f1().evaluate_q(1)
         plain = expand(fraction_hn(), n_max).evaluate_q(1)
         yield from _disagreements(n0s, at_one.__getitem__, plain.__getitem__)
 
     def viennot_doubling() -> Iterator[str]:
-        series = expand(fraction_viennot(), n_max).evaluate_q(1)
+        series = viennot().evaluate_q(1)
         median = cache(lambda n: median_genocchi(n))
         yield from _disagreements((0,), series.__getitem__, lambda n: 1)
         for n in ns:
@@ -254,22 +247,20 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
 
     # (8) contraction transforms on the named fractions and on random instances
     def contraction_named() -> Iterator[str]:
-        f2 = fraction_f2()
-        contracted = expand(contract_S_to_J(f2), CONTRACTION_ORDER)
-        if contracted != expand(f2, CONTRACTION_ORDER):
+        contracted = expand(contract_S_to_J(fraction_f2()), CONTRACTION_ORDER)
+        if contracted != f2():
             yield "pairwise contraction of the q-fraction disagrees"
-        if contracted != expand(fraction_f1(), CONTRACTION_ORDER):
+        if contracted != f1():
             yield "contracted q-fraction does not recover the J-form"
-        vi = fraction_viennot()
-        if expand(contract_S_to_J_affine(vi), CONTRACTION_ORDER) != expand(vi, CONTRACTION_ORDER):
+        if expand(contract_S_to_J_affine(fraction_viennot()), CONTRACTION_ORDER) != viennot():
             yield "affine contraction of the median fraction disagrees"
 
     def random_trials() -> Iterator[str]:
         # each trial's numerators, drawn trial after trial, then expanded
         # together: one lane per trial
-        rng = random.Random(seed)
-        draws = [[rng.randint(1, 5) for _ in range(2 * CONTRACTION_ORDER + 2)] for _ in range(RANDOM_INSTANCES)]
-        cs = [_Lanes(values) for values in zip(*draws)]
+        width = 2 * CONTRACTION_ORDER + 2
+        draws = _draws(seed, RANDOM_INSTANCES * width)
+        cs = [_Lanes(draws[k::width]) for k in range(width)]
         spec = SFraction(c=lambda k: cs[k - 1] if k <= len(cs) else 0)
         reference, pairwise, affine = (
             coefficients(s, CONTRACTION_ORDER) for s in (spec, contract_S_to_J(spec), contract_S_to_J_affine(spec))
@@ -297,8 +288,8 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             _disagreements(triangle_ns, count_triangle_pairs, lambda n: h(n + 1)),
         ),
         ("hq-three-way", upto, "ok", three_way()),
-        ("series-f1", from0, "ok", series_check(fraction_f1)),
-        ("series-f2", from0, "ok", series_check(fraction_f2)),
+        ("series-f1", from0, "ok", series_check(f1)),
+        ("series-f2", from0, "ok", series_check(f2)),
         # (5) the normalized recurrence polynomials match the reversed polynomials
         ("hanzeng-reversal", from0, "ok", _disagreements(n0s, lambda n: hanzeng_barc(n + 1), tilde)),
         ("q1-hn-series", from0, "ok", q1_series()),

@@ -6,8 +6,10 @@ product of step weights along one path against the path sweep, the
 rational path sum in Fraction arithmetic against the one over a common
 power of two, the Dellac sweep with IntPoly totals against the packed one,
 one triangle-pair filling checked mark by mark against the coverage
-census, and the bivariate Han-Zeng recurrence, stepped on x-coefficient
-lists with general exact division, against the table at the q-integers.
+census, closure in the grid digraph tested vertex by vertex against the
+closed-subset sweep and verify's column-by-column check, and the bivariate
+Han-Zeng recurrence, stepped on x-coefficient lists with general exact
+division, against the table at the q-integers.
 The program runs none of them, so they live here rather than in
 src/genocchi.  The file name does not match test_*.py, so pytest does not
 collect it; test modules import it as `reference`.
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from genocchi import limits
+from genocchi.admissible import GammaGraph
 from genocchi.dellac import layers
 from genocchi.errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import ONE, ZERO, IntPoly
@@ -121,6 +125,16 @@ class TrianglePair:
             == sum(1 for i, j in self.m_marks if i <= k <= j)
             for k in range(1, n + 1)
         )
+
+
+def is_closed_in_gamma(subset: Iterable[tuple[int, int]], graph: GammaGraph) -> bool:
+    """True iff every arrow starting in the subset, a set of vertices of the
+    grid digraph, also ends in it: tested vertex by vertex."""
+    vs = set(subset)
+    for l, j in vs:
+        if not (1 <= l <= graph.n - 1 and 1 <= j <= graph.n):
+            raise ValueError(f"vertex {(l, j)} outside the graph for n={graph.n}")
+    return all(t in vs for v in vs if (t := graph.arrow_target(v)) is not None)
 
 
 def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:

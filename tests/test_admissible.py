@@ -11,12 +11,12 @@ from genocchi.admissible import (
     GammaGraph,
     _elems,
     count_closed_column_graded,
-    is_closed_in_gamma,
     iter_admissible,
 )
 from genocchi.cli import run
 from genocchi.errors import ResourceLimitError
 from genocchi.seidel import normalized_h
+from reference import is_closed_in_gamma
 
 
 def sequences(n):
@@ -134,6 +134,15 @@ def test_gamma_graph_arrows_match_the_rule():
     for l, j in grid:
         expected = 1 if (l + 1 <= 4 and l + 1 != j) else 0
         assert (g.arrow_target((l, j)) is not None) == bool(expected)
+
+
+def test_heads_are_the_arrow_targets_of_a_column():
+    g = GammaGraph(5)
+    for l in range(1, 5):
+        for mask in range(0, 1 << 6, 2):
+            targets = {g.arrow_target((l, j)) for j in _elems(mask)} - {None}
+            assert all(t[0] == l + 1 for t in targets)
+            assert g.heads(l, mask) == sum(1 << j for _, j in targets)
 
 
 def test_resource_limit_and_domain_errors():

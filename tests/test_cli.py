@@ -1151,6 +1151,63 @@ def test_a_command_started_with_a_closed_stream_exits_as_run_returns(fd, line, o
     assert done.stdout == out
 
 
+@pytest.mark.parametrize("line, status", [("seq h --count 0", 2), ("seq h --count 901", 3), ("verify --n-max 2", 0)])
+def test_with_stderr_closed_no_error_or_timing_line_reaches_stdout(line, status):
+    # sys.stderr is then None, and print(..., file=None) writes to stdout
+    done = fresh_buffered(line.split(), capture_output=True, preexec_fn=lambda: os.close(2))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert run(line.split()) == status
+    assert done.returncode == status
+    assert done.stdout == out.getvalue().encode()
+
+
+def test_with_no_stderr_an_internal_error_writes_nothing(monkeypatch):
+    def broken(n):
+        raise InternalInconsistencyError("gave up")
+
+    monkeypatch.setattr(hanzeng, "hanzeng_barc", broken)
+    monkeypatch.setattr(sys, "stderr", None)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["poly", "barc", "--n", "5"]) == 4
+    assert out.getvalue() == ""
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose reader has gone, with the descriptor fd, or none."""
+
+    def __init__(self, fd=None):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return super().fileno() if self.fd is None else self.fd
+
+
+def test_an_in_process_broken_pipe_without_a_descriptor_exits_141():
+    with redirect_stdout(BrokenStdout()):
+        assert run(["seq", "h", "--count", "3"]) == 141
+
+
+def test_an_in_process_broken_pipe_points_the_descriptor_at_devnull(tmp_path):
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        free = os.open(os.devnull, os.O_RDONLY)  # the lowest free descriptor
+        os.close(free)
+        with redirect_stdout(BrokenStdout(fd)):
+            assert run(["seq", "h", "--count", "3"]) == 141
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        probe = os.open(os.devnull, os.O_RDONLY)
+        os.close(probe)
+        assert probe == free  # the descriptor opened for the dup is closed again
+    finally:
+        os.close(fd)
+
+
 @pytest.mark.parametrize(
     "line, status",
     [

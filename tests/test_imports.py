@@ -1,7 +1,7 @@
 """What a command loads: each subcommand imports only its own route, no
 command imports dataclasses or fractions, a well-formed command line is
-read without argparse and written without json (save the verify report and
-the spec files), and the package namespace loads a name's home module
+read without argparse and written without json (save the spec files of
+series custom), and the package namespace loads a name's home module
 on first use.  The import sets are read in a fresh
 interpreter, since this process has loaded everything.
 What the commands reach: every function the package defines runs in some
@@ -105,7 +105,8 @@ def test_every_public_name_is_its_home_modules_object(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["q_int", "q_factorial", "TrianglePair", "genocchi_first", "hanzeng_C", "poly_exact_div"]
+    "name",
+    ["q_int", "q_factorial", "TrianglePair", "genocchi_first", "hanzeng_C", "poly_exact_div", "is_closed_in_gamma"],
 )
 def test_a_name_only_tests_used_is_not_public(name):
     # the references live in tests/reference.py; genocchi_first_sequence
@@ -262,7 +263,7 @@ def test_importing_the_cli_loads_neither_argparse_nor_json(bare_modules):
 def test_a_well_formed_command_line_skips_argparse_and_json(argv, command_modules, bare_modules):
     added = command_modules(argv) - bare_modules
     assert "argparse" not in added
-    if argv[0] != "verify" and "custom" not in argv:  # the report and the spec reader use json
+    if "custom" not in argv:  # the spec reader uses json
         assert "json" not in added
 
 

@@ -1,13 +1,16 @@
+import json
 import random
+from json.encoder import py_encode_basestring_ascii
 
 import pytest
 
 from genocchi import admissible, dellac, hanzeng, verify
+from genocchi import report as report_module
 from genocchi.contfrac import SFraction, contract_S_to_J, expand
 from genocchi.errors import InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import IntPoly
 from genocchi.hanzeng import _over_q_power
-from genocchi.verify import CROSSCHECK_MAX_N, CheckReport, crosscheck
+from genocchi.verify import CROSSCHECK_MAX_N, CheckReport, CheckResult, crosscheck
 
 EXPECTED_CHECKS = {
     "contraction-named",
@@ -83,6 +86,36 @@ def test_json_shape():
     assert set(data) == {"n_max", "seed", "checks", "failures"}
     assert all(set(c) == {"name", "range", "status", "detail"} for c in data["checks"])
     assert data["failures"] == 0
+
+
+ODD_CHECKS = (
+    CheckResult('a "quoted" name', "n=1..2", "pass", "a back\\slash and a solidus /"),
+    CheckResult("tab\tand newline\n", "\r\x00\x1f\x7f", "fail", "é ü κ \u2028 \U0001f600 \ufeff"),
+)
+
+
+@pytest.mark.parametrize("checks", [(), ODD_CHECKS], ids=["empty", "odd-strings"])
+@pytest.mark.parametrize("escaper", ["c", "python"])
+def test_the_json_text_is_what_json_dumps_writes(monkeypatch, checks, escaper):
+    # the C escaper json.dumps calls, and the pure-Python one json falls back
+    # to, which the report uses where _json is missing
+    if escaper == "python":
+        monkeypatch.setattr(report_module, "_json_string", py_encode_basestring_ascii)
+    report = CheckReport(3, -7, checks)
+    assert report.json_text() == json.dumps(report.json_dict(), separators=(",", ":"))
+
+
+def test_a_failing_report_writes_what_json_dumps_writes(monkeypatch):
+    monkeypatch.setattr(dellac, "_row_window", lambda n, col: (col, n + col - 1))
+    report = crosscheck(3, seed=2**70)
+    assert report.failures
+    assert report.json_text() == json.dumps(report.json_dict(), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, -3, 140892, 596854, 2**70])
+def test_the_trials_draw_what_randint_draws(seed):
+    rng = random.Random(seed)
+    assert verify._draws(seed, 2_000) == [rng.randint(1, 5) for _ in range(2_000)]
 
 
 def test_corrupted_window_is_detected(monkeypatch):
