@@ -30,7 +30,6 @@ _HOMES = {
     "PowerSeries": "exactalg",
     "ResourceLimitError": "errors",
     "SFraction": "contfrac",
-    "WeightSystem": "pathsums",
     "contract_S_to_J": "contfrac",
     "contract_S_to_J_affine": "contfrac",
     "count_closed_column_graded": "admissible",

@@ -8,10 +8,11 @@ affine form adds a constant plus a linear-headed J-style tail.
 Expansion is a path sum (Flajolet, Combinatorial aspects of continued
 fractions, 1980): a J-fraction's s^n coefficient sums weighted Motzkin paths
 of length n, an S-fraction's sums weighted Dyck paths of length 2n, both in
-one sweep of pathsums.path_sums.  The truncation order alone fixes which
-levels are evaluated; there is no separate depth.  Heads default to the
-int 1, so an integer fraction's coefficients stay ints until PowerSeries
-holds them.
+one sweep of path_sums over the fraction's own level weights.  The
+truncation order alone fixes which levels are evaluated; there is no
+separate depth.  Heads default to the int 1, so an integer fraction's
+coefficients stay ints until PowerSeries holds them.  The Motzkin path sums
+of motzkin.py are J-fractions expanded here.
 
 Four named fractions are provided: the two q-fractions generating the
 reversed polynomials, the integer fraction generating h(n), and the
@@ -27,7 +28,6 @@ from typing import Callable, NamedTuple, Union
 
 from .errors import ResourceLimitError
 from .exactalg import IntPoly, PowerSeries, q_binomial
-from .pathsums import WeightSystem, path_sums
 
 # path_sums takes either kind, and PowerSeries makes every result an IntPoly
 Coeff = Union[int, IntPoly]
@@ -62,16 +62,56 @@ class AffineSFraction(NamedTuple):
 CFSpec = Union[JFraction, SFraction, AffineSFraction]
 
 
-def _j_sums(gamma: CoeffGen, lam: CoeffGen, order: int) -> list:
-    """Coefficients of 1/(1 - gamma(0) s - lam(1) s^2/(1 - ...)) through
-    s^order: Motzkin path sums with flat steps at height m weighing
-    gamma(m) and each rise-fall pair from m weighing lam(m + 1)."""
-    levels = order // 2 + 1  # no path of length <= order climbs higher
-    gammas = [gamma(k) for k in range(levels)]
-    lams = [lam(k) for k in range(1, levels + 1)]
-    return path_sums(
-        order, WeightSystem(alpha=lams.__getitem__, beta=lambda m: 1, gamma=gammas.__getitem__)
-    )
+def path_sums(order: int, gamma: CoeffGen, lam: CoeffGen) -> list:
+    """Sums of path weights for every length 0..order, in one transfer-matrix
+    sweep over a height-indexed list: entry n is the s^n coefficient of the
+    J-fraction (gamma, lam), the sum over all length-n Motzkin paths where a
+    flat step at height m weighs gamma(m), a rise nothing and the fall back
+    to m lam(m + 1): each rise-fall pair is paid when it closes.
+
+    After k steps heights are capped at order - k, since a higher path
+    cannot return to 0 by step order.  gamma and lam are each asked at most
+    once per height, when a path first reaches it.  Steps of zero weight,
+    rises to a height whose fall weighs zero, and heights of zero total are
+    skipped, so a length with no path of nonzero weight sums to the int 0.
+    Works for any exact coefficient kind closed under + and * (int, IntPoly,
+    LaurentPoly); the int 1 seeds the empty product, and a rise multiplies
+    nothing.
+    """
+    if order < 0:
+        raise ValueError("path length must be nonnegative")
+    flat: list = []  # flat[h]: gamma(h)
+    fall: list = [0]  # fall[h]: lam(h), the fall from h; asked before the first rise to h
+    level: list = [1]  # level[h]: the total of the paths that end at height h
+    sums: list = [1]
+    for k in range(order):
+        top = order - k - 1
+        peak = len(level) - 1
+        if peak == len(flat):  # a path reaches this height for the first time
+            flat.append(gamma(peak) if peak <= top else 0)
+            fall.append(lam(peak + 1) if peak < top else 0)
+        nxt = [0] * min(peak + 2, top + 1)
+        for h, acc in enumerate(level):
+            if not acc:
+                continue
+            w = fall[h]
+            if w:
+                term = acc * w
+                below = nxt[h - 1]
+                nxt[h - 1] = below + term if below else term
+            if h <= top:
+                w = flat[h]
+                if w:
+                    term = acc * w
+                    here = nxt[h]
+                    nxt[h] = here + term if here else term
+                if h < top and fall[h + 1]:
+                    nxt[h + 1] = acc  # the first term to reach h + 1
+        while nxt and not nxt[-1]:
+            nxt.pop()
+        level = nxt
+        sums.append(nxt[0] if nxt else 0)
+    return sums
 
 
 def expand(spec: CFSpec, order: int) -> PowerSeries:
@@ -79,9 +119,9 @@ def expand(spec: CFSpec, order: int) -> PowerSeries:
 
     A J-fraction's s^n coefficient is the weighted Motzkin path sum of
     length n; an S-fraction's is the weighted Dyck path sum of length 2n,
-    each fall to height m weighing c(m + 1).  One sweep of
-    pathsums.path_sums yields every coefficient through the order, and only
-    levels a path of that length can reach are evaluated.
+    each fall to height m weighing c(m + 1).  One sweep of path_sums yields
+    every coefficient through the order, and only levels a path of that
+    length can reach are evaluated.
     """
     return PowerSeries(order, coefficients(spec, order))
 
@@ -93,16 +133,13 @@ def coefficients(spec: CFSpec, order: int) -> list:
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     if isinstance(spec, JFraction):
-        sums = _j_sums(spec.gamma, spec.lam, order)
-        return [spec.head * v for v in sums]
+        return [spec.head * v for v in path_sums(order, spec.gamma, spec.lam)]
     if isinstance(spec, SFraction):
-        cs = [spec.c(k) for k in range(1, order + 1)]
-        dyck = WeightSystem(alpha=lambda m: 1, beta=cs.__getitem__, gamma=lambda m: 0)
-        sums = path_sums(2 * order, dyck)
-        return [spec.c0 * v for v in sums[::2]]
+        # a Dyck path: no flat step, and the fall to m weighs c(m + 1)
+        return [spec.c0 * v for v in path_sums(2 * order, lambda m: 0, spec.c)[::2]]
     if isinstance(spec, AffineSFraction):
         # the tail's outermost level holds gamma(1), with lam(1) s^2 below it
-        tail = _j_sums(lambda k: spec.gamma(k + 1), spec.lam, order - 1) if order else []
+        tail = path_sums(order - 1, lambda k: spec.gamma(k + 1), spec.lam) if order else []
         return [spec.head] + [spec.linear * v for v in tail]
     raise TypeError(f"not a continued-fraction spec: {spec!r}")
 

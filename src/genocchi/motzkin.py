@@ -9,9 +9,10 @@ Three independent routes live here:
   * the same sum rewritten through Laurent-polynomial step weights, where a
     single power of q restores an ordinary polynomial.
 
-Path sums over a generic weight system (weighted_path_sum) run the
-level-indexed dynamic programming of pathsums.path_sums, which also expands
-every continued fraction and asks each weight once per height, and
+A path sum over level weights (weighted_path_sum) is the s^n coefficient
+of a J-fraction: a flat step at height m weighs gamma(m) and each rise-fall
+pair from m weighs lam(m + 1), and contfrac.path_sums expands it as it
+expands every continued fraction, asking each weight once per height.
 fermionic_exponent is the per-path reference the sweep is tested against.
 One rule checks a piece of a path, a run of consecutive heights: integers,
 then nonnegative, then each step within 1, raising the constructor's
@@ -37,8 +38,8 @@ from .errors import InternalInconsistencyError
 from .walk import layered_sweep, layered_walk
 
 if TYPE_CHECKING:
+    from .contfrac import JFraction
     from .exactalg import IntPoly, LaurentPoly
-    from .pathsums import WeightSystem
 
 
 class _MotzkinFields(NamedTuple):
@@ -140,39 +141,38 @@ def iter_motzkin(n: int) -> Iterator[tuple[int, ...]]:
     return ((0,) + heights for heights in layered_walk(*layers(n), SHARED_LEVELS))
 
 
-def weighted_path_sum(n: int, ws: WeightSystem):
-    """Sum of path weights over all length-n paths (see path_sums)."""
-    from .pathsums import path_sums  # enumerate needs no path sweep
+def weighted_path_sum(n: int, spec: JFraction):
+    """Sum of path weights over all length-n paths: the s^n coefficient of
+    the J-fraction spec (see contfrac.path_sums)."""
+    from .contfrac import coefficients  # enumerate needs no path sweep
 
     limits.check_cap("motzkin", n)
-    return path_sums(n, ws)[n]
+    return coefficients(spec, n)[n]
 
 
-def integer_weight_system() -> WeightSystem:
+def integer_weight_system() -> JFraction:
     """The integer weights whose path sum gives h(n) directly:
-    alpha(m) = beta(m) = (m+1)(m+2)/2, gamma(m) = (m+1)^2."""
-    from .pathsums import WeightSystem
+    gamma(m) = (m+1)^2 and lam(k) = (k(k+1)/2)^2."""
+    from .contfrac import JFraction
 
-    half_pair = lambda m: (m + 1) * (m + 2) // 2
-    return WeightSystem(alpha=half_pair, beta=half_pair, gamma=lambda m: (m + 1) ** 2)
+    return JFraction(gamma=lambda m: (m + 1) ** 2, lam=lambda k: (k * (k + 1) // 2) ** 2)
 
 
-def laurent_weight_system() -> WeightSystem:
-    """Laurent-polynomial weights whose path sum is q^(-n(n-1)/2) h_n(q)."""
+def laurent_weight_system() -> JFraction:
+    """Laurent-polynomial weights whose path sum is q^(-n(n-1)/2) h_n(q):
+    gamma(m) = q^(-2m) [m+1]^2 and lam(k) = q^(3-4k) [k+1 choose 2]^2."""
+    from .contfrac import JFraction
     from .exactalg import LaurentPoly, q_binomial
-    from .pathsums import WeightSystem
-
-    def alpha(m: int) -> LaurentPoly:
-        return LaurentPoly(-3 * m, q_binomial(m + 2, 2))
-
-    def beta(m: int) -> LaurentPoly:
-        return LaurentPoly(-m - 1, q_binomial(m + 2, 2))
 
     def gamma(m: int) -> LaurentPoly:
         b = q_binomial(m + 1, 1)
         return LaurentPoly(-2 * m, b * b)
 
-    return WeightSystem(alpha=alpha, beta=beta, gamma=gamma)
+    def lam(k: int) -> LaurentPoly:
+        b = q_binomial(k + 1, 2)
+        return LaurentPoly(3 - 4 * k, b * b)
+
+    return JFraction(gamma=gamma, lam=lam)
 
 
 def h_motzkin_rational(n: int) -> int:

@@ -10,16 +10,17 @@ renderings live in report.py.
 Each piece of route work runs once per call: one fermionic sweep per n
 (tilde_h's, which hq-three-way reverses back to h_n(q)), one expansion
 per named fraction at CONTRACTION_ORDER, which the series, q = 1 and
-contraction checks all read, and the closure of each walked admissible
-sequence checked per column, from the arrow heads of each (column, mask)
-the walk meets, read once.
+contraction checks all read, one Seidel sweep for divisibility, and the
+closure of each walked admissible sequence checked per column, from the
+arrow heads of each (column, mask) the walk meets, read once.
 
 Each identity compares two code paths that share no route-specific code
-(_disagreements, the n-by-n comparison of two routes, pathsums.path_sums,
-IntPoly arithmetic, walk.layered_walk under the three walks and the Dumont
-oracle, walk.layered_sweep under the Dellac, fermionic, closed-subset
-and triangle-pair sweeps, and GammaGraph.heads under the closed-subset
-sweep and the closure check of walked sequences are shared substrate):
+(_disagreements, the n-by-n comparison of two routes, contfrac.path_sums
+and the J-branch of contfrac.coefficients, IntPoly arithmetic,
+walk.layered_walk under the three walks and the Dumont oracle,
+walk.layered_sweep under the Dellac, fermionic, closed-subset and
+triangle-pair sweeps, and GammaGraph.heads under the closed-subset sweep
+and the closure check of walked sequences are shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
                     path sweep vs tilde_h's fermionic pair-state sweep
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
@@ -83,7 +84,7 @@ from .motzkin import (
 )
 from .oracles import DUMONT_MAX_N, TRIANGLE_MAX_N, count_dumont, count_triangle_pairs
 from .report import CheckReport, CheckResult
-from .seidel import median_genocchi, normalized_h
+from .seidel import median_genocchi, median_sequence, normalized_h
 from .walk import layered_blocks
 
 # the order of the contraction checks and of each q-fraction's and the median
@@ -99,7 +100,7 @@ OBJECTS_MAX_N = 5
 class _Lanes(tuple):
     """Ints side by side, one lane per random trial, added and multiplied
     lane by lane; a plain int is the same value in every lane, and the
-    lanes are false only when all are 0.  That is all pathsums.path_sums
+    lanes are false only when all are 0.  That is all contfrac.path_sums
     asks of a coefficient, so one expansion serves every trial."""
 
     __slots__ = ()
@@ -241,8 +242,8 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
 
     # (7) power-of-two divisibility
     def divisibility() -> Iterator[str]:
-        for n in range(1, DIVISIBILITY_MAX_N + 1):
-            if median_genocchi(n + 1) % (1 << n):
+        for n, big in enumerate(median_sequence(DIVISIBILITY_MAX_N + 1)):
+            if big % (1 << n):
                 yield f"H({2 * n + 1}) not divisible by 2^{n}"
 
     # (8) contraction transforms on the named fractions and on random instances

@@ -7,8 +7,8 @@ coverage).  The walk comes flat (layered_walk) or in the blocks it shares
 levels are listed once.  Each model sets its own number of shared levels
 next to its layers, and every walk of that model uses it: the enumerate
 stream then checks, joins and encodes each shared piece once.  The path
-sweep of the Motzkin path sums and the continued fractions is in
-pathsums.py.
+sweep of the Motzkin path sums and the continued fractions is
+contfrac.path_sums.
 """
 
 from functools import cache

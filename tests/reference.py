@@ -23,12 +23,12 @@ from typing import Iterable
 
 from genocchi import limits
 from genocchi.admissible import GammaGraph
+from genocchi.contfrac import JFraction
 from genocchi.dellac import layers
 from genocchi.errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import ONE, ZERO, IntPoly
 from genocchi.hanzeng import HANZENG_MAX_N
 from genocchi.motzkin import MotzkinPath, iter_motzkin
-from genocchi.pathsums import WeightSystem
 from genocchi.walk import layered_sweep
 
 
@@ -47,23 +47,23 @@ def q_factorial(n: int) -> IntPoly:
     return result
 
 
-def step_weight(ws: WeightSystem, a: int, b: int):
-    """The weight of one step from height a to height b: gamma(a) flat,
-    alpha(a) up, beta(b) down."""
+def step_weight(spec: JFraction, a: int, b: int):
+    """The weight of one step from height a to height b in the J-fraction's
+    path sum: gamma(a) flat, 1 up, lam(a) down."""
     if b == a:
-        return ws.gamma(a)
+        return spec.gamma(a)
     if b == a + 1:
-        return ws.alpha(a)
+        return 1
     if b == a - 1:
-        return ws.beta(b)
+        return spec.lam(a)
     raise ValueError(f"not a Motzkin step: {a} -> {b}")
 
 
-def path_weight(path: MotzkinPath, ws: WeightSystem):
+def path_weight(path: MotzkinPath, spec: JFraction):
     """Product of step weights along one path (1 for the empty path)."""
     acc = 1
     for a, b in zip(path.heights, path.heights[1:]):
-        acc = acc * step_weight(ws, a, b)
+        acc = acc * step_weight(spec, a, b)
     return acc
 
 

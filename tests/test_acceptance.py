@@ -76,14 +76,14 @@ def test_criterion_02_golden_polynomials_three_ways():
 
 
 def test_criterion_03_six_way_count_agreement():
-    ws = integer_weight_system()
+    spec = integer_weight_system()
     for n in range(1, 8):
         h = normalized_h(n)
         assert sum(1 for _ in iter_dellac(n)) == h
         assert sum(1 for _ in iter_admissible(n)) == h
         assert count_closed_column_graded(n) == h
         assert h_motzkin_rational(n) == h
-        assert weighted_path_sum(n, ws) == h
+        assert weighted_path_sum(n, spec) == h
     for n in range(1, 5):
         assert count_dumont(n) == normalized_h(n)
     for n in range(1, 7):

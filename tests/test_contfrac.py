@@ -14,12 +14,12 @@ from genocchi.contfrac import (
     fraction_f2,
     fraction_hn,
     fraction_viennot,
+    path_sums,
     spec_from_dict,
 )
 from genocchi.exactalg import IntPoly, ONE, q_binomial
 from genocchi.motzkin import MotzkinPath, iter_motzkin, tilde_h
 from genocchi.seidel import h_sequence, median_sequence
-from genocchi.pathsums import WeightSystem
 from reference import path_weight
 
 
@@ -133,23 +133,16 @@ def test_q1_specialization_matches_plain_fraction():
 # ---------------------------------------------------------------------------
 
 
-def enumerated_path_sum(n, ws):
-    total = sum((path_weight(MotzkinPath(h), ws) for h in iter_motzkin(n)), IntPoly())
+def enumerated_path_sum(n, spec):
+    total = sum((path_weight(MotzkinPath(h), spec) for h in iter_motzkin(n)), IntPoly())
     return total if isinstance(total, IntPoly) else ONE * total
-
-
-def j_weights(spec):
-    # gamma comes from the fraction; the lambdas split as alpha(k) = lam(k+1),
-    # beta = 1, since only the product alpha*beta enters
-    return WeightSystem(alpha=lambda m: spec.lam(m + 1), beta=lambda m: ONE, gamma=spec.gamma)
 
 
 def test_expansion_matches_weighted_path_sums_for_f1():
     spec = fraction_f1()
     series = expand(spec, 8)
-    ws = j_weights(spec)
     for n in range(9):
-        assert series.coefficient(n) == enumerated_path_sum(n, ws)
+        assert series.coefficient(n) == enumerated_path_sum(n, spec)
 
 
 def test_expansion_matches_weighted_path_sums_random():
@@ -160,19 +153,63 @@ def test_expansion_matches_weighted_path_sums_random():
         gamma=lambda k: IntPoly((gammas[k],)),
         lam=lambda k: IntPoly((lams[k - 1],)),
     )
-    ws = WeightSystem(alpha=lambda m: lams[m], beta=lambda m: 1, gamma=lambda m: gammas[m])
     series = expand(spec, 6)
     for n in range(7):
-        assert series.coefficient(n) == enumerated_path_sum(n, ws)
+        assert series.coefficient(n) == enumerated_path_sum(n, spec)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_FRACTIONS))
 def test_every_named_fraction_is_a_weighted_path_sum(name):
     spec = NAMED_FRACTIONS[name]()
-    ws = j_weights(spec if isinstance(spec, JFraction) else contract_S_to_J(spec))
+    j_spec = spec if isinstance(spec, JFraction) else contract_S_to_J(spec)
     series = expand(spec, 8)
     for n in range(9):
-        assert series.coefficient(n) == enumerated_path_sum(n, ws)
+        assert series.coefficient(n) == enumerated_path_sum(n, j_spec)
+
+
+class Logged:
+    """An int that logs each product it takes part in, as the pair of its
+    operands' kinds: "weight" for a weight the sweep was given, "total" for
+    any other Logged, and a plain int as itself."""
+
+    def __init__(self, value, log, weight=False):
+        self.value, self.log, self.weight = value, log, weight
+
+    def kind(self):
+        return "weight" if self.weight else "total"
+
+    def __add__(self, other):
+        return Logged(self.value + other.value, self.log)
+
+    def __mul__(self, other):
+        self.log.append((self.kind(), other.kind() if isinstance(other, Logged) else other))
+        return Logged(self.value * (other.value if isinstance(other, Logged) else other), self.log)
+
+    def __rmul__(self, other):  # other is an int
+        self.log.append((other, self.kind()))
+        return Logged(other * self.value, self.log)
+
+    def __bool__(self):
+        return self.value != 0
+
+
+@pytest.mark.parametrize("order", range(11))
+def test_path_sums_multiply_once_per_fall_or_flat_edge_and_never_by_one(order):
+    # weights of 2 or more: every height a path can reach and leave is reached
+    log = []
+    gamma = lambda m: 2 + m % 3
+    lam = lambda k: 3 + k % 2
+    sums = path_sums(order, lambda m: Logged(gamma(m), log, True), lambda k: Logged(lam(k), log, True))
+    assert [v.value if isinstance(v, Logged) else v for v in sums] == path_sums(order, gamma, lam)
+    # each product is a total times one weight: no total is multiplied by the
+    # int 1 or by another total, and a rise multiplies nothing
+    assert all(pair.count("weight") == 1 for pair in log)
+    # after k steps a path is at a height h <= min(k, order - k); it steps
+    # flat while h < order - k and falls from any h > 0
+    edges = sum(
+        (h < order - k) + (h > 0) for k in range(order) for h in range(min(k, order - k) + 1)
+    )
+    assert len(log) == edges
 
 
 # ---------------------------------------------------------------------------

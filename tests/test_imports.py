@@ -269,8 +269,8 @@ def test_a_well_formed_command_line_skips_argparse_and_json(argv, command_module
 
 @pytest.mark.parametrize("argv", [argv for _, argv in REACH_RUNS if argv[0] == "series"], ids=" ".join)
 def test_a_series_command_loads_only_the_path_sweep(argv, command_modules):
-    # contfrac expands by pathsums.path_sums; neither motzkin.py nor the walk is compiled
-    assert package_modules(command_modules(argv)) == FRONT | {"contfrac", "pathsums", "exactalg"}
+    # contfrac expands by its own path_sums; neither motzkin.py nor the walk is compiled
+    assert package_modules(command_modules(argv)) == FRONT | {"contfrac", "exactalg"}
 
 
 def test_the_commands_reach_every_member_the_package_defines(spec_dir):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from genocchi import motzkin
 from genocchi.cli import run
+from genocchi.contfrac import JFraction, path_sums
 from genocchi.errors import InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import IntPoly, LaurentPoly, ONE, q_binomial
 from genocchi.dellac import h_poly_dellac
@@ -26,7 +27,6 @@ from genocchi.motzkin import (
     weighted_path_sum,
 )
 from genocchi.seidel import normalized_h
-from genocchi.pathsums import WeightSystem, path_sums
 from reference import h_motzkin_rational_fraction, path_weight, step_weight
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]
@@ -159,13 +159,13 @@ def test_constructor_rejects_what_the_step_loop_rejects(heights):
 
 
 def test_unit_weights_count_paths():
-    ones = WeightSystem(lambda m: 1, lambda m: 1, lambda m: 1)
+    ones = JFraction(gamma=lambda m: 1, lam=lambda k: 1)
     for n in range(9):
         assert weighted_path_sum(n, ones) == MOTZKIN_NUMBERS[n]
 
 
 def test_weighted_sum_of_empty_path_is_one():
-    anything = WeightSystem(lambda m: 99, lambda m: 98, lambda m: 97)
+    anything = JFraction(gamma=lambda m: 99, lam=lambda k: 98)
     assert weighted_path_sum(0, anything) == 1
 
 
@@ -180,18 +180,18 @@ def test_integer_weights_give_h(n):
 
 def test_dp_equals_explicit_enumeration():
     rng = random.Random(3)
-    tables = [{m: rng.randint(-4, 4) for m in range(8)} for _ in range(3)]
-    ws = WeightSystem(tables[0].__getitem__, tables[1].__getitem__, tables[2].__getitem__)
+    tables = [{m: rng.randint(-4, 4) for m in range(8)} for _ in range(2)]
+    spec = JFraction(gamma=tables[0].__getitem__, lam=tables[1].__getitem__)
     for n in range(7):
-        explicit = sum(path_weight(p, ws) for p in paths(n))
-        assert weighted_path_sum(n, ws) == explicit
+        explicit = sum(path_weight(p, spec) for p in paths(n))
+        assert weighted_path_sum(n, spec) == explicit
 
 
 weight_tables = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=8, max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
-@given(order=st.integers(0, 8), tables=st.tuples(weight_tables, weight_tables, weight_tables))
+@given(order=st.integers(0, 8), tables=st.tuples(weight_tables, weight_tables))
 def test_path_sums_ask_each_weight_once_and_match_the_per_path_sum(order, tables):
     # zeros cut paths off and negative weights cancel totals
     asked = []
@@ -203,10 +203,10 @@ def test_path_sums_ask_each_weight_once_and_match_the_per_path_sum(order, tables
 
         return weight
 
-    sums = path_sums(order, WeightSystem(*map(asking, "abg", tables)))
+    sums = path_sums(order, *map(asking, ("gamma", "lam"), tables))
     assert len(asked) == len(set(asked))
-    ws = WeightSystem(*(table.__getitem__ for table in tables))
-    assert sums == [sum(path_weight(p, ws) for p in paths(n)) for n in range(order + 1)]
+    spec = JFraction(*(table.__getitem__ for table in tables))
+    assert sums == [sum(path_weight(p, spec) for p in paths(n)) for n in range(order + 1)]
     assert all(type(total) is int for total in sums)
 
 
@@ -251,14 +251,14 @@ def test_a_rational_sum_that_is_no_integer_is_an_internal_error(monkeypatch):
 def test_rational_terms_match_integer_weights_pathwise():
     # each path's integer weight equals its squared-heights term exactly,
     # and the rise/fall count is always even on a closed path
-    ws = integer_weight_system()
+    spec = integer_weight_system()
     for n in range(1, 9):
         for p in paths(n):
             assert rises_plus_falls(p) % 2 == 0
             num = 1
             for f in p.heights:
                 num *= (1 + f) ** 2
-            assert path_weight(p, ws) == Fraction(num, 2 ** rises_plus_falls(p))
+            assert path_weight(p, spec) == Fraction(num, 2 ** rises_plus_falls(p))
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +333,16 @@ def test_unrestricted_sum_equals_path_sum(n):
 
 
 def test_laurent_weight_values():
-    ws = laurent_weight_system()
-    assert ws.alpha(0) == LaurentPoly(0, ONE)
-    assert ws.beta(0) == LaurentPoly(-1, ONE)
-    assert ws.gamma(1) == LaurentPoly(-2, IntPoly((1, 2, 1)))
+    spec = laurent_weight_system()
+    assert spec.lam(1) == LaurentPoly(-1, ONE)
+    assert spec.lam(2) == LaurentPoly(-5, IntPoly((1, 2, 3, 2, 1)))
+    assert spec.gamma(1) == LaurentPoly(-2, IntPoly((1, 2, 1)))
     # the per-path reference's choice of weight for one step
-    assert step_weight(ws, 1, 0) == ws.beta(0)
-    assert step_weight(ws, 0, 1) == ws.alpha(0)
+    assert step_weight(spec, 1, 0) == spec.lam(1)
+    assert step_weight(spec, 0, 1) == 1
+    assert step_weight(spec, 1, 1) == spec.gamma(1)
     with pytest.raises(ValueError):
-        step_weight(ws, 0, 2)
+        step_weight(spec, 0, 2)
 
 
 def test_laurent_golden_values():
