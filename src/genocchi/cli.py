@@ -97,8 +97,8 @@ def _print_series(series: PowerSeries, as_json: bool) -> None:
     if as_json:
         pieces = ('{"coeffs":' + _decimals(c.coeff_strings()) + "}" for c in coeffs)
         _write_joined(f'{{"order":{series.order},"coeffs":[', pieces, ",", "]}\n")
-    elif all(c.is_zero or c.degree == 0 for c in coeffs):
-        _write_joined("", (str(c.coefficient(0)) for c in coeffs), " ", "\n")
+    elif all(len(c.coeffs) < 2 for c in coeffs):
+        _write_joined("", (c.coeff_strings()[0] for c in coeffs), " ", "\n")
     else:
         _write_joined("", (f"s^{n}: {c.render()}" for n, c in enumerate(coeffs)), "\n", "\n")
 

@@ -42,19 +42,6 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     @staticmethod
     def _coerce(other) -> "IntPoly":
         if isinstance(other, IntPoly):
@@ -152,8 +139,7 @@ class IntPoly:
         """Coefficients as decimal strings, for JSON payloads."""
         return [str(c) for c in self.coeffs] if self.coeffs else ["0"]
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
     def __repr__(self):
         return f"IntPoly({self.coeffs!r})"
@@ -168,9 +154,10 @@ def poly_reverse(p: IntPoly, d: int) -> IntPoly:
     """Return q^d * p(1/q): coefficient i of the result is coefficient d-i of p."""
     if d < 0:
         raise ValueError("reversal degree must be nonnegative")
-    if not p.is_zero and p.degree > d:
-        raise ValueError(f"cannot reverse degree-{p.degree} polynomial at d={d}")
-    return IntPoly(tuple(p.coefficient(d - i) for i in range(d + 1)))
+    c = p.coeffs
+    if len(c) > d + 1:
+        raise ValueError(f"cannot reverse degree-{len(c) - 1} polynomial at d={d}")
+    return IntPoly((0,) * (d + 1 - len(c)) + c[::-1])
 
 
 def unpack_poly(value: int, width: int) -> IntPoly:
@@ -265,12 +252,6 @@ class LaurentPoly(_LaurentFields):
 
     __rmul__ = __mul__
 
-    def to_poly(self) -> IntPoly:
-        """Convert to an ordinary polynomial; fails if any exponent is negative."""
-        if self.offset < 0:
-            raise ValueError(f"negative exponent q^{self.offset} survives")
-        return self.body.shift(self.offset)
-
 
 # ---------------------------------------------------------------------------
 # Truncated power series in s with IntPoly coefficients
@@ -293,11 +274,6 @@ class PowerSeries(_SeriesFields):
             raise ValueError(f"expected {order + 1} coefficients, got {len(polys)}")
         return super().__new__(cls, order, polys)
 
-    def coefficient(self, n: int) -> IntPoly:
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
-        return self.coeffs[n]
-
     # no route calls this, but the perfbench tracer patches it by name
     def inverse(self) -> PowerSeries:
         """Multiplicative inverse, requiring constant term 1."""
@@ -308,11 +284,7 @@ class PowerSeries(_SeriesFields):
             acc = ZERO
             for i in range(1, n + 1):
                 a = self.coeffs[i]
-                if not a.is_zero:
+                if a:
                     acc = acc + a * inv[n - i]
             inv[n] = -acc
         return PowerSeries(self.order, inv)
-
-    def evaluate_q(self, value) -> list:
-        """Specialize q in every coefficient, e.g. value=1 for counting."""
-        return [c(value) for c in self.coeffs]

@@ -248,7 +248,7 @@ def h_poly_laurent(n: int) -> IntPoly:
         raise InternalInconsistencyError(
             f"negative exponents survive the q^{n * (n - 1) // 2} shift at n={n}"
         )
-    return shifted.to_poly()
+    return shifted.body.shift(shifted.offset)
 
 
 def tilde_h(n: int) -> IntPoly:

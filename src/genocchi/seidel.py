@@ -74,22 +74,11 @@ def h_sequence(count: int) -> Iterator[int]:
         yield big >> n
 
 
-def _last(values: Iterator[int]) -> int:
-    """The last term of a nonempty sequence, holding no list of them."""
-    for value in values:
-        pass
-    return value
-
-
-def median_genocchi(n: int) -> int:
-    """Median Genocchi number H(2n-1) = g(1, 2n)."""
-    if n < 1:
-        raise ValueError("index must be positive")
-    return _last(median_sequence(n))
-
-
 def normalized_h(n: int) -> int:
-    """Normalized median Genocchi number h(n) = H(2n+1) / 2^n."""
+    """Normalized median Genocchi number h(n) = H(2n+1) / 2^n, the last term
+    of its sweep, holding no list of the terms before it."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _last(h_sequence(n + 1))
+    for value in h_sequence(n + 1):
+        pass
+    return value

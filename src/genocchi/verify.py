@@ -10,9 +10,10 @@ renderings live in report.py.
 Each piece of route work runs once per call: one fermionic sweep per n
 (tilde_h's, which hq-three-way reverses back to h_n(q)), one expansion
 per named fraction at CONTRACTION_ORDER, which the series, q = 1 and
-contraction checks all read, one Seidel sweep for divisibility, and the
-closure of each walked admissible sequence checked per column, from the
-arrow heads of each (column, mask) the walk meets, read once.
+contraction checks all read, one Seidel sweep each for the shared h, for
+viennot-doubling's medians and for divisibility, and the closure of each
+walked admissible sequence checked per column, from the arrow heads of
+each (column, mask) the walk meets, read once.
 
 Each identity compares two code paths that share no route-specific code
 (_disagreements, the n-by-n comparison of two routes, contfrac.path_sums
@@ -84,7 +85,7 @@ from .motzkin import (
 )
 from .oracles import DUMONT_MAX_N, TRIANGLE_MAX_N, count_dumont, count_triangle_pairs
 from .report import CheckReport, CheckResult
-from .seidel import median_genocchi, median_sequence, normalized_h
+from .seidel import h_sequence, median_sequence
 from .walk import layered_blocks
 
 # the order of the contraction checks and of each q-fraction's and the median
@@ -154,9 +155,15 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     ns, n0s = range(1, n_max + 1), range(n_max + 1)
     dumont_ns = range(1, min(n_max, DUMONT_MAX_N) + 1)
     triangle_ns = range(1, min(n_max, TRIANGLE_MAX_N) + 1)
-    # one call per n for the values several checks compare with; each lambda
-    # reads the module's name when a check first asks, so a patched name is seen
-    h = cache(lambda n: normalized_h(n))
+    # the values several checks compare with: one sweep for h(0..n_max+1),
+    # one call per n for the rest; each lambda reads the module's name when a
+    # check first asks, so a patched name is seen, and a Seidel fault fails
+    # every check that reads h
+    h_terms = cache(lambda: tuple(h_sequence(n_max + 2)))
+
+    def h(n: int) -> int:
+        return h_terms()[n]
+
     tilde = cache(lambda n: tilde_h(n))
     # h_n(q) from tilde_h's fermionic sweep, reversed back: one sweep per n
     fermionic = cache(lambda n: poly_reverse(tilde(n), n * (n - 1) // 2))
@@ -224,18 +231,18 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
 
     # (4) both named q-fractions generate the reversed polynomials
     def series_check(series) -> Iterator[str]:
-        yield from _disagreements(n0s, series().coefficient, tilde)
+        yield from _disagreements(n0s, series().coeffs.__getitem__, tilde)
 
     # (6) q = 1 chain
     def q1_series() -> Iterator[str]:
-        at_one = f1().evaluate_q(1)
-        plain = expand(fraction_hn(), n_max).evaluate_q(1)
+        at_one = [c(1) for c in f1().coeffs]
+        plain = [c(1) for c in expand(fraction_hn(), n_max).coeffs]
         yield from _disagreements(n0s, at_one.__getitem__, plain.__getitem__)
 
     def viennot_doubling() -> Iterator[str]:
-        series = viennot().evaluate_q(1)
-        median = cache(lambda n: median_genocchi(n))
+        series = [c(1) for c in viennot().coeffs]
         yield from _disagreements((0,), series.__getitem__, lambda n: 1)
+        median = dict(enumerate(median_sequence(n_max), 1)).__getitem__  # n -> H(2n - 1), one sweep
         for n in ns:
             yield from _disagreements((n,), series.__getitem__, median)
             yield from _disagreements((n,), median, lambda n: h(n - 1) << (n - 1), "doubling ")

@@ -144,11 +144,11 @@ def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     InexactDivisionError otherwise (nonzero remainder, or a non-integer
     leading quotient at any step).
     """
-    if den.is_zero:
+    if not den:
         raise ValueError("division by the zero polynomial")
-    if num.is_zero:
+    if not num:
         return ZERO
-    if num.degree < den.degree:
+    if len(num.coeffs) < len(den.coeffs):
         raise InexactDivisionError(f"({num}) is not divisible by ({den})")
     rem = list(num.coeffs)
     d = den.coeffs

@@ -24,7 +24,7 @@ from reference import path_weight
 
 
 def const_list(series):
-    return series.evaluate_q(1)
+    return [c(1) for c in series.coeffs]
 
 
 def int_sfraction(values, c0=1):
@@ -48,11 +48,11 @@ def test_constant_gamma_collapses_to_geometric_series():
 
 def test_f1_low_order_coefficients():
     series = expand(fraction_f1(), 4)
-    assert series.coefficient(0) == ONE
-    assert series.coefficient(1) == ONE
-    assert series.coefficient(2) == IntPoly((1, 1))
-    assert series.coefficient(3) == IntPoly((1, 3, 2, 1))
-    assert series.coefficient(4) == IntPoly((1, 6, 10, 10, 7, 3, 1))
+    assert series.coeffs[0] == ONE
+    assert series.coeffs[1] == ONE
+    assert series.coeffs[2] == IntPoly((1, 1))
+    assert series.coeffs[3] == IntPoly((1, 3, 2, 1))
+    assert series.coeffs[4] == IntPoly((1, 6, 10, 10, 7, 3, 1))
 
 
 def test_viennot_generates_median_numbers():
@@ -112,17 +112,17 @@ def test_f1_equals_f2():
 def test_series_coefficients_are_reversed_polynomials(via):
     series = expand(NAMED_FRACTIONS[via](), 7)
     for n in range(8):
-        assert series.coefficient(n) == tilde_h(n)
+        assert series.coeffs[n] == tilde_h(n)
 
 
 def test_tilde_series_edges():
     assert const_list(expand(fraction_f1(), 0)) == [1]
     low = expand(fraction_f1(), 2)
-    assert low.coefficient(2) == IntPoly((1, 1))
+    assert low.coeffs[2] == IntPoly((1, 1))
 
 
 def test_q1_specialization_matches_plain_fraction():
-    at_one = expand(fraction_f1(), 8).evaluate_q(1)
+    at_one = const_list(expand(fraction_f1(), 8))
     assert at_one == const_list(expand(fraction_hn(), 8))
     assert at_one == list(h_sequence(9))
 
@@ -142,7 +142,7 @@ def test_expansion_matches_weighted_path_sums_for_f1():
     spec = fraction_f1()
     series = expand(spec, 8)
     for n in range(9):
-        assert series.coefficient(n) == enumerated_path_sum(n, spec)
+        assert series.coeffs[n] == enumerated_path_sum(n, spec)
 
 
 def test_expansion_matches_weighted_path_sums_random():
@@ -155,7 +155,7 @@ def test_expansion_matches_weighted_path_sums_random():
     )
     series = expand(spec, 6)
     for n in range(7):
-        assert series.coefficient(n) == enumerated_path_sum(n, spec)
+        assert series.coeffs[n] == enumerated_path_sum(n, spec)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_FRACTIONS))
@@ -164,7 +164,7 @@ def test_every_named_fraction_is_a_weighted_path_sum(name):
     j_spec = spec if isinstance(spec, JFraction) else contract_S_to_J(spec)
     series = expand(spec, 8)
     for n in range(9):
-        assert series.coefficient(n) == enumerated_path_sum(n, j_spec)
+        assert series.coeffs[n] == enumerated_path_sum(n, j_spec)
 
 
 class Logged:
@@ -249,7 +249,7 @@ def test_contraction_of_the_zero_fraction():
 def test_contraction_keeps_the_head_constant():
     spec = int_sfraction((2, 1, 3), c0=4)
     reference = expand(spec, 6)
-    assert reference.coefficient(0) == IntPoly((4,))
+    assert reference.coeffs[0] == IntPoly((4,))
     assert expand(contract_S_to_J(spec), 6) == reference
     assert expand(contract_S_to_J_affine(spec), 6) == reference
 

@@ -76,9 +76,9 @@ def test_h_poly_structure(n):
     p = h_poly_dellac(n)
     assert p(1) == normalized_h(n)
     expected_deg = n * (n - 1) // 2
-    assert (0 if p.is_zero else p.degree) == expected_deg
-    assert p.coefficient(0) == 1
-    assert p.coefficient(expected_deg) == 1
+    assert len(p.coeffs) - 1 == expected_deg
+    assert p.coeffs[0] == 1
+    assert p.coeffs[expected_deg] == 1
 
 
 def test_validation_rejects_bad_configurations():

@@ -37,13 +37,7 @@ def rand_poly(rng, max_deg=6, span=9):
 def test_canonical_form_strips_trailing_zeros():
     assert P(1, 2, 0, 0).coeffs == (1, 2)
     assert P(0, 0).coeffs == ()
-    assert P().is_zero
-
-
-def test_degree_of_zero_is_an_error():
-    with pytest.raises(ValueError):
-        _ = ZERO.degree
-    assert P(0, 0, 5).degree == 2
+    assert not P()
 
 
 def test_arithmetic_small_cases():
@@ -101,7 +95,7 @@ def test_reverse_is_an_involution():
     rng = random.Random(11)
     for _ in range(200):
         p = rand_poly(rng)
-        d = (p.degree if not p.is_zero else 0) + rng.randint(0, 3)
+        d = max(len(p.coeffs) - 1, 0) + rng.randint(0, 3)
         assert poly_reverse(poly_reverse(p, d), d) == p
 
 
@@ -127,7 +121,7 @@ def test_division_inverts_multiplication():
     checked = 0
     while checked < 200:
         a, b = rand_poly(rng), rand_poly(rng)
-        if b.is_zero:
+        if not b:
             continue
         assert poly_exact_div(a * b, b) == a
         checked += 1
@@ -205,7 +199,7 @@ def test_q_binomial_structure():
             assert b(1) == comb(m, n)
             assert all(c >= 0 for c in b.coeffs)
             expected_deg = n * (m - n)
-            assert (b.degree if not b.is_zero else 0) == expected_deg
+            assert len(b.coeffs) - 1 == expected_deg
             assert b == poly_reverse(b, expected_deg)  # palindromic
 
 
@@ -285,17 +279,14 @@ def test_laurent_arithmetic_agrees_with_shifted_polynomials(x, y, k):
     # q^12 clears every negative exponent the parts and their product reach
     (a, p), (b, r) = x, y
     u, v = LaurentPoly(a, p), LaurentPoly(b, r)
-    assert (u + v).shift(12).to_poly() == p.shift(a + 12) + r.shift(b + 12)
-    assert (u * v).shift(12).to_poly() == (p * r).shift(a + b + 12)
-    assert (k * u).shift(12).to_poly() == (u * k).shift(12).to_poly() == (k * p).shift(a + 12)
+
+    def times_q12(x: LaurentPoly) -> IntPoly:
+        return x.body.shift(x.offset + 12)
+
+    assert times_q12(u + v) == p.shift(a + 12) + r.shift(b + 12)
+    assert times_q12(u * v) == (p * r).shift(a + b + 12)
+    assert times_q12(k * u) == times_q12(u * k) == (k * p).shift(a + 12)
     assert u.shift(k).shift(-k) == u
-
-
-def test_laurent_to_poly():
-    assert LaurentPoly(2, P(1, 1)).to_poly() == P(0, 0, 1, 1)
-    assert LaurentPoly(-4, ZERO).to_poly() == ZERO
-    with pytest.raises(ValueError):
-        LaurentPoly(-1, P(1)).to_poly()
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +296,7 @@ def test_laurent_to_poly():
 
 def test_series_inverse_of_one_minus_s():
     geom = PowerSeries(6, (ONE, IntPoly((-1,))) + (ZERO,) * 5).inverse()
-    assert all(geom.coefficient(n) == ONE for n in range(7))
+    assert geom.coeffs == (ONE,) * 7
 
 
 def test_series_inverse_requires_unit_constant():
@@ -326,15 +317,13 @@ def test_series_inverse_round_trip():
 def test_series_length_validation():
     with pytest.raises(ValueError):
         PowerSeries(2, (ONE,))
-    with pytest.raises(ValueError):
-        PowerSeries(1, (ONE, ONE)).coefficient(2)
 
 
 def test_series_coefficients_are_polynomials():
     series = PowerSeries(2, (1, Q, 0))
     assert series == (2, (ONE, Q, ZERO))
-    assert series.coefficient(1) == Q
-    assert series.evaluate_q(3) == [1, 3, 0]
+    assert series.coeffs[1] == Q
+    assert [c(3) for c in series.coeffs] == [1, 3, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +354,7 @@ def test_pack_round_trip(case):
     p = IntPoly(coeffs)
     packed = pack(p, width)
     assert unpack_poly(packed, width) == p
-    assert (packed == 0) == p.is_zero
+    assert (packed == 0) == (not p)
     # multiplying by q^k is a shift of k slots
     assert unpack_poly(packed << 3 * width, width) == p.shift(3)
 

@@ -5,8 +5,10 @@ series custom), and the package namespace loads a name's home module
 on first use.  The import sets are read in a fresh
 interpreter, since this process has loaded everything.
 What the commands reach: every function the package defines runs in some
-command, save a few listed with their reasons."""
+command, save a few listed with their reasons.  What each module imports,
+it uses."""
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -116,6 +118,22 @@ def test_a_name_only_tests_used_is_not_public(name):
         getattr(genocchi, name)
 
 
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_a_module_uses_every_name_it_imports(module):
+    # a deletion can leave an import behind, such as a typing name only the
+    # deleted code read; from __future__ imports switch features on.  An
+    # unquoted annotation parses to the names it reads, so they count as used
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used == set()
+
+
 def test_star_import_and_dir_cover_all():
     namespace: dict = {}
     exec("from genocchi import *", namespace)
@@ -141,7 +159,6 @@ UNREACHED = {
     "motzkin.fermionic_exponent": "the acceptance criteria's per-path exponent",
     "exactalg.PowerSeries.inverse": "the perfbench tracer reads and patches it by name",
     "exactalg.IntPoly.__setattr__": "the immutability guard: runs only when code misuses a value",
-    "exactalg.IntPoly.__str__": "failure details and debugging: the commands print render()",
     "exactalg.IntPoly.__repr__": "failure details and debugging",
     "exactalg.IntPoly.__neg__": "PowerSeries.inverse and the Han-Zeng reference in tests/reference.py use it",
     "exactalg.IntPoly.__hash__": "IntPoly defines __eq__, so it must hash as the ints it equals do",

@@ -319,7 +319,7 @@ def test_unrestricted_sum_equals_path_sum(n):
         for k in range(1, n):
             term = term * q_binomial(1 + f[k - 1], f[k])
             term = term * q_binomial(1 + f[k + 1], f[k])
-        if term.is_zero:
+        if not term:
             continue
         expo = fermionic_exponent(f)
         assert expo >= 0

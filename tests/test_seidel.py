@@ -5,7 +5,6 @@ from genocchi.errors import InternalInconsistencyError
 from genocchi.seidel import (
     genocchi_first_sequence,
     h_sequence,
-    median_genocchi,
     median_sequence,
     normalized_h,
     seidel_columns,
@@ -81,8 +80,8 @@ def test_genocchi_first_golden():
 
 def test_median_golden():
     assert list(median_sequence(5)) == [1, 2, 8, 56, 608]
-    assert median_genocchi(1) == 1
-    assert median_genocchi(6) == 32 * 295  # 2^5 h(5)
+    assert list(median_sequence(1)) == [1]
+    assert list(median_sequence(6))[-1] == 32 * 295  # 2^5 h(5)
 
 
 def test_normalized_golden():
@@ -91,17 +90,17 @@ def test_normalized_golden():
 
 
 def test_divisibility_through_12():
+    medians = list(median_sequence(13))  # H(2n + 1) at index n
     for n in range(1, 13):
-        assert median_genocchi(n + 1) % (1 << n) == 0
-        assert normalized_h(n) * (1 << n) == median_genocchi(n + 1)
+        assert medians[n] % (1 << n) == 0
+        assert normalized_h(n) * (1 << n) == medians[n]
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
         seidel_columns(0)  # fires at the call, before anything is iterated
     assert list(genocchi_first_sequence(0)) == []
-    with pytest.raises(ValueError):
-        median_genocchi(0)
+    assert list(median_sequence(0)) == []
     with pytest.raises(ValueError):
         normalized_h(-1)
 

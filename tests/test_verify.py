@@ -4,7 +4,7 @@ from json.encoder import py_encode_basestring_ascii
 
 import pytest
 
-from genocchi import admissible, dellac, hanzeng, verify
+from genocchi import admissible, dellac, hanzeng, seidel, verify
 from genocchi import report as report_module
 from genocchi.contfrac import SFraction, contract_S_to_J, expand
 from genocchi.errors import InternalInconsistencyError, ResourceLimitError
@@ -67,6 +67,33 @@ def test_n_max_bounds():
         crosscheck(0)
     with pytest.raises(ValueError):
         crosscheck(CROSSCHECK_MAX_N + 1)
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 8])
+def test_crosscheck_sweeps_the_seidel_triangle_at_most_three_times(monkeypatch, n_max):
+    # one sweep each for the shared h, viennot-doubling's medians and divisibility
+    sweeps = []
+    columns = seidel.seidel_columns
+
+    def counted(n_columns):
+        sweeps.append(n_columns)
+        yield from columns(n_columns)
+
+    monkeypatch.setattr(seidel, "seidel_columns", counted)
+    assert crosscheck(n_max).failures == 0
+    assert len(sweeps) <= 3
+
+
+def test_a_seidel_fault_fails_every_check_that_reads_the_triangle(monkeypatch):
+    columns = seidel.seidel_columns
+
+    def faulty(n_columns):
+        for n, col in enumerate(columns(n_columns), start=1):
+            yield (col[0] + 1, *col[1:]) if n == 6 else col  # H(5) = g(1, 6): 8 -> 9
+
+    monkeypatch.setattr(seidel, "seidel_columns", faulty)
+    failed = {c.name for c in crosscheck(4).checks if c.status == "fail"}
+    assert failed == {"counts-agree", "dumont-oracle", "triangle-pairs-oracle", "viennot-doubling", "divisibility"}
 
 
 def test_table_rendering():
