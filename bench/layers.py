@@ -10,14 +10,17 @@ takes a few minutes on 2 vCPUs.  The file holds:
 - "fresh": for every command form of the three perfbench workloads (read from
   perfbench/run.py's WORKLOADS, which this imports and does not change), for
   the largest `seq` and `series` forms, `verify --n-max 8`, the smallest
-  command (`seq h --count 1`) and the start-up floor, the
+  command (`seq h --count 1`) and the start-up floor (with and without
+  CPython's teardown), the
   minimum wall time and the maximum peak RSS over FRESH_RUNS fresh
   processes, each read with os.wait4 on the one child by perfbench/launch.py,
   and whether every run's output passed its perfbench check;
 - "layers": the minimum and maximum seconds over LAYER_RUNS in-process calls
-  of each route's core call, of the IntPoly multiply under them, and of
-  the Dellac and admissible walks counted by their blocks, at fixed sizes,
-  each call with the q-binomial cache emptied first;
+  of each route's core call, of the IntPoly multiply under them, of the
+  Dellac and admissible walks counted by their blocks, and of the
+  enumerate stream of each stream form written into a writer that drops
+  its text, at fixed sizes, each call with the q-binomial cache emptied
+  first;
 - "tier1": the wall time and summary line of one run of the tier-1 suite;
 - "end_to_end": the metrics line of perfbench/run.py for each workload, run
   unchanged for PERFBENCH_SECONDS.
@@ -60,6 +63,8 @@ EXTRA_FORMS = {
     "verify --n-max 8 --json": perfbench.cli_argv(["verify", "--n-max", "8", "--json"]),
     "seq h --count 1 --json": perfbench.cli_argv(["seq", "h", "--count", "1", "--json"]),
     "python -c pass": [sys.executable, "-c", "pass"],
+    # the floor without CPython's teardown, which every genocchi command skips through os._exit
+    "python -c 'import os; os._exit(0)'": [sys.executable, "-c", "import os; os._exit(0)"],
     "python -c 'import genocchi.cli'": perfbench.SETUP_ARGV,
 }
 
@@ -111,13 +116,14 @@ def fresh_rows(work: Path) -> dict:
 
 
 def layer_calls() -> dict:
-    from genocchi import admissible, dellac
+    from genocchi import admissible, dellac, motzkin
     from genocchi.admissible import count_closed_column_graded
     from genocchi.contfrac import expand, fraction_f1, fraction_f2
     from genocchi.dellac import h_poly_dellac
     from genocchi.exactalg import IntPoly
     from genocchi.hanzeng import hanzeng_barc
     from genocchi.limits import ENV_VAR
+    from genocchi.stream import write_lines
     from genocchi.verify import crosscheck
     from genocchi.walk import layered_blocks
 
@@ -146,6 +152,14 @@ def layer_calls() -> dict:
 
         return call
 
+    def streamed(model, n):
+        # the enumerate stream's whole work for the stream workload's forms
+        # (--json, no --limit), its lines written into a writer that drops them
+        def call():
+            return write_lines(lambda text: None, model, n, True, sys.maxsize)
+
+        return call
+
     return {
         "IntPoly * IntPoly, 256 terms of 64 bits each": lambda: a * b,
         "expand(fraction_f1(), 48)": lambda: expand(fraction_f1(), 48),
@@ -160,6 +174,9 @@ def layer_calls() -> dict:
         "crosscheck(6, 596854)": lambda: crosscheck(6, 596854),
         "Dellac walk block count at n = 8": block_count(dellac, 8),
         "admissible walk block count at n = 8": block_count(admissible, 8),
+        "stream.write_lines, dellac n = 7 --json": streamed(dellac, 7),
+        "stream.write_lines, admissible n = 7 --json": streamed(admissible, 7),
+        "stream.write_lines, motzkin n = 12 --json": streamed(motzkin, 12),
     }
 
 

@@ -13,14 +13,16 @@ field an int, then each I_l inside 1..n with l elements, then I_{l-1}
 inside I_l plus l within the run, raising the constructor's message at the
 first fault.  Two pieces join when they hold n - 1 subsets in all and the
 containment holds across them.  AdmissibleSequence checks the subset count
-and its subsets as one piece; the enumerate stream checks each prefix and
-each shared tail of the walk once, joins a prefix's summary to a state's
-tails once, and formats each distinct subset once per stream.
+and its subsets as one piece.  The enumerate stream checks each prefix of
+the walk once, and each shared tail as its first subset joined to the rest
+of it, checking and encoding each distinct first subset and rest once; it
+joins a prefix's summary to each distinct summary of a state's tails once,
+and formats each distinct subset once per stream.
 
 The walk shares its last SHARED_LEVELS = 3 subsets, I_3, I_2 and I_1: the
 completion lists hold one run per way to finish each pool met three
 subsets from the end.  At the cap n = 8 that is 6,880 runs from 70 pools,
-about 0.4 MB.
+about 0.4 MB, with 56 distinct first subsets and 77 distinct rests.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, in
     the summary (subset count, first mask, last mask), whose first mask
     contains everything and last nothing when there is no subset, so that
     it joins any piece."""
-    if type(n) is not int or type(masks) is not tuple or set(map(type, masks)) - {int}:
+    if type(n) is not int or not _typed(masks):
         raise TypeError("n and masks must be integers")
     if whole and len(masks) != n - 1:
         raise ValueError(f"expected {n - 1} subsets, got {len(masks)}")
@@ -87,6 +89,11 @@ def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, in
         if lower & ~(upper | 1 << (l + 1)):
             raise ValueError(f"I_{l} exceeds I_{l + 1} plus {{{l + 1}}}")
     return (len(masks), masks[0], masks[-1]) if masks else (0, -1, 0)
+
+
+def _typed(masks) -> bool:
+    """Whether masks is a tuple of ints, exactly: the type check of _piece."""
+    return type(masks) is tuple and not set(map(type, masks)) - {int}
 
 
 def _joined(n: int, upper, lower) -> bool:
@@ -119,23 +126,37 @@ def _encode(texts, start: int, as_json: bool) -> str:
 def stream_pieces(n: int, as_json: bool):
     """The rules above for the stream, as dellac.stream_pieces gives them.
     The walk meets I_{n-1} first, so a prefix, reversed, is the upper piece
-    of a sequence and a tail, reversed, the lower one.  Each distinct subset
-    is formatted once per stream."""
-    head, foot = (f'{{"n":{n},"sets":[', "]}") if as_json else ("", "")
+    of a sequence and a tail, reversed, the lower one: a line is the rest
+    of the tail (I_1..I_{k-1}), then its first level (I_k), then the
+    prefix, and prefix_first is False.  A tail's first level and its rest
+    join when I_{k-1} lies inside I_k plus k.  Each distinct subset is
+    formatted once per stream."""
+    from .stream import split_tail_piece
+
+    head, foot = (f'{{"n":{n},"sets":[', "]}\n") if as_json else ("", "\n")
     subset = cache(partial(_subset_text, as_json=as_json))
 
     def prefix_piece(prefix):
         upper, start = prefix[::-1], n - len(prefix)
-        return _piece(n, upper, start), _encode(map(subset, upper), start, as_json)
+        return _piece(n, upper, start), _encode(map(subset, upper), start, as_json) + foot
 
-    def tail_piece(tail, level):
-        lower = tail[::-1]
-        summary = _piece(n, lower, 1)
+    def first(run, level):
+        # the run, reversed, ends at I_k, k = n - 1 - level
+        lower, start = run[::-1], n - level - len(run)
+        summary = _piece(n, lower, start)  # before any subset is formatted
         # only n = 1 has an empty tail, and its prefix is empty too
-        body = _encode(map(subset, lower), 1, as_json) if lower or as_json else "()"
-        return summary, (head + body, foot + "\n")
+        return summary, _encode(map(subset, lower), start, as_json) if lower or as_json else "()"
 
-    return prefix_piece, tail_piece, partial(_joined, n)
+    def rest(run, level):
+        lower = run[::-1]
+        return _piece(n, lower, 1), head + _encode(map(subset, lower), 1, as_json)
+
+    def across(lead, after):  # I_k, then I_1..I_{k-1}
+        if after[2] & ~(lead[1] | 1 << (after[0] + 1)):
+            return None
+        return lead[0] + after[0], after[1] if after[0] else lead[1], lead[2]
+
+    return prefix_piece, split_tail_piece(first, rest, across, _typed), partial(_joined, n), False
 
 
 # the pools multiply fast with depth: sharing a fourth subset lists more

@@ -15,13 +15,18 @@ _row_window gives at that moment and a repeat, raising the constructor's
 message at the first fault.  The piece's used rows come back as a bitmask,
 and two pieces join when they hold n columns in all and their masks
 together mark 2n rows.  DellacConfig checks the column count and its
-columns as one piece; the enumerate stream checks each prefix and each
-shared tail of the walk once, joins a prefix's mask to a state's tails
-once, and writes each piece's columns once.
+columns as one piece.  The enumerate stream checks each prefix of the
+walk once, and each shared tail as its first column joined to the rest of
+it, checking and encoding each distinct first column and each distinct
+rest once; it joins a prefix's mask to each distinct mask of a state's
+tails once, and writes each piece's columns once.
 
 The walk shares its last SHARED_LEVELS = 4 columns: the completion lists
 hold one run per way to finish each used-row mask met four columns from
 the end.  At the cap n = 8 that is 6,880 runs from 70 masks, about 0.5 MB.
+Those tails hold 36 distinct first columns and 762 distinct rests, which
+the stream keeps checked and encoded for the whole stream: about 0.3 MB,
+while each tail's text is a pair of references into it.
 """
 
 from __future__ import annotations
@@ -59,11 +64,7 @@ def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
     column count of a whole one, then per column the row order, and per
     row the band _row_window gives at call time and a repeat.  Raises at
     the first fault; returns the summary (column count, used-row mask)."""
-    if (
-        type(n) is not int
-        or type(columns) is not tuple
-        or not all(type(c) is tuple and len(c) == 2 and type(c[0]) is type(c[1]) is int for c in columns)
-    ):
+    if type(n) is not int or not _typed(columns):
         raise TypeError("n and rows must be integers")
     if whole and len(columns) != n:
         raise ValueError(f"expected {n} columns, got {len(columns)}")
@@ -79,6 +80,14 @@ def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
                 raise ValueError(f"row {j} marked twice")
             used |= 1 << j
     return len(columns), used
+
+
+def _typed(columns) -> bool:
+    """Whether columns is a tuple of int pairs, exactly: the type check of
+    _piece."""
+    return type(columns) is tuple and all(
+        type(c) is tuple and len(c) == 2 and type(c[0]) is type(c[1]) is int for c in columns
+    )
 
 
 def _joined(n: int, first, second) -> bool:
@@ -106,22 +115,36 @@ def _encode(columns, start: int, as_json: bool) -> str:
 
 def stream_pieces(n: int, as_json: bool):
     """The rules above, for a stream of walk blocks: (prefix_piece,
-    tail_piece, joined).  prefix_piece(prefix) gives the summary and text of
-    the columns a prefix holds; tail_piece(tail, level) gives the summary of
-    the columns a tail from that level holds, and the texts that go before
-    and after a prefix's text in the line, line end included (a blank line
-    closes each grid in text).  Both raise where the piece's check does.
+    tail_piece, joined, prefix_first).  prefix_piece(prefix) gives the
+    summary of the columns a prefix holds and the text that opens their
+    line; tail_piece(tail, level) gives the summary of the columns a tail
+    from that level holds, and the texts of its first column and of the
+    rest, which closes the line (a blank line closes each grid in text).
+    Both raise where the piece's check does.  A line is the prefix's text,
+    then the tail's first column's, then its rest's: prefix_first is True.
     joined(prefix summary, tail summary) accepts exactly the objects the
-    constructor accepts."""
+    constructor accepts.
+
+    A tail's first column and its rest join when they use disjoint rows.
+    Each distinct first column and rest is checked and encoded once per
+    stream (stream.split_tail_piece)."""
+    from .stream import split_tail_piece
+
     head, foot = (f'{{"n":{n},"columns":[', "]}\n") if as_json else ("", "\n\n")
 
     def prefix_piece(prefix):
-        return _piece(n, prefix, 1), _encode(prefix, 1, as_json)
+        return _piece(n, prefix, 1), head + _encode(prefix, 1, as_json)
 
-    def tail_piece(tail, level):
-        return _piece(n, tail, level + 1), (head, _encode(tail, level + 1, as_json) + foot)
+    def first(run, level):
+        return _piece(n, run, level + 1), _encode(run, level + 1, as_json)
 
-    return prefix_piece, tail_piece, partial(_joined, n)
+    def rest(run, level):
+        return _piece(n, run, level + 2), _encode(run, level + 2, as_json) + foot
+
+    def across(lead, after):
+        return None if lead[1] & after[1] else (lead[0] + after[0], lead[1] | after[1])
+
+    return prefix_piece, split_tail_piece(first, rest, across, _typed), partial(_joined, n), True
 
 
 def _row_window(n: int, col: int) -> tuple[int, int]:

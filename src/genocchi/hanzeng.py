@@ -11,7 +11,9 @@ There 1 + qx = [j+1] and 1 + qx - x = q^j, so the step reads
     C_m([j]) = [j+1] ([j+1] C_{m-1}([j+1]) - [j] C_{m-1}([j])) / q^j
 
 and C_n([1]) = C_n(1, q) needs the entries with m + j <= n + 1: a table of
-about n^2/2 q-polynomials, one row per m.  Multiplying by [k] subtracts a
+about n^2/2 q-polynomials, one row per m.  The first entry of row m is
+C_m([1]), so one table up to n serves every index up to n
+(hanzeng_sequence).  Multiplying by [k] subtracts a
 copy shifted by k and takes a running sum; dividing by q^j drops the j
 lowest coefficients.  Two exactness checks guard the route: the j dropped
 coefficients must be 0, and each of the n - 1 divisions by 1 + q, an
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import mul, sub
+from typing import Iterator
 
 from .errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
 from .exactalg import IntPoly
@@ -61,6 +64,17 @@ def _over_one_plus_q(p: list[int]) -> list[int]:
     return quotient
 
 
+def hanzeng_sequence(count: int) -> Iterator[IntPoly]:
+    """Yield hanzeng_barc(m) for m = 1..count from one table: the row after
+    step m holds C_m([j]) for j = 1..count - m + 1, and its first entry is
+    C_m([1]) = C_m(1, q), so one sweep builds count rows where a table per
+    index would build count (count + 1) / 2.  The bound is checked here,
+    before the first term is asked for."""
+    if count > HANZENG_MAX_N:
+        raise ResourceLimitError(f"Han-Zeng recurrence capped at n={HANZENG_MAX_N}")
+    return map(_normalized, range(1, count + 1), _at_one(count))
+
+
 def hanzeng_barc(n: int) -> IntPoly:
     """The normalized polynomial: C_n(1, q) divided by (1+q)^(n-1), one
     exact division by 1 + q at a time.  Its value at q = 1 is h(n-1)."""
@@ -68,20 +82,33 @@ def hanzeng_barc(n: int) -> IntPoly:
         raise ValueError("index must be positive")
     if n > HANZENG_MAX_N:
         raise ResourceLimitError(f"Han-Zeng recurrence capped at n={HANZENG_MAX_N}")
-    row = [[1]] * n  # C_1([j]) for j = 1..n
-    for m in range(2, n + 1):
-        # scaled[j - 1] = [j] C_{m-1}([j]): each serves entries j - 1 and j
-        scaled = [_times_q_int(c, j) for j, c in enumerate(row, start=1)]
-        try:
-            row = [
-                _times_q_int(_over_q_power(_minus(scaled[j], scaled[j - 1]), j), j + 1)
-                for j in range(1, len(row))
-            ]
-        except InexactDivisionError as exc:
-            raise InternalInconsistencyError(
-                f"recurrence step n={m} is not divisible by 1 + qx - x"
-            ) from exc
-    (at_one,) = row
+    for at_one in _at_one(n):  # the last row's, C_n(1, q)
+        pass
+    return _normalized(n, at_one)
+
+
+def _at_one(count: int) -> Iterator[list[int]]:
+    """C_m(1, q) for m = 1..count, the first entry of each row of the table
+    over the q-integers [1]..[count]."""
+    row = [[1]] * count  # C_1([j]) for j = 1..count
+    for m in range(1, count + 1):
+        if m > 1:
+            # scaled[j - 1] = [j] C_{m-1}([j]): each serves entries j - 1 and j
+            scaled = [_times_q_int(c, j) for j, c in enumerate(row, start=1)]
+            try:
+                row = [
+                    _times_q_int(_over_q_power(_minus(scaled[j], scaled[j - 1]), j), j + 1)
+                    for j in range(1, len(row))
+                ]
+            except InexactDivisionError as exc:
+                raise InternalInconsistencyError(
+                    f"recurrence step n={m} is not divisible by 1 + qx - x"
+                ) from exc
+        yield row[0]
+
+
+def _normalized(n: int, at_one: list[int]) -> IntPoly:
+    """C_n(1, q) divided by (1+q)^(n-1), exactly."""
     try:
         for _ in range(n - 1):
             at_one = _over_one_plus_q(at_one)

@@ -18,13 +18,16 @@ One rule checks a piece of a path, a run of consecutive heights: integers,
 then nonnegative, then each step within 1, raising the constructor's
 message at the first fault.  Two pieces join when a step of at most 1
 leads across and the path starts and ends at height 0.  MotzkinPath checks
-its ends and its heights as one piece; the enumerate stream checks each
-prefix and each shared tail of the walk once, joins a prefix's end height
-to a state's tails once, and writes each piece's heights once.
+its ends and its heights as one piece.  The enumerate stream checks each
+prefix of the walk once, and each shared tail as its first height joined
+to the rest of it, checking and encoding each distinct first height and
+rest once; it joins a prefix's end height to each distinct summary of a
+state's tails once, and writes each piece's heights once.
 
 The walk shares its last SHARED_LEVELS = 6 steps.  A path six steps from
 its end is at most 6 high, so the completion lists hold 267 runs from at
-most 7 heights, whatever the length: about 0.05 MB.
+most 7 heights, whatever the length: about 0.05 MB, with at most 6
+distinct first heights and 35 distinct rests.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
     nonnegative, then each step within 1 inside the run.  Raises at the
     first fault; returns the summary (first height, last height), or () for
     no height."""
-    if type(heights) is not tuple or set(map(type, heights)) - {int}:
+    if not _typed(heights):
         raise TypeError("heights must be integers")
     if whole:
         if not heights:
@@ -76,6 +79,11 @@ def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
     if not all(-1 <= b - a <= 1 for a, b in zip(heights, heights[1:])):
         raise ValueError("steps must change height by at most 1")
     return heights[0], heights[-1]
+
+
+def _typed(heights) -> bool:
+    """Whether heights is a tuple of ints, exactly: the type check of _piece."""
+    return type(heights) is tuple and not set(map(type, heights)) - {int}
 
 
 def _joined(first, second) -> bool:
@@ -100,19 +108,30 @@ def _encode(heights, start: int, as_json: bool) -> str:
 
 def stream_pieces(n: int, as_json: bool):
     """The rules above for the stream, as dellac.stream_pieces gives them.
-    A prefix piece starts with f_0 = 0, which the walk does not yield."""
+    A prefix piece starts with f_0 = 0, which the walk does not yield.  A
+    tail's first height and its rest join when a step of at most 1 leads
+    across."""
+    from .stream import split_tail_piece
+
+    length = layers(n)[0]  # of every path the walk yields
+    head, foot = (f'{{"n":{length},"heights":[', "]}\n") if as_json else ("", "\n")
 
     def prefix_piece(prefix):
         heights = (0,) + prefix
-        return _piece(heights), _encode(heights, 0, as_json)
+        return _piece(heights), head + _encode(heights, 0, as_json)
 
-    def tail_piece(tail, level):
-        summary = _piece(tail)
-        length = level + len(tail)  # of the path
-        head, foot = (f'{{"n":{length},"heights":[', "]}") if as_json else ("", "")
-        return summary, (head, _encode(tail, level + 1, as_json) + foot + "\n")
+    def first(run, level):
+        return _piece(run), _encode(run, level + 1, as_json)
 
-    return prefix_piece, tail_piece, _joined
+    def rest(run, level):
+        return _piece(run), _encode(run, level + 2, as_json) + foot
+
+    def across(lead, after):
+        if not after:  # no height: the first piece is the whole tail
+            return lead
+        return (lead[0], after[1]) if -1 <= after[0] - lead[1] <= 1 else None
+
+    return prefix_piece, split_tail_piece(first, rest, across, _typed), _joined, True
 
 
 # the state is only the height, so six shared steps cost 267 runs at any

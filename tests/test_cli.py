@@ -489,7 +489,9 @@ def bits(*members):
 # levels, so that the one fault lies in a prefix (a band, a size, a negative
 # height), in a tail shared by several prefixes, or only across the split (a
 # row used on both sides, a containment, a step of two, each after a prefix
-# that leads to the wrong state); the case's name gives the side
+# that leads to the wrong state); the case's name gives the side.  In
+# "dellac-tail-split" the tail's first column and its rest each pass their
+# checks, and only a row marked in both makes the tail fail
 INVALID_WALKS = {
     "dellac": (3, one_run(((1, 2), (2, 4), (5, 6))), "row 2 marked twice", 0),
     "admissible": (3, one_run((0b0110, 0b1000)), "I_1 exceeds I_2 plus {2}", 0),
@@ -510,6 +512,12 @@ INVALID_WALKS = {
         6,
         rewired(dellac, 1, ((3, 5), bits(1, 2, 3, 5)), ((3, 5), bits(1, 2, 3, 6))),
         "row 5 marked twice",
+        162,
+    ),
+    "dellac-tail-split": (
+        6,
+        rewired(dellac, 2, ((4, 6), bits(*range(1, 7))), ((4, 7), bits(*range(1, 7)))),
+        "row 7 marked twice",
         162,
     ),
     "admissible-prefix": (
@@ -576,7 +584,7 @@ def fault_side(module, n):
     """Where the first object of the model's walk that its rules reject
     fails the stream's checks: "prefix", "tail", or "across" when both
     pieces pass and only their join fails."""
-    prefix_piece, tail_piece, joined = module.stream_pieces(n, True)
+    prefix_piece, tail_piece, joined, _ = module.stream_pieces(n, True)
     for prefix, _, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
         for tail in tails:
             try:
@@ -602,7 +610,7 @@ def test_an_invalid_walked_object_is_an_internal_error(monkeypatch, capsys, case
     module = MODULES[model]
     monkeypatch.setattr(module, "layers", layers)
     assert (layers(n)[0] > module.SHARED_LEVELS) == bool(side)  # where the split is
-    assert fault_side(module, n) == (side or "tail")
+    assert fault_side(module, n) == (side.partition("-")[0] or "tail")
     lines = []
     for item in WALKS[model](n):
         try:
@@ -615,6 +623,18 @@ def test_an_invalid_walked_object_is_an_internal_error(monkeypatch, capsys, case
     captured = capsys.readouterr()
     assert captured.out == "".join(lines)
     assert captured.err == f"internal error: ValueError: {message}\n"
+
+
+def test_the_split_case_fails_only_across_the_first_column_and_the_rest(monkeypatch):
+    n, layers, message, _ = INVALID_WALKS["dellac-tail-split"]
+    monkeypatch.setattr(dellac, "layers", layers)
+    blocks = layered_blocks(*layers(n), dellac.SHARED_LEVELS)
+    prefix, tail = next((prefix, tail) for prefix, _, tails in blocks for tail in tails if tail[0] == (4, 7))
+    with pytest.raises(ValueError) as raised:
+        dellac._piece(n, prefix + tail, 1, whole=True)
+    assert str(raised.value) == message
+    dellac._piece(n, tail[:1], len(prefix) + 1)  # the first column passes alone
+    dellac._piece(n, tail[1:], len(prefix) + 2)  # and so does the rest
 
 
 @lru_cache(maxsize=None)
@@ -682,33 +702,128 @@ def test_enumerate_writes_blocks_of_lines():
 
 
 def test_stream_checks_each_shared_piece_once(monkeypatch):
-    # the stream's speed rests on this: one piece check per walk prefix and
-    # one per tail of each distinct state, however many objects they join
+    # the stream's speed rests on this: one piece check per walk prefix, and
+    # one per distinct first column and per distinct rest of the tails,
+    # however many tails and objects share them
     calls = []
     piece = dellac._piece
     monkeypatch.setattr(dellac, "_piece", lambda *args, **kw: calls.append(args) or piece(*args, **kw))
     objects = len(output_lines(["enumerate", "dellac", "--n", "6", "--json"])) - 1
     blocks = list(layered_blocks(*dellac.layers(6), dellac.SHARED_LEVELS))
-    tails = {state: len(tails) for _, state, tails in blocks}
-    assert len(calls) == len(blocks) + sum(tails.values()) == 33 + 1138
+    tails = {tail for _, _, state_tails in blocks for tail in state_tails}
+    firsts, rests = {tail[:1] for tail in tails}, {tail[1:] for tail in tails}
+    assert len(calls) == len(blocks) + len(firsts) + len(rests) == 40 + 21 + 244
+    assert len(calls) < len(blocks) + len(tails)  # a check per prefix and per tail: 40 + 1,131
     assert objects == 3098
 
 
 @pytest.mark.parametrize("model, n", [("dellac", 6), ("admissible", 7), ("motzkin", 12)])
-def test_stream_joins_once_per_tail_of_each_prefix_summary_and_state(monkeypatch, model, n):
+def test_stream_joins_once_per_distinct_tail_summary_of_each_prefix_summary_and_state(monkeypatch, model, n):
     # whether a tail joins depends only on the prefix's summary and the
-    # state, so the join rule runs once per tail of each distinct pair
+    # tail's, so the join rule runs once per distinct tail summary of the
+    # state, for each distinct pair of prefix summary and state
     module = MODULES[model]
-    prefix_piece, _, _ = module.stream_pieces(n, True)
-    pairs = {
-        (prefix_piece(prefix)[0], state): len(tails)
-        for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS)
-    }
+    prefix_piece, tail_piece, _, _ = module.stream_pieces(n, True)
+    kinds, tails_of, pairs = {}, {}, set()
+    for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
+        kinds.setdefault(state, {tail_piece(tail, len(prefix))[0] for tail in tails})
+        tails_of[state] = len(tails)
+        pairs.add((prefix_piece(prefix)[0], state))
     calls = []
     joined = module._joined
     monkeypatch.setattr(module, "_joined", lambda *args: calls.append(args) or joined(*args))
     objects = len(output_lines(["enumerate", model, "--n", str(n), "--json"])) - 1
-    assert len(calls) == sum(pairs.values()) < objects
+    assert len(calls) == sum(len(kinds[state]) for _, state in pairs)
+    assert len(calls) < sum(tails_of[state] for _, state in pairs) < objects  # once per tail
+    if model == "dellac":  # every tail of a state uses the rows the state leaves free
+        assert all(len(summaries) == 1 for summaries in kinds.values())
+
+
+@lru_cache(maxsize=None)
+def walk_pieces(model, n):
+    """The (prefix, tail) pairs of every block of the model's walk for n,
+    one per distinct state."""
+    module = MODULES[model]
+    states = {}
+    for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
+        states.setdefault(state, [(prefix, tail) for tail in tails])
+    return [pair for pairs in states.values() for pair in pairs]
+
+
+def full_piece(model, n, prefix, tail, as_json):
+    """A tail's summary and the line it makes with prefix, by the model's
+    rule over the flat tail: its _piece and _encode over the whole run, which
+    a split tail must agree with.  Raises where that rule does."""
+    level = len(prefix)
+    if model == "dellac":
+        head, foot = (f'{{"n":{n},"columns":[', "]}\n") if as_json else ("", "\n\n")
+        summary = dellac._piece(n, tail, level + 1)
+        return summary, head + dellac._encode(prefix, 1, as_json) + dellac._encode(tail, level + 1, as_json) + foot
+    if model == "admissible":
+        head, foot = (f'{{"n":{n},"sets":[', "]}\n") if as_json else ("", "\n")
+        lower, upper = tail[::-1], prefix[::-1]
+        summary = admissible._piece(n, lower, 1)
+        texts = [admissible._subset_text(mask, as_json) for mask in lower]
+        body = admissible._encode(texts, 1, as_json) if lower or as_json else "()"
+        upper_texts = [admissible._subset_text(mask, as_json) for mask in upper]
+        return summary, head + body + admissible._encode(upper_texts, n - level, as_json) + foot
+    head, foot = (f'{{"n":{level + len(tail)},"heights":[', "]}\n") if as_json else ("", "\n")
+    summary = motzkin._piece(tail)
+    return summary, head + motzkin._encode((0,) + prefix, 0, as_json) + motzkin._encode(tail, level + 1, as_json) + foot
+
+
+def mutated(model, tail, data):
+    """tail, or a copy with one field changed: another int, a value that
+    equals an int but is not one (True, 2.0), a non-number, a list where a
+    tuple belongs."""
+    kind = data.draw(st.sampled_from(["same", "value", "not an int", "list"]))
+    if kind == "same" or not tail:
+        return tail
+    if kind == "list" and (model != "dellac" or data.draw(st.booleans())):
+        return list(tail)
+    i = data.draw(st.integers(0, len(tail) - 1))
+    field = tail[i]
+    if model == "dellac" and kind == "list":
+        field = list(field)
+    else:
+        j = data.draw(st.integers(0, 1))
+        leaf = field[j] if model == "dellac" else field
+        if kind == "value":
+            leaf = data.draw(st.integers(-1, 2 * leaf + 2))
+        else:
+            leaf = data.draw(st.sampled_from([float(leaf), leaf == 1, leaf == 0, str(leaf), None]))
+        field = field[:j] + (leaf,) + field[j + 1 :] if model == "dellac" else leaf
+    return tail[:i] + (field,) + tail[i + 1 :]
+
+
+SPLIT_SIZES = {"dellac": st.integers(1, 6), "admissible": st.integers(1, 7), "motzkin": st.integers(0, 10)}
+
+
+@pytest.mark.parametrize("model", sorted(SPLIT_SIZES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_split_tail_piece_is_the_full_rule_over_the_flat_tail(model, data):
+    # one stream's tail_piece, fed walked tails with some fields changed: each
+    # gives the full rule's summary and line, or raises its exception and
+    # message, whatever its first level and rest met before in the memo
+    n = data.draw(SPLIT_SIZES[model])
+    as_json = data.draw(st.booleans())
+    module = MODULES[model]
+    prefix_piece, tail_piece, _, prefix_first = module.stream_pieces(n, as_json)
+    pairs = walk_pieces(model, n)
+    for index in data.draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=12)):
+        prefix, tail = pairs[index]
+        tail = mutated(model, tail, data)
+        try:
+            expected = full_piece(model, n, prefix, tail, as_json)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                tail_piece(tail, len(prefix))
+            assert str(raised.value) == str(exc)
+            continue
+        summary, (first, rest) = tail_piece(tail, len(prefix))
+        text = prefix_piece(prefix)[1]
+        assert (summary, first.join((text, rest) if prefix_first else (rest, text))) == expected
 
 
 @pytest.mark.parametrize("as_json", [False, True])

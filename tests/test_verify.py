@@ -184,15 +184,27 @@ def test_wrong_hanzeng_divisor_fails_the_reversal_check(monkeypatch):
 @pytest.mark.parametrize("error", [InternalInconsistencyError, ResourceLimitError])
 def test_a_raising_check_keeps_its_problems(monkeypatch, error):
     # wrong for n < 2, raising from n = 2: both the mismatches and the error are reported
-    def barc(n):
-        if n > 2:
-            raise error("gave up")
-        return IntPoly((5,))
+    def barcs(count):
+        yield from (IntPoly((5,)), IntPoly((5,)))
+        raise error("gave up")
 
-    monkeypatch.setattr(verify, "hanzeng_barc", barc)
+    monkeypatch.setattr(verify, "hanzeng_sequence", barcs)
     check = next(c for c in crosscheck(3).checks if c.name == "hanzeng-reversal")
     assert check.status == "fail"
     assert check.detail == f"n=0: 5 != 1; n=1: 5 != 1; {error.__name__}('gave up')"
+
+
+def test_hanzeng_reversal_builds_one_table(monkeypatch):
+    # crosscheck(7) reads hanzeng_barc(1..8) from one sweep: past C_1, the
+    # rows C_2..C_8 of one table over [1]..[8], 7 rows of 28 entries in all,
+    # where a table per index builds rows C_2..C_k for each k: 28 rows, 84 entries
+    steps = []
+    over_q_power = hanzeng._over_q_power
+    monkeypatch.setattr(hanzeng, "_over_q_power", lambda p, j: steps.append(j) or over_q_power(p, j))
+    by_name = {c.name: c for c in crosscheck(7).checks}
+    assert by_name["hanzeng-reversal"].status == "pass"
+    assert steps.count(1) == 7  # each row past C_1 opens with the entry at [1]
+    assert len(steps) == 8 * 7 // 2
 
 
 def shift_elements(walk):
