@@ -142,12 +142,14 @@ def layer_calls() -> dict:
 
     def block_count(model, n):
         # what crosscheck's counts-agree does past the object-checked sizes:
-        # each block adds its state's tail count, read once per state
+        # each block adds its state's tail count, the lengths of its tails'
+        # shared lists of rests, summed once per state
         def call():
             total, sizes = 0, {}
             for _, state, tails in layered_blocks(*model.layers(n), model.SHARED_LEVELS):
-                total += sizes.setdefault(state, len(tails))
-                tails.clear()
+                if state not in sizes:
+                    sizes[state] = sum(len(rests) for _, _, rests in tails)
+                total += sizes[state]
             return total
 
         return call

@@ -11,18 +11,22 @@ by a layered sweep over column masks, visiting none of them.
 One rule checks a piece of a sequence, a run of consecutive subsets: every
 field an int, then each I_l inside 1..n with l elements, then I_{l-1}
 inside I_l plus l within the run, raising the constructor's message at the
-first fault.  Two pieces join when they hold n - 1 subsets in all and the
-containment holds across them.  AdmissibleSequence checks the subset count
-and its subsets as one piece.  The enumerate stream checks each prefix of
-the walk once, and each shared tail as its first subset joined to the rest
-of it, checking and encoding each distinct first subset and rest once; it
-joins a prefix's summary to each distinct summary of a state's tails once,
-and formats each distinct subset once per stream.
+first fault.  Two pieces join when the containment holds across them, and
+they make a sequence when they hold n - 1 subsets in all.
+AdmissibleSequence checks the subset count and its subsets as one piece.
+The enumerate stream checks each prefix of the walk once, each head (a
+tail's first subset) once per state and each shared rest once per next
+pool; it joins a head's summary to each distinct summary of its rests and
+a prefix's summary to each distinct summary of a state's tails once, and
+formats each distinct subset once per stream.
 
-The walk shares its last SHARED_LEVELS = 3 subsets, I_3, I_2 and I_1: the
-completion lists hold one run per way to finish each pool met three
-subsets from the end.  At the cap n = 8 that is 6,880 runs from 70 pools,
-about 0.4 MB, with 56 distinct first subsets and 77 distinct rests.
+The walk shares its last SHARED_LEVELS = 3 subsets, I_3, I_2 and I_1: each
+pool met three subsets from the end lists its heads, the choices of I_3,
+and each pool a head leads to lists its rests, one (I_2, I_1) per way to
+finish it.  At the cap n = 8 that is 490 heads over 70 pools and 762
+rests over 56 next pools, 6,880 tails in all: the walk's tracemalloc peak
+is about 0.06 MB, and the stream's about 0.65 MB, most of it a text for
+each rest of each next pool and two references per tail.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, in
     the summary (subset count, first mask, last mask), whose first mask
     contains everything and last nothing when there is no subset, so that
     it joins any piece."""
-    if type(n) is not int or not _typed(masks):
+    if type(n) is not int or type(masks) is not tuple or set(map(type, masks)) - {int}:
         raise TypeError("n and masks must be integers")
     if whole and len(masks) != n - 1:
         raise ValueError(f"expected {n - 1} subsets, got {len(masks)}")
@@ -91,21 +95,20 @@ def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, in
     return (len(masks), masks[0], masks[-1]) if masks else (0, -1, 0)
 
 
-def _typed(masks) -> bool:
-    """Whether masks is a tuple of ints, exactly: the type check of _piece."""
-    return type(masks) is tuple and not set(map(type, masks)) - {int}
+def _join(upper, lower) -> tuple[int, int, int] | None:
+    """The summary of two checked pieces as one, upper (I_{k+1}, ...) first,
+    as the walk meets it, and lower (I_1..I_k) second: None when either
+    failed its check or I_k is not inside I_{k+1} plus k + 1."""
+    if upper is None or lower is None or lower[2] & ~(upper[1] | 1 << (lower[0] + 1)):
+        return None
+    return lower[0] + upper[0], lower[1] if lower[0] else upper[1], upper[2] if upper[0] else lower[2]
 
 
 def _joined(n: int, upper, lower) -> bool:
-    """Whether two checked pieces make a sequence, upper (I_{k+1}, ...)
-    first, as the walk meets it, and lower (I_1..I_k) second: both passed
-    their check, n - 1 subsets in all, and I_k inside I_{k+1} plus k + 1."""
-    return (
-        upper is not None
-        and lower is not None
-        and upper[0] + lower[0] == n - 1
-        and not lower[2] & ~(upper[1] | 1 << (lower[0] + 1))
-    )
+    """Whether two checked pieces, upper then lower, make a sequence: they
+    join, into n - 1 subsets."""
+    joint = _join(upper, lower)
+    return joint is not None and joint[0] == n - 1
 
 
 def _subset_text(mask: int, as_json: bool) -> str:
@@ -127,12 +130,9 @@ def stream_pieces(n: int, as_json: bool):
     """The rules above for the stream, as dellac.stream_pieces gives them.
     The walk meets I_{n-1} first, so a prefix, reversed, is the upper piece
     of a sequence and a tail, reversed, the lower one: a line is the rest
-    of the tail (I_1..I_{k-1}), then its first level (I_k), then the
-    prefix, and prefix_first is False.  A tail's first level and its rest
-    join when I_{k-1} lies inside I_k plus k.  Each distinct subset is
-    formatted once per stream."""
-    from .stream import split_tail_piece
-
+    of the tail (I_1..I_{k-1}), then its head (I_k), then the prefix, and
+    prefix_first is False.  Each distinct subset is formatted once per
+    stream."""
     head, foot = (f'{{"n":{n},"sets":[', "]}\n") if as_json else ("", "\n")
     subset = cache(partial(_subset_text, as_json=as_json))
 
@@ -151,12 +151,7 @@ def stream_pieces(n: int, as_json: bool):
         lower = run[::-1]
         return _piece(n, lower, 1), head + _encode(map(subset, lower), 1, as_json)
 
-    def across(lead, after):  # I_k, then I_1..I_{k-1}
-        if after[2] & ~(lead[1] | 1 << (after[0] + 1)):
-            return None
-        return lead[0] + after[0], after[1] if after[0] else lead[1], lead[2]
-
-    return prefix_piece, split_tail_piece(first, rest, across, _typed), partial(_joined, n), False
+    return prefix_piece, first, rest, _join, partial(_joined, n), False
 
 
 # the pools multiply fast with depth: sharing a fourth subset lists more

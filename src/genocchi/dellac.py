@@ -13,20 +13,21 @@ One rule checks a piece of a configuration, a run of consecutive columns:
 every field an int, then per column the row order, and per row the band
 _row_window gives at that moment and a repeat, raising the constructor's
 message at the first fault.  The piece's used rows come back as a bitmask,
-and two pieces join when they hold n columns in all and their masks
-together mark 2n rows.  DellacConfig checks the column count and its
-columns as one piece.  The enumerate stream checks each prefix of the
-walk once, and each shared tail as its first column joined to the rest of
-it, checking and encoding each distinct first column and each distinct
-rest once; it joins a prefix's mask to each distinct mask of a state's
-tails once, and writes each piece's columns once.
+two pieces join when their masks are disjoint, and they make a
+configuration when they hold n columns in all.  DellacConfig checks the
+column count and its columns as one piece.  The enumerate stream checks
+each prefix of the walk once, each head (a tail's first column) once per
+state and each shared rest once per next mask; it joins a head's mask to
+each distinct mask of its rests and a prefix's mask to each distinct mask
+of a state's tails once, and writes each piece's columns once.
 
-The walk shares its last SHARED_LEVELS = 4 columns: the completion lists
-hold one run per way to finish each used-row mask met four columns from
-the end.  At the cap n = 8 that is 6,880 runs from 70 masks, about 0.5 MB.
-Those tails hold 36 distinct first columns and 762 distinct rests, which
-the stream keeps checked and encoded for the whole stream: about 0.3 MB,
-while each tail's text is a pair of references into it.
+The walk shares its last SHARED_LEVELS = 4 columns: each used-row mask met
+four columns from the end lists its heads, and each mask a head leads to
+lists its rests, one run of three columns per way to finish it.  At the
+cap n = 8 that is 490 heads over 70 masks and 762 rests over 56 next
+masks, 6,880 tails in all: the walk's tracemalloc peak is about 0.2 MB,
+and the stream's, which keeps each head's and rest's summary and text and
+two references per tail, about 0.5 MB.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
     column count of a whole one, then per column the row order, and per
     row the band _row_window gives at call time and a repeat.  Raises at
     the first fault; returns the summary (column count, used-row mask)."""
-    if type(n) is not int or not _typed(columns):
+    if (
+        type(n) is not int
+        or type(columns) is not tuple
+        or not all(type(c) is tuple and len(c) == 2 and type(c[0]) is type(c[1]) is int for c in columns)
+    ):
         raise TypeError("n and rows must be integers")
     if whole and len(columns) != n:
         raise ValueError(f"expected {n} columns, got {len(columns)}")
@@ -82,23 +87,19 @@ def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
     return len(columns), used
 
 
-def _typed(columns) -> bool:
-    """Whether columns is a tuple of int pairs, exactly: the type check of
-    _piece."""
-    return type(columns) is tuple and all(
-        type(c) is tuple and len(c) == 2 and type(c[0]) is type(c[1]) is int for c in columns
-    )
+def _join(first, second) -> tuple[int, int] | None:
+    """The summary of two checked pieces, first then second, as one piece:
+    None when either failed its check or a row is used in both."""
+    if first is None or second is None or first[1] & second[1]:
+        return None
+    return first[0] + second[0], first[1] | second[1]
 
 
 def _joined(n: int, first, second) -> bool:
     """Whether two checked pieces, first then second, make a configuration:
-    both passed their check, n columns in all, and 2n distinct rows used."""
-    return (
-        first is not None
-        and second is not None
-        and first[0] + second[0] == n
-        and (first[1] | second[1]).bit_count() == 2 * n
-    )
+    they join, into n columns."""
+    joint = _join(first, second)
+    return joint is not None and joint[0] == n
 
 
 def _encode(columns, start: int, as_json: bool) -> str:
@@ -114,22 +115,18 @@ def _encode(columns, start: int, as_json: bool) -> str:
 
 
 def stream_pieces(n: int, as_json: bool):
-    """The rules above, for a stream of walk blocks: (prefix_piece,
-    tail_piece, joined, prefix_first).  prefix_piece(prefix) gives the
+    """The rules above, for a stream of walk blocks: (prefix_piece, first,
+    rest, join, joined, prefix_first).  prefix_piece(prefix) gives the
     summary of the columns a prefix holds and the text that opens their
-    line; tail_piece(tail, level) gives the summary of the columns a tail
-    from that level holds, and the texts of its first column and of the
-    rest, which closes the line (a blank line closes each grid in text).
-    Both raise where the piece's check does.  A line is the prefix's text,
-    then the tail's first column's, then its rest's: prefix_first is True.
-    joined(prefix summary, tail summary) accepts exactly the objects the
-    constructor accepts.
-
-    A tail's first column and its rest join when they use disjoint rows.
-    Each distinct first column and rest is checked and encoded once per
-    stream (stream.split_tail_piece)."""
-    from .stream import split_tail_piece
-
+    line; first(head, level) gives the summary and the text of a head, the
+    first column of a tail from that level, and rest(run, level) those of
+    the columns after it, which close the line (a blank line closes each
+    grid in text).  All three raise where the piece's check
+    does.  A line is the prefix's text, then the head's, then the rest's:
+    prefix_first is True.  join(first summary, second summary) gives the
+    summary of two adjacent pieces as one, or None, and joined(prefix
+    summary, tail summary) accepts exactly the objects the constructor
+    accepts."""
     head, foot = (f'{{"n":{n},"columns":[', "]}\n") if as_json else ("", "\n\n")
 
     def prefix_piece(prefix):
@@ -141,10 +138,7 @@ def stream_pieces(n: int, as_json: bool):
     def rest(run, level):
         return _piece(n, run, level + 2), _encode(run, level + 2, as_json) + foot
 
-    def across(lead, after):
-        return None if lead[1] & after[1] else (lead[0] + after[0], lead[1] | after[1])
-
-    return prefix_piece, split_tail_piece(first, rest, across, _typed), partial(_joined, n), True
+    return prefix_piece, first, rest, _join, partial(_joined, n), True
 
 
 def _row_window(n: int, col: int) -> tuple[int, int]:

@@ -147,7 +147,6 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-Q = IntPoly((0, 1))
 
 
 def poly_reverse(p: IntPoly, d: int) -> IntPoly:

@@ -17,17 +17,19 @@ fermionic_exponent is the per-path reference the sweep is tested against.
 One rule checks a piece of a path, a run of consecutive heights: integers,
 then nonnegative, then each step within 1, raising the constructor's
 message at the first fault.  Two pieces join when a step of at most 1
-leads across and the path starts and ends at height 0.  MotzkinPath checks
-its ends and its heights as one piece.  The enumerate stream checks each
-prefix of the walk once, and each shared tail as its first height joined
-to the rest of it, checking and encoding each distinct first height and
-rest once; it joins a prefix's end height to each distinct summary of a
-state's tails once, and writes each piece's heights once.
+leads across, and they make a path when it starts and ends at height 0.
+MotzkinPath checks its ends and its heights as one piece.  The enumerate
+stream checks each prefix of the walk once, each head (a tail's first
+height) once per state and each shared rest once per next height; it
+joins a head's summary to each distinct summary of its rests and a
+prefix's end height to each distinct summary of a state's tails once, and
+writes each piece's heights once.
 
 The walk shares its last SHARED_LEVELS = 6 steps.  A path six steps from
-its end is at most 6 high, so the completion lists hold 267 runs from at
-most 7 heights, whatever the length: about 0.05 MB, with at most 6
-distinct first heights and 35 distinct rests.
+its end is at most 6 high, so from n = 12 on, whatever the length, the
+walk lists 17 heads over 7 heights and 96 rests over 6 next heights, 267
+tails in all (fewer below): its tracemalloc peak is about 0.02 MB at
+n = 12 and 14, and the stream's about 0.09 MB.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
     nonnegative, then each step within 1 inside the run.  Raises at the
     first fault; returns the summary (first height, last height), or () for
     no height."""
-    if not _typed(heights):
+    if type(heights) is not tuple or set(map(type, heights)) - {int}:
         raise TypeError("heights must be integers")
     if whole:
         if not heights:
@@ -81,20 +83,22 @@ def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
     return heights[0], heights[-1]
 
 
-def _typed(heights) -> bool:
-    """Whether heights is a tuple of ints, exactly: the type check of _piece."""
-    return type(heights) is tuple and not set(map(type, heights)) - {int}
+def _join(first, second) -> tuple[int, int] | tuple[()] | None:
+    """The summary of two checked pieces, first then second, as one piece:
+    None when either failed its check or a step of more than 1 leads
+    across."""
+    if first is None or second is None:
+        return None
+    if not first or not second:  # no height on one side
+        return first or second
+    return (first[0], second[1]) if -1 <= second[0] - first[1] <= 1 else None
 
 
 def _joined(first, second) -> bool:
-    """Whether two checked pieces, first then second, make a path: both
-    passed their check, the first has a height, a step of at most 1 leads
-    across, and both ends are at height 0."""
-    if not first or second is None:  # a failed first piece, or no height at all
-        return False
-    if not second:  # the empty piece: the first is the whole path
-        return first[0] == 0 == first[1]
-    return first[0] == 0 == second[1] and -1 <= second[0] - first[1] <= 1
+    """Whether two checked pieces, first then second, make a path: they
+    join, into a piece with a height that starts and ends at 0."""
+    joint = _join(first, second)
+    return bool(joint) and joint[0] == 0 == joint[1]
 
 
 def _encode(heights, start: int, as_json: bool) -> str:
@@ -108,11 +112,7 @@ def _encode(heights, start: int, as_json: bool) -> str:
 
 def stream_pieces(n: int, as_json: bool):
     """The rules above for the stream, as dellac.stream_pieces gives them.
-    A prefix piece starts with f_0 = 0, which the walk does not yield.  A
-    tail's first height and its rest join when a step of at most 1 leads
-    across."""
-    from .stream import split_tail_piece
-
+    A prefix piece starts with f_0 = 0, which the walk does not yield."""
     length = layers(n)[0]  # of every path the walk yields
     head, foot = (f'{{"n":{length},"heights":[', "]}\n") if as_json else ("", "\n")
 
@@ -126,12 +126,7 @@ def stream_pieces(n: int, as_json: bool):
     def rest(run, level):
         return _piece(run), _encode(run, level + 2, as_json) + foot
 
-    def across(lead, after):
-        if not after:  # no height: the first piece is the whole tail
-            return lead
-        return (lead[0], after[1]) if -1 <= after[0] - lead[1] <= 1 else None
-
-    return prefix_piece, split_tail_piece(first, rest, across, _typed), _joined, True
+    return prefix_piece, first, rest, _join, _joined, True
 
 
 # the state is only the height, so six shared steps cost 267 runs at any

@@ -42,8 +42,8 @@ and the closure check of walked sequences are shared substrate):
                     each column holding the heads of the one before;
                     beyond it the Dellac and admissible walks are counted
                     by their blocks (walk.layered_blocks) at each model's
-                    split, each prefix by the length of its shared list of
-                    tails
+                    split, each state's tails once, by the lengths of
+                    their lists of rests
 """
 
 from __future__ import annotations
@@ -181,12 +181,12 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
             # yields the walk's problems, returns its count
             items = walk(n)  # checks the argument and the cap
             if n > OBJECTS_MAX_N:
-                # each block's tails complete its prefix, one object each; a
-                # state's list is read once, then emptied to free its memory
+                # each block's tails complete its prefix, one object each
                 total, sizes = 0, {}
                 for _, state, tails in layered_blocks(*layers(n), shared):
-                    total += sizes.setdefault(state, len(tails))
-                    tails.clear()
+                    if state not in sizes:
+                        sizes[state] = sum(len(rests) for _, _, rests in tails)
+                    total += sizes[state]
                 return total
             items = list(items)
             try:

@@ -4,11 +4,11 @@ closed-subset count, the triangle census and the Motzkin enumerate total:
 one choice per level, from a small state (a mask, a pool, heights,
 coverage).  The walk comes flat (layered_walk) or in the blocks it shares
 (layered_blocks), where each state's completions of the last `shared`
-levels are listed once.  Each model sets its own number of shared levels
-next to its layers, and every walk of that model uses it: the enumerate
-stream then checks, joins and encodes each shared piece once.  The path
-sweep of the Motzkin path sums and the continued fractions is
-contfrac.path_sums.
+levels are listed once, grouped by their first level.  Each model sets
+its own number of shared levels next to its layers, and every walk of
+that model uses it: the enumerate stream then checks, joins and encodes
+each shared piece once.  The path sweep of the Motzkin path sums and the
+continued fractions is contfrac.path_sums.
 """
 
 from functools import cache
@@ -17,21 +17,25 @@ from typing import Any, Callable, Hashable, Iterable, Iterator
 
 def layered_blocks(
     depth: int, root: Hashable, choices: Callable[..., Iterable], shared: int
-) -> Iterator[tuple[tuple, Hashable, list[tuple]]]:
+) -> Iterator[tuple[tuple, Hashable, list[tuple[tuple, Hashable, list[tuple]]]]]:
     """Yield (prefix, state, tails) in walk order for every run of the first
-    max(depth - shared, 0) choices from root: state is where the prefix
-    ends, and tails lists the completions of the last shared levels from
-    that state.  choices(level, state) yields the (item, next_state) pairs
-    open at that level.
+    split = max(depth - shared, 0) choices from root: state is where the
+    prefix ends, and tails lists the completions of the last shared levels
+    from that state, grouped by their first level, as (head, next_state,
+    rests).  head is the 1-tuple of a choice at the split level, next_state
+    where it leads, and rests the completions of the levels after it from
+    there; a split at the depth has the one tail ((), state, [()]).
+    choices(level, state) yields the (item, next_state) pairs open at that
+    level.
 
     Every prefix that ends in one state shares one tails list within this
-    call, so work on a tail can be done once per state.  The lists of every
-    state met at or below the split are kept for the call: their memory is
-    the bound each model states for its number of shared levels.  The walk
-    builds nothing from a tails list it yields, so a caller that has read
-    one may empty it to free that memory.  The walk order does not depend
-    on the split.  The levels above the split descend with an explicit
-    stack of iterators, so no recursion grows with depth.
+    call, and every head that leads to one state shares one rests list, so
+    work on a head can be done once per state and work on a rest once per
+    next state.  The lists of every state met at or below the split are
+    kept for the call: their memory is the bound each model states for its
+    number of shared levels.  The walk order does not depend on the split.
+    The levels above the split descend with an explicit stack of
+    iterators, so no recursion grows with depth.
     """
     @cache
     def completions(level: int, state: Hashable) -> list[tuple]:
@@ -42,6 +46,12 @@ def layered_blocks(
             for item, nxt in choices(level, state)
             for rest in completions(level + 1, nxt)
         ]
+
+    @cache
+    def grouped(state: Hashable) -> list[tuple[tuple, Hashable, list[tuple]]]:
+        if split == depth:
+            return [((), state, [()])]
+        return [((item,), nxt, completions(split + 1, nxt)) for item, nxt in choices(split, state)]
 
     def children(prefix: tuple, state: Hashable):
         for item, nxt in choices(len(prefix), state):
@@ -55,7 +65,7 @@ def layered_blocks(
             if len(prefix) < split:
                 stack.append(children(prefix, state))
                 break
-            yield prefix, state, completions(split, state)
+            yield prefix, state, grouped(state)
         else:
             stack.pop()
 
@@ -66,8 +76,10 @@ def layered_walk(
     """Yield the item tuple of every run of depth choices from root, in walk
     order: the blocks of layered_blocks, flattened."""
     for prefix, _, tails in layered_blocks(depth, root, choices, shared):
-        for tail in tails:
-            yield prefix + tail
+        for head, _, rests in tails:
+            start = prefix + head
+            for rest in rests:
+                yield start + rest
 
 
 def layered_sweep(

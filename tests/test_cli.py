@@ -582,21 +582,25 @@ def reference_line(model, n, item, as_json):
 
 def fault_side(module, n):
     """Where the first object of the model's walk that its rules reject
-    fails the stream's checks: "prefix", "tail", or "across" when both
-    pieces pass and only their join fails."""
-    prefix_piece, tail_piece, joined, _ = module.stream_pieces(n, True)
+    fails the stream's checks: "prefix", "tail" when its head or its rest
+    fails or the two do not join, or "across" when the prefix and the tail
+    pass and only their join fails."""
+    prefix_piece, first, rest, join, joined, _ = module.stream_pieces(n, True)
     for prefix, _, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
-        for tail in tails:
-            try:
-                summary, _ = prefix_piece(prefix)
-            except ValueError:
-                return "prefix"
-            try:
-                tail_summary, _ = tail_piece(tail, len(prefix))
-            except ValueError:
-                return "tail"
-            if not joined(summary, tail_summary):
-                return "across"
+        for head, _, rests in tails:
+            for run in rests:
+                try:
+                    summary, _ = prefix_piece(prefix)
+                except ValueError:
+                    return "prefix"
+                try:
+                    tail_summary = join(first(head, len(prefix))[0], rest(run, len(prefix))[0])
+                except ValueError:
+                    return "tail"
+                if tail_summary is None:
+                    return "tail"
+                if not joined(summary, tail_summary):
+                    return "across"
     return None
 
 
@@ -629,12 +633,19 @@ def test_the_split_case_fails_only_across_the_first_column_and_the_rest(monkeypa
     n, layers, message, _ = INVALID_WALKS["dellac-tail-split"]
     monkeypatch.setattr(dellac, "layers", layers)
     blocks = layered_blocks(*layers(n), dellac.SHARED_LEVELS)
-    prefix, tail = next((prefix, tail) for prefix, _, tails in blocks for tail in tails if tail[0] == (4, 7))
+    prefix, head, rest = next(
+        (prefix, head, rest)
+        for prefix, _, tails in blocks
+        for head, _, rests in tails
+        for rest in rests
+        if head == ((4, 7),)
+    )
     with pytest.raises(ValueError) as raised:
-        dellac._piece(n, prefix + tail, 1, whole=True)
+        dellac._piece(n, prefix + head + rest, 1, whole=True)
     assert str(raised.value) == message
-    dellac._piece(n, tail[:1], len(prefix) + 1)  # the first column passes alone
-    dellac._piece(n, tail[1:], len(prefix) + 2)  # and so does the rest
+    lead = dellac._piece(n, head, len(prefix) + 1)  # the first column passes alone
+    after = dellac._piece(n, rest, len(prefix) + 2)  # and so does the rest
+    assert dellac._join(lead, after) is None
 
 
 @lru_cache(maxsize=None)
@@ -702,17 +713,19 @@ def test_enumerate_writes_blocks_of_lines():
 
 
 def test_stream_checks_each_shared_piece_once(monkeypatch):
-    # the stream's speed rests on this: one piece check per walk prefix, and
-    # one per distinct first column and per distinct rest of the tails,
-    # however many tails and objects share them
+    # the stream's speed rests on this: one piece check per walk prefix, one
+    # per head of each state's tails, and one per rest of each next state,
+    # however many prefixes, states and objects share them
     calls = []
     piece = dellac._piece
     monkeypatch.setattr(dellac, "_piece", lambda *args, **kw: calls.append(args) or piece(*args, **kw))
     objects = len(output_lines(["enumerate", "dellac", "--n", "6", "--json"])) - 1
     blocks = list(layered_blocks(*dellac.layers(6), dellac.SHARED_LEVELS))
-    tails = {tail for _, _, state_tails in blocks for tail in state_tails}
-    firsts, rests = {tail[:1] for tail in tails}, {tail[1:] for tail in tails}
-    assert len(calls) == len(blocks) + len(firsts) + len(rests) == 40 + 21 + 244
+    states = {state: tails for _, state, tails in blocks}
+    heads = [head for tails in states.values() for head, _, _ in tails]
+    rests = {nxt: rests for tails in states.values() for _, nxt, rests in tails}
+    assert len(calls) == len(blocks) + len(heads) + sum(map(len, rests.values())) == 40 + 90 + 244
+    tails = {head + rest for tails in states.values() for head, _, runs in tails for rest in runs}
     assert len(calls) < len(blocks) + len(tails)  # a check per prefix and per tail: 40 + 1,131
     assert objects == 3098
 
@@ -723,11 +736,13 @@ def test_stream_joins_once_per_distinct_tail_summary_of_each_prefix_summary_and_
     # tail's, so the join rule runs once per distinct tail summary of the
     # state, for each distinct pair of prefix summary and state
     module = MODULES[model]
-    prefix_piece, tail_piece, _, _ = module.stream_pieces(n, True)
+    prefix_piece, first, rest, join, _, _ = module.stream_pieces(n, True)
     kinds, tails_of, pairs = {}, {}, set()
     for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
-        kinds.setdefault(state, {tail_piece(tail, len(prefix))[0] for tail in tails})
-        tails_of[state] = len(tails)
+        level = len(prefix)
+        summaries = {join(first(h, level)[0], rest(r, level)[0]) for h, _, rests in tails for r in rests}
+        kinds.setdefault(state, summaries)
+        tails_of[state] = sum(len(rests) for _, _, rests in tails)
         pairs.add((prefix_piece(prefix)[0], state))
     calls = []
     joined = module._joined
@@ -741,13 +756,13 @@ def test_stream_joins_once_per_distinct_tail_summary_of_each_prefix_summary_and_
 
 @lru_cache(maxsize=None)
 def walk_pieces(model, n):
-    """The (prefix, tail) pairs of every block of the model's walk for n,
-    one per distinct state."""
+    """The (prefix, head, rest) of every tail of every block of the model's
+    walk for n, one prefix per distinct state."""
     module = MODULES[model]
     states = {}
     for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
-        states.setdefault(state, [(prefix, tail) for tail in tails])
-    return [pair for pairs in states.values() for pair in pairs]
+        states.setdefault(state, [(prefix, head, rest) for head, _, rests in tails for rest in rests])
+    return [piece for pieces in states.values() for piece in pieces]
 
 
 def full_piece(model, n, prefix, tail, as_json):
@@ -772,17 +787,17 @@ def full_piece(model, n, prefix, tail, as_json):
     return summary, head + motzkin._encode((0,) + prefix, 0, as_json) + motzkin._encode(tail, level + 1, as_json) + foot
 
 
-def mutated(model, tail, data):
-    """tail, or a copy with one field changed: another int, a value that
+def mutated(model, run, data):
+    """run, or a copy with one field changed: another int, a value that
     equals an int but is not one (True, 2.0), a non-number, a list where a
     tuple belongs."""
     kind = data.draw(st.sampled_from(["same", "value", "not an int", "list"]))
-    if kind == "same" or not tail:
-        return tail
+    if kind == "same" or not run:
+        return run
     if kind == "list" and (model != "dellac" or data.draw(st.booleans())):
-        return list(tail)
-    i = data.draw(st.integers(0, len(tail) - 1))
-    field = tail[i]
+        return list(run)
+    i = data.draw(st.integers(0, len(run) - 1))
+    field = run[i]
     if model == "dellac" and kind == "list":
         field = list(field)
     else:
@@ -793,7 +808,7 @@ def mutated(model, tail, data):
         else:
             leaf = data.draw(st.sampled_from([float(leaf), leaf == 1, leaf == 0, str(leaf), None]))
         field = field[:j] + (leaf,) + field[j + 1 :] if model == "dellac" else leaf
-    return tail[:i] + (field,) + tail[i + 1 :]
+    return run[:i] + (field,) + run[i + 1 :]
 
 
 SPLIT_SIZES = {"dellac": st.integers(1, 6), "admissible": st.integers(1, 7), "motzkin": st.integers(0, 10)}
@@ -803,27 +818,37 @@ SPLIT_SIZES = {"dellac": st.integers(1, 6), "admissible": st.integers(1, 7), "mo
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_a_split_tail_piece_is_the_full_rule_over_the_flat_tail(model, data):
-    # one stream's tail_piece, fed walked tails with some fields changed: each
-    # gives the full rule's summary and line, or raises its exception and
-    # message, whatever its first level and rest met before in the memo
+    # the stream's rules for a tail's head and for its rest, composed by the
+    # model's join, over walked tails with a field of the head or the rest
+    # changed: each gives the full rule's summary and line, or None exactly
+    # where the full rule raises
     n = data.draw(SPLIT_SIZES[model])
     as_json = data.draw(st.booleans())
     module = MODULES[model]
-    prefix_piece, tail_piece, _, prefix_first = module.stream_pieces(n, as_json)
-    pairs = walk_pieces(model, n)
-    for index in data.draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=12)):
-        prefix, tail = pairs[index]
-        tail = mutated(model, tail, data)
+    prefix_piece, first, rest, join, _, prefix_first = module.stream_pieces(n, as_json)
+    pieces = walk_pieces(model, n)
+    for index in data.draw(st.lists(st.integers(0, len(pieces) - 1), min_size=1, max_size=12)):
+        prefix, head, after = pieces[index]
+        if data.draw(st.booleans()):
+            head = mutated(model, head, data)
+        else:
+            after = mutated(model, after, data)
+        tail = head + after if type(head) is type(after) is tuple else [*head, *after]
         try:
             expected = full_piece(model, n, prefix, tail, as_json)
-        except (TypeError, ValueError) as exc:
-            with pytest.raises(type(exc)) as raised:
-                tail_piece(tail, len(prefix))
-            assert str(raised.value) == str(exc)
-            continue
-        summary, (first, rest) = tail_piece(tail, len(prefix))
-        text = prefix_piece(prefix)[1]
-        assert (summary, first.join((text, rest) if prefix_first else (rest, text))) == expected
+        except (TypeError, ValueError):
+            expected = None
+        composed = None
+        try:
+            (lead, lead_text), (end, end_text) = first(head, len(prefix)), rest(after, len(prefix))
+        except (TypeError, ValueError):
+            pass
+        else:
+            summary = join(lead, end)
+            if summary is not None:
+                text = prefix_piece(prefix)[1]
+                composed = summary, lead_text.join((text, end_text) if prefix_first else (end_text, text))
+        assert composed == expected
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -42,12 +42,19 @@ def test_walk_matches_a_filtered_product(table, root, shared):
     assert list(layered_walk(len(table), root, choices, shared)) == naive_walk(table, root)
 
     # the blocks flatten to the walk; every prefix stops at the split level,
-    # and the prefixes that end in one state share one tails list
+    # and every head is the one choice at it, or none at a split at the depth
     blocks = list(layered_blocks(len(table), root, choices, shared))
-    assert [p + t for p, _, tails in blocks for t in tails] == naive_walk(table, root)
-    assert {len(p) for p, _, _ in blocks} <= {max(len(table) - shared, 0)}
-    shared = {}
-    assert all(shared.setdefault(state, tails) is tails for _, state, tails in blocks)
+    tails = [tail for _, _, state_tails in blocks for tail in state_tails]
+    flat = [p + h + r for p, _, state_tails in blocks for h, _, rests in state_tails for r in rests]
+    assert flat == naive_walk(table, root)
+    split = max(len(table) - shared, 0)
+    assert {len(p) for p, _, _ in blocks} <= {split}
+    assert {len(h) for h, _, _ in tails} <= {int(split < len(table))}
+    # the prefixes that end in one state share one tails list, and the heads
+    # that lead to one state share one rests list
+    by_state, by_next = {}, {}
+    assert all(by_state.setdefault(state, state_tails) is state_tails for _, state, state_tails in blocks)
+    assert all(by_next.setdefault(nxt, rests) is rests for _, nxt, rests in tails)
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,7 +96,7 @@ def test_deep_walks_need_no_recursion_depth(monkeypatch, walk, n, length):
 def test_the_block_sizes_count_the_walk(model, walk, n):
     # counts-agree counts a walk this way past the sizes it builds objects for
     blocks = layered_blocks(*model.layers(n), model.SHARED_LEVELS)
-    assert sum(len(tails) for _, _, tails in blocks) == sum(1 for _ in walk(n))
+    assert sum(len(rests) for _, _, tails in blocks for _, _, rests in tails) == sum(1 for _ in walk(n))
 
 
 @pytest.mark.parametrize(
