@@ -16,11 +16,11 @@ takes a few minutes on 2 vCPUs.  The file holds:
   processes, each read with os.wait4 on the one child by perfbench/launch.py,
   and whether every run's output passed its perfbench check;
 - "layers": the minimum and maximum seconds over LAYER_RUNS in-process calls
-  of each route's core call, of the IntPoly multiply under them, of the
-  Dellac and admissible walks counted by their blocks, and of the
-  enumerate stream of each stream form written into a writer that drops
-  its text, at fixed sizes, each call with the q-binomial cache emptied
-  first;
+  of each route's core call, of the Dumont oracle at its cap, of the
+  IntPoly multiply under them, of the Dellac and admissible walks counted
+  by their blocks, and of the enumerate stream of each stream form written
+  into a writer that drops its text, at fixed sizes, each call with the
+  q-binomial cache emptied first;
 - "tier1": the wall time and summary line of one run of the tier-1 suite;
 - "end_to_end": the metrics line of perfbench/run.py for each workload, run
   unchanged for PERFBENCH_SECONDS.
@@ -123,6 +123,7 @@ def layer_calls() -> dict:
     from genocchi.exactalg import IntPoly
     from genocchi.hanzeng import hanzeng_barc
     from genocchi.limits import ENV_VAR
+    from genocchi.oracles import count_dumont
     from genocchi.stream import write_lines
     from genocchi.verify import crosscheck
     from genocchi.walk import layered_blocks
@@ -169,6 +170,7 @@ def layer_calls() -> dict:
         "h_poly_dellac(14)": capped(h_poly_dellac, 14),
         "count_closed_column_graded(14)": capped(count_closed_column_graded, 14),
         "hanzeng_barc(48)": lambda: hanzeng_barc(48),
+        "count_dumont(4)": lambda: count_dumont(4),
         "crosscheck(8)": lambda: crosscheck(8),
         # the verify workload's two forms, with the seeds perfbench/run.py
         # draws for them at seed 1 (SEED)

@@ -61,9 +61,6 @@ class IntPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return IntPoly(map(operator.neg, self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, int):
             # a scalar, as the path sweeps' int 1 weights and heads: no
@@ -285,5 +282,5 @@ class PowerSeries(_SeriesFields):
                 a = self.coeffs[i]
                 if a:
                     acc = acc + a * inv[n - i]
-            inv[n] = -acc
+            inv[n] = acc * -1
         return PowerSeries(self.order, inv)

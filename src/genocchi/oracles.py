@@ -1,38 +1,27 @@
 """Independent brute-force counters used only as cross-check oracles: a
-layered walk over the normalized Dumont permutations of the second kind,
+layered sweep over the normalized Dumont permutations of the second kind,
 and a layered sweep over the interval coverage of pairs of staircase
 triangles.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import ResourceLimitError
-from .walk import layered_sweep, layered_walk
+from .walk import layered_sweep
 
-DUMONT_MAX_N = 4  # search space is S_{2n+2}; 10! is the practical ceiling
+DUMONT_MAX_N = 4  # not the sweep's limit: it fixes the range of verify's dumont-oracle row
 TRIANGLE_MAX_N = 6
-# the Dumont walk lists its last three positions once per placed-value mask
-SHARED_LEVELS = 3
 
 
 def count_dumont(n: int) -> int:
     """Count permutations of {1..2n+2} with value below/above the position at
     even/odd positions and each even value 2k placed before 2k+1 (k <= n).
 
-    Equals h(n).  Counts the layered walk of dumont_permutations, item by
-    item; the parity conditions prune almost everything early, and placing
-    an odd value 2k+1 requires 2k to be already placed.
+    Equals h(n).  A layered sweep over positions 1..2n+2 whose state is the
+    bitmask of the values placed so far, each mask counted once per level;
+    the parity conditions prune almost everything early, and placing an odd
+    value 2k+1 requires 2k to be already placed.
     """
-    return sum(1 for _ in dumont_permutations(n))
-
-
-def dumont_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the qualifying permutations in one-line notation, lexicographically:
-    a layered walk over positions 1..2n+2 whose state is the bitmask of the
-    values placed so far.  The argument is checked here, before the first
-    permutation is asked for."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > DUMONT_MAX_N:
@@ -52,7 +41,7 @@ def dumont_permutations(n: int) -> Iterator[tuple[int, ...]]:
                 continue  # 2k must come before 2k+1
             yield v, placed | 1 << v
 
-    return layered_walk(size, 0, choices, SHARED_LEVELS)
+    return sum(layered_sweep(size, 0, choices, lambda level, placed, v, count: count).values())
 
 
 def _coverage_census(n: int, left_anchored: bool) -> dict[int, int]:

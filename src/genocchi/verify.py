@@ -18,10 +18,11 @@ each (column, mask) the walk meets, read once.
 Each identity compares two code paths that share no route-specific code
 (_disagreements, the n-by-n comparison of two routes, contfrac.path_sums
 and the J-branch of contfrac.coefficients, IntPoly arithmetic,
-walk.layered_walk under the three walks and the Dumont oracle,
-walk.layered_sweep under the Dellac, fermionic, closed-subset and
-triangle-pair sweeps, and GammaGraph.heads under the closed-subset sweep
-and the closure check of walked sequences are shared substrate):
+exactalg.q_binomial under the fermionic, Laurent and f1/f2 weights,
+walk.layered_walk under the three walks, walk.layered_sweep under the
+Dellac, fermionic, closed-subset, Dumont and triangle-pair sweeps, and
+GammaGraph.heads under the closed-subset sweep and the closure check of
+walked sequences are shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
                     path sweep vs tilde_h's fermionic pair-state sweep
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
@@ -100,18 +101,14 @@ OBJECTS_MAX_N = 5
 
 class _Lanes(tuple):
     """Ints side by side, one lane per random trial, added and multiplied
-    lane by lane; a plain int is the same value in every lane, and the
-    lanes are false only when all are 0.  That is all contfrac.path_sums
+    lane by lane; a plain int factor is the same value in every lane, and
+    the lanes are false only when all are 0.  That is all contfrac.path_sums
     asks of a coefficient, so one expansion serves every trial."""
 
     __slots__ = ()
 
     def __add__(self, other):
-        if type(other) is int:
-            return _Lanes([a + other for a in self])
         return _Lanes(map(add, self, other))
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         if type(other) is int:

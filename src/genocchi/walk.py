@@ -1,8 +1,8 @@
-"""The walk under the Dellac, admissible and Motzkin enumerators and the
-Dumont oracle, and the sweep that sums it for the q-polynomials, the
-closed-subset count, the triangle census and the Motzkin enumerate total:
-one choice per level, from a small state (a mask, a pool, heights,
-coverage).  The walk comes flat (layered_walk) or in the blocks it shares
+"""The walk under the Dellac, admissible and Motzkin enumerators, and the
+sweep that sums it for the q-polynomials, the closed-subset count, the
+Dumont count, the triangle census and the Motzkin enumerate total: one
+choice per level, from a small state (a mask, a pool, heights, coverage).
+The walk comes flat (layered_walk) or in the blocks it shares
 (layered_blocks), where each state's completions of the last `shared`
 levels are listed once, grouped by their first level.  Each model sets
 its own number of shared levels next to its layers, and every walk of

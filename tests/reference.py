@@ -171,7 +171,7 @@ def poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
 
 def _minus(a: IntPoly, b: IntPoly) -> IntPoly:
     """a - b: IntPoly has no subtraction, since no route subtracts polynomials."""
-    return a + (-b)
+    return a + b * -1
 
 
 def _times_one_plus_qx(c: list[IntPoly]) -> list[IntPoly]:

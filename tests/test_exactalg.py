@@ -45,7 +45,7 @@ def test_arithmetic_small_cases():
     Q = IntPoly((0, 1))
     assert (ONE + Q) * (ONE + Q) * (ONE + Q) == P(1, 3, 3, 1)
     assert 2 * Q == P(0, 2)
-    assert Q + (-Q) == ZERO
+    assert Q + Q * -1 == ZERO
     assert P(1, 2, 3)(10) == 321
     assert P(1, 2, 3)(Fraction(1, 2)) == Fraction(11, 4)
 
@@ -192,6 +192,26 @@ def test_q_binomial_matches_factorial_quotient():
             )
 
 
+def one_minus_q_to(a):
+    """1 - q^a, for a >= 1."""
+    return IntPoly((1,) + (0,) * (a - 1) + (-1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mk=st.integers(0, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))))
+@example(mk=(13, 1))  # sizes past m = 12, checked on every run
+@example(mk=(16, 8))
+def test_q_binomial_is_the_product_formula(mk):
+    # [m choose k]_q = prod_{i=1..k} (1 - q^(m-k+i)) / (1 - q^i), divided
+    # exactly, past the range the q-factorial quotient above checks
+    m, k = mk
+    num = den = ONE
+    for i in range(1, k + 1):
+        num = num * one_minus_q_to(m - k + i)
+        den = den * one_minus_q_to(i)
+    assert q_binomial(m, k) == poly_exact_div(num, den)
+
+
 def test_q_binomial_structure():
     for m in range(13):
         for n in range(m + 1):
@@ -300,8 +320,10 @@ def test_series_inverse_of_one_minus_s():
 
 
 def test_series_inverse_requires_unit_constant():
-    with pytest.raises(ValueError):
-        PowerSeries(3, (P(2), ZERO, ZERO, ZERO)).inverse()
+    for head in (P(2), ZERO, P(-1), P(1, 1), P(0, 1)):
+        for order in (0, 3):
+            with pytest.raises(ValueError, match="constant term 1"):
+                PowerSeries(order, (head,) + (ZERO,) * order).inverse()
 
 
 def test_series_inverse_round_trip():
@@ -312,6 +334,19 @@ def test_series_inverse_round_trip():
         for n in range(7):
             total = sum((coeffs[i] * inv[n - i] for i in range(n + 1)), ZERO)
             assert total == (ONE if n == 0 else ZERO)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail=st.lists(st.lists(st.integers(-9, 9), max_size=4).map(IntPoly), max_size=8))
+@example(tail=[P(-1), P(0, -2), P(3, 0, -1)])
+def test_series_inverse_inverts(tail):
+    # the product with the inverse, convolved through the order, is 1
+    series = PowerSeries(len(tail), [ONE, *tail])
+    inv = series.inverse()
+    assert inv.order == series.order
+    for n in range(series.order + 1):
+        total = sum((series.coeffs[i] * inv.coeffs[n - i] for i in range(n + 1)), ZERO)
+        assert total == (ONE if n == 0 else ZERO)
 
 
 def test_series_length_validation():

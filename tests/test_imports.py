@@ -160,7 +160,6 @@ UNREACHED = {
     "exactalg.PowerSeries.inverse": "the perfbench tracer reads and patches it by name",
     "exactalg.IntPoly.__setattr__": "the immutability guard: runs only when code misuses a value",
     "exactalg.IntPoly.__repr__": "failure details and debugging",
-    "exactalg.IntPoly.__neg__": "PowerSeries.inverse and the Han-Zeng reference in tests/reference.py use it",
     "exactalg.IntPoly.__hash__": "IntPoly defines __eq__, so it must hash as the ints it equals do",
 }
 

@@ -4,12 +4,7 @@ from itertools import permutations
 import pytest
 
 from genocchi.errors import ResourceLimitError
-from genocchi.oracles import (
-    _coverage_census,
-    count_dumont,
-    count_triangle_pairs,
-    dumont_permutations,
-)
+from genocchi.oracles import _coverage_census, count_dumont, count_triangle_pairs
 from genocchi.seidel import normalized_h
 from reference import TrianglePair
 
@@ -36,16 +31,9 @@ def test_dumont_golden_counts():
     assert count_dumont(4) == 38
 
 
-def test_dumont_n1_unique_permutation():
-    assert list(dumont_permutations(1)) == [(2, 1, 4, 3)]
-
-
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_dumont_matches_naive_filter(n):
-    naive = naive_dumont_permutations(n)
-    assert count_dumont(n) == len(naive)
-    # the walk lists the same permutations, in the same lexicographic order
-    assert list(dumont_permutations(n)) == naive
+    assert count_dumont(n) == len(naive_dumont_permutations(n))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -58,11 +46,6 @@ def test_dumont_respects_its_ceiling():
         count_dumont(5)
     with pytest.raises(ValueError):
         count_dumont(0)
-    # the generator checks at the call, before anything is iterated
-    with pytest.raises(ResourceLimitError):
-        dumont_permutations(5)
-    with pytest.raises(ValueError):
-        dumont_permutations(0)
 
 
 # ---------------------------------------------------------------------------
