@@ -47,7 +47,6 @@ _HOMES = {
     "iter_admissible": "admissible",
     "iter_dellac": "dellac",
     "iter_motzkin": "motzkin",
-    "normalized_h": "seidel",
     "poly_reverse": "exactalg",
     "q_binomial": "exactalg",
     "seidel_columns": "seidel",

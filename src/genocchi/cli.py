@@ -169,9 +169,10 @@ def _cmd_enumerate(args) -> int:
         swept = layered_sweep(*model.layers(args.n), lambda level, state, item, runs: runs)
         total = sum(swept.values())
     else:
-        from .seidel import normalized_h
+        from .seidel import h_sequence
 
-        total = normalized_h(args.n)  # configurations and sequences both number h(n)
+        for total in h_sequence(args.n + 1):  # configurations and sequences both number h(n)
+            pass
 
     if args.json:
         print(f'{{"total":"{total}"}}')

@@ -27,7 +27,7 @@ import stat
 from typing import Callable, NamedTuple, Union
 
 from .errors import ResourceLimitError
-from .exactalg import IntPoly, PowerSeries, q_binomial
+from .exactalg import Factors, IntPoly, PowerSeries
 
 # path_sums takes either kind, and PowerSeries makes every result an IntPoly
 Coeff = Union[int, IntPoly]
@@ -179,26 +179,25 @@ def contract_S_to_J_affine(spec: SFraction) -> AffineSFraction:
 
 def fraction_f1() -> JFraction:
     """J-fraction generating the reversed polynomials: gamma_k is the squared
-    q-integer [k+1], lambda_k is q times the squared Gaussian (k+1 choose 2)."""
+    q-integer [k+1], lambda_k is q times the squared Gaussian (k+1 choose 2),
+    [k+1 choose 2] = (1 - q^(k+1)) (1 - q^k) / ((1 - q) (1 - q^2))."""
 
-    def gamma(k: int) -> IntPoly:
-        b = q_binomial(k + 1, 1)
-        return b * b
+    def gamma(k: int) -> Factors:
+        return Factors(0, (k + 1, k + 1), (1, 1))
 
-    def lam(k: int) -> IntPoly:
-        b = q_binomial(k + 1, 2)
-        return (b * b).shift(1)
+    def lam(k: int) -> Factors:
+        return Factors(1, (k + 1, k, k + 1, k), (1, 2, 1, 2))
 
     return JFraction(gamma=gamma, lam=lam)
 
 
 def fraction_f2() -> SFraction:
-    """S-fraction equivalent of fraction_f1: the Gaussian (k+1 choose 2)
-    enters twice, bare at odd depths and multiplied by q at even depths."""
+    """S-fraction equivalent of fraction_f1: the Gaussian (m+1 choose 2)
+    enters twice, bare at depth 2m - 1 and times q at depth 2m."""
 
-    def c(k: int) -> IntPoly:
-        b = q_binomial(k // 2 + 1, 2) if k % 2 == 0 else q_binomial((k + 1) // 2 + 1, 2)
-        return b.shift(1) if k % 2 == 0 else b
+    def c(k: int) -> Factors:
+        m = (k + 1) // 2
+        return Factors(1 - k % 2, (m + 1, m), (1, 2))
 
     return SFraction(c=c)
 

@@ -5,6 +5,7 @@ precision), and no floating point appears anywhere.
 
 Types:
   IntPoly     dense polynomial in q, ascending coefficients, no trailing zeros
+  Factors     IntPoly q^shift prod (1 - q^a) / prod (1 - q^b), multiplied by over_factors
   LaurentPoly IntPoly shifted by an integer exponent offset (negative powers ok)
   PowerSeries truncated series in s with IntPoly coefficients
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -154,6 +156,49 @@ def poly_reverse(p: IntPoly, d: int) -> IntPoly:
     if len(c) > d + 1:
         raise ValueError(f"cannot reverse degree-{len(c) - 1} polynomial at d={d}")
     return IntPoly((0,) * (d + 1 - len(c)) + c[::-1])
+
+
+def over_factors(coeffs, ups, downs):
+    """The coefficients of coeffs times (1 - q^a) for each a in the tuple
+    ups, a copy shifted by a subtracted, then divided exactly by (1 - q^b)
+    for each b in the tuple downs, a running sum along each residue class
+    mod b.  The b terms past a quotient's top are its remainder:
+    InexactDivisionError unless all are 0."""
+    for a in ups:
+        coeffs = list(coeffs)
+        coeffs = map(operator.sub, coeffs + [0] * a, [0] * a + coeffs)  # read once, by the next pass
+    for b in downs:
+        if b == 1:  # the q-integers' division, one plain running sum
+            coeffs = list(accumulate(coeffs))
+        else:
+            coeffs = list(coeffs)
+            for r in range(b):
+                coeffs[r::b] = accumulate(coeffs[r::b])
+        if any(coeffs[-b:]):
+            from .errors import InexactDivisionError
+
+            raise InexactDivisionError(f"division by 1 - q^{b} leaves a remainder")
+        del coeffs[-b:]
+    return coeffs if downs else list(coeffs)  # a list once a division ran
+
+
+class Factors(IntPoly):
+    """q^shift prod (1 - q^a) / prod (1 - q^b), a in ups and b in downs, held
+    expanded so that it compares, adds and renders as an IntPoly.  Its
+    products run over_factors, a pass per factor; Python asks a subclass's
+    reflected method first, so acc * w for an IntPoly acc runs it too."""
+
+    def __init__(self, shift, ups, downs):
+        super().__init__([0] * shift + over_factors((1,), ups, downs))
+        object.__setattr__(self, "factors", (shift, ups, downs))
+
+    def __mul__(self, other):
+        if not isinstance(other, IntPoly):
+            return IntPoly.__mul__(self, other)  # an int, or NotImplemented
+        shift, ups, downs = self.factors
+        return IntPoly([0] * shift + over_factors(other.coeffs, ups, downs))
+
+    __rmul__ = __mul__
 
 
 def unpack_poly(value: int, width: int) -> IntPoly:

@@ -13,30 +13,22 @@ There 1 + qx = [j+1] and 1 + qx - x = q^j, so the step reads
 and C_n([1]) = C_n(1, q) needs the entries with m + j <= n + 1: a table of
 about n^2/2 q-polynomials, one row per m.  The first entry of row m is
 C_m([1]), so one table up to n serves every index up to n
-(hanzeng_sequence).  Multiplying by [k] subtracts a
-copy shifted by k and takes a running sum; dividing by q^j drops the j
-lowest coefficients.  Two exactness checks guard the route: the j dropped
-coefficients must be 0, and each of the n - 1 divisions by 1 + q, an
-alternating running sum, must leave no remainder.
+(hanzeng_sequence).  [k] = (1 - q^k)/(1 - q) and 1 + q = (1 - q^2)/(1 - q)
+are passes of exactalg.over_factors, and dividing by q^j drops the j lowest
+coefficients.  Two exactness checks guard the route: the j dropped
+coefficients must be 0, and dividing C_n(1, q) by (1 + q)^(n-1) must leave
+no remainder.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import mul, sub
+from operator import sub
 from typing import Iterator
 
 from .errors import InexactDivisionError, InternalInconsistencyError, ResourceLimitError
-from .exactalg import IntPoly
+from .exactalg import IntPoly, over_factors
 
 HANZENG_MAX_N = 48  # the table grows as n^2 entries of degree up to n^2/4
-
-
-def _times_q_int(p: list[int], k: int) -> list[int]:
-    """p times [k]_q = (1 - q^k) / (1 - q): p minus its copy shifted by k,
-    then a running sum."""
-    pad = [0] * k
-    return list(accumulate(map(sub, p + pad[1:], pad + p)))
 
 
 def _minus(a: list[int], b: list[int]) -> list[int]:
@@ -53,17 +45,6 @@ def _over_q_power(p: list[int], j: int) -> list[int]:
     return p[j:]
 
 
-def _over_one_plus_q(p: list[int]) -> list[int]:
-    """The exact quotient of p by 1 + q: u_i = p_i - u_{i-1}, a running sum
-    under alternating signs.  The term past the quotient's top is the
-    remainder; InexactDivisionError when it is not zero."""
-    signs = (1, -1) * (len(p) // 2 + 1)
-    quotient = list(map(mul, accumulate(map(mul, p, signs)), signs))
-    if quotient.pop():
-        raise InexactDivisionError("division by 1 + q leaves a remainder")
-    return quotient
-
-
 def hanzeng_sequence(count: int) -> Iterator[IntPoly]:
     """Yield hanzeng_barc(m) for m = 1..count from one table: the row after
     step m holds C_m([j]) for j = 1..count - m + 1, and its first entry is
@@ -76,8 +57,8 @@ def hanzeng_sequence(count: int) -> Iterator[IntPoly]:
 
 
 def hanzeng_barc(n: int) -> IntPoly:
-    """The normalized polynomial: C_n(1, q) divided by (1+q)^(n-1), one
-    exact division by 1 + q at a time.  Its value at q = 1 is h(n-1)."""
+    """The normalized polynomial: C_n(1, q) divided exactly by (1+q)^(n-1).
+    Its value at q = 1 is h(n-1)."""
     if n < 1:
         raise ValueError("index must be positive")
     if n > HANZENG_MAX_N:
@@ -94,10 +75,10 @@ def _at_one(count: int) -> Iterator[list[int]]:
     for m in range(1, count + 1):
         if m > 1:
             # scaled[j - 1] = [j] C_{m-1}([j]): each serves entries j - 1 and j
-            scaled = [_times_q_int(c, j) for j, c in enumerate(row, start=1)]
+            scaled = [over_factors(c, (j,), (1,)) for j, c in enumerate(row, start=1)]
             try:
                 row = [
-                    _times_q_int(_over_q_power(_minus(scaled[j], scaled[j - 1]), j), j + 1)
+                    over_factors(_over_q_power(_minus(scaled[j], scaled[j - 1]), j), (j + 1,), (1,))
                     for j in range(1, len(row))
                 ]
             except InexactDivisionError as exc:
@@ -108,10 +89,9 @@ def _at_one(count: int) -> Iterator[list[int]]:
 
 
 def _normalized(n: int, at_one: list[int]) -> IntPoly:
-    """C_n(1, q) divided by (1+q)^(n-1), exactly."""
+    """C_n(1, q) divided by (1+q)^(n-1) = ((1 - q^2) / (1 - q))^(n-1), exactly."""
     try:
-        for _ in range(n - 1):
-            at_one = _over_one_plus_q(at_one)
+        at_one = over_factors(at_one, (1,) * (n - 1), (2,) * (n - 1))
     except InexactDivisionError as exc:
         raise InternalInconsistencyError(
             f"C_{n}(1, q) is not divisible by (1+q)^{n - 1}"

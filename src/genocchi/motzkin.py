@@ -44,7 +44,7 @@ from .walk import layered_sweep, layered_walk
 
 if TYPE_CHECKING:
     from .contfrac import JFraction
-    from .exactalg import IntPoly, LaurentPoly
+    from .exactalg import IntPoly
 
 
 class _MotzkinFields(NamedTuple):
@@ -174,19 +174,15 @@ def integer_weight_system() -> JFraction:
 
 def laurent_weight_system() -> JFraction:
     """Laurent-polynomial weights whose path sum is q^(-n(n-1)/2) h_n(q):
-    gamma(m) = q^(-2m) [m+1]^2 and lam(k) = q^(3-4k) [k+1 choose 2]^2."""
-    from .contfrac import JFraction
-    from .exactalg import LaurentPoly, q_binomial
+    fraction_f1's, gamma(m) times q^(-2m) and lam(k) times q^(2-4k)."""
+    from .contfrac import JFraction, fraction_f1
+    from .exactalg import LaurentPoly
 
-    def gamma(m: int) -> LaurentPoly:
-        b = q_binomial(m + 1, 1)
-        return LaurentPoly(-2 * m, b * b)
-
-    def lam(k: int) -> LaurentPoly:
-        b = q_binomial(k + 1, 2)
-        return LaurentPoly(3 - 4 * k, b * b)
-
-    return JFraction(gamma=gamma, lam=lam)
+    f1 = fraction_f1()
+    return JFraction(
+        gamma=lambda m: LaurentPoly(-2 * m, f1.gamma(m)),
+        lam=lambda k: LaurentPoly(2 - 4 * k, f1.lam(k)),
+    )
 
 
 def h_motzkin_rational(n: int) -> int:

@@ -73,12 +73,3 @@ def h_sequence(count: int) -> Iterator[int]:
             )
         yield big >> n
 
-
-def normalized_h(n: int) -> int:
-    """Normalized median Genocchi number h(n) = H(2n+1) / 2^n, the last term
-    of its sweep, holding no list of the terms before it."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    for value in h_sequence(n + 1):
-        pass
-    return value

@@ -18,7 +18,8 @@ each (column, mask) the walk meets, read once.
 Each identity compares two code paths that share no route-specific code
 (_disagreements, the n-by-n comparison of two routes, contfrac.path_sums
 and the J-branch of contfrac.coefficients, IntPoly arithmetic,
-exactalg.q_binomial under the fermionic, Laurent and f1/f2 weights,
+exactalg.q_binomial under the fermionic sweep, exactalg.over_factors
+under the f1/f2 and Laurent weights and the Han-Zeng steps,
 walk.layered_walk under the three walks, walk.layered_sweep under the
 Dellac, fermionic, closed-subset, Dumont and triangle-pair sweeps, and
 GammaGraph.heads under the closed-subset sweep and the closure check of

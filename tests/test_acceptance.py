@@ -34,7 +34,7 @@ from genocchi.motzkin import (
 )
 from genocchi.hanzeng import hanzeng_barc
 from genocchi.oracles import count_dumont, count_triangle_pairs
-from genocchi.seidel import median_sequence, normalized_h
+from genocchi.seidel import h_sequence, median_sequence
 
 H_POLYS = {
     1: IntPoly((1,)),
@@ -77,17 +77,18 @@ def test_criterion_02_golden_polynomials_three_ways():
 
 def test_criterion_03_six_way_count_agreement():
     spec = integer_weight_system()
+    hs = list(h_sequence(8))
     for n in range(1, 8):
-        h = normalized_h(n)
+        h = hs[n]
         assert sum(1 for _ in iter_dellac(n)) == h
         assert sum(1 for _ in iter_admissible(n)) == h
         assert count_closed_column_graded(n) == h
         assert h_motzkin_rational(n) == h
         assert weighted_path_sum(n, spec) == h
     for n in range(1, 5):
-        assert count_dumont(n) == normalized_h(n)
+        assert count_dumont(n) == hs[n]
     for n in range(1, 7):
-        assert count_triangle_pairs(n) == normalized_h(n + 1)
+        assert count_triangle_pairs(n) == hs[n + 1]
     report(3, "six-way count agreement")
 
 
@@ -106,11 +107,12 @@ def test_criterion_05_generating_function_identities():
             assert series.coeffs[n] == tilde_h(n)
     q1 = [c(1) for c in expand(fraction_f1(), 8).coeffs]
     plain = [c(1) for c in expand(fraction_hn(), 8).coeffs]
-    assert q1 == plain == [normalized_h(n) for n in range(9)]
+    hs = list(h_sequence(9))
+    assert q1 == plain == hs
     viennot = [c(1) for c in expand(fraction_viennot(), 8).coeffs]
     medians = list(median_sequence(8))  # H(2n - 1) at index n - 1
     for n in range(1, 9):
-        assert viennot[n] == (1 << (n - 1)) * normalized_h(n - 1) == medians[n - 1]
+        assert viennot[n] == (1 << (n - 1)) * hs[n - 1] == medians[n - 1]
     report(5, "generating-function identities")
 
 

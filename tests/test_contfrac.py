@@ -80,6 +80,17 @@ def test_f2_coefficient_law():
     assert c(5) == q_binomial(4, 2)
 
 
+@pytest.mark.parametrize("k", range(1, 34))
+def test_q_fraction_weights_are_gaussian_products(k):
+    # the factor kernel's weights against q_binomial's q-Pascal rows, through
+    # the depths an order-64 expansion reads
+    f1, c = fraction_f1(), fraction_f2().c
+    assert f1.gamma(k - 1) == q_binomial(k, 1) * q_binomial(k, 1)
+    assert f1.lam(k) == (q_binomial(k + 1, 2) * q_binomial(k + 1, 2)).shift(1)
+    assert c(2 * k - 1) == q_binomial(k + 1, 2)
+    assert c(2 * k) == q_binomial(k + 1, 2).shift(1)
+
+
 @pytest.mark.parametrize("name", sorted(NAMED_FRACTIONS))
 @pytest.mark.parametrize("order", range(11))
 def test_depth_stability(name, order):

@@ -10,9 +10,11 @@ from genocchi.errors import InexactDivisionError
 from genocchi.exactalg import (
     ONE,
     ZERO,
+    Factors,
     IntPoly,
     LaurentPoly,
     PowerSeries,
+    over_factors,
     poly_reverse,
     q_binomial,
     unpack_poly,
@@ -258,6 +260,63 @@ def test_constants_hash_like_their_int_value():
     assert hash(IntPoly((5,))) == hash(5)
     assert hash(ZERO) == hash(0)
     assert {IntPoly((2,)): "a"}[IntPoly((2,))] == "a"
+
+
+# ---------------------------------------------------------------------------
+# the factor kernel
+# ---------------------------------------------------------------------------
+
+POLYS = st.lists(st.integers(-(2**70), 2**70), max_size=8).map(IntPoly)
+EXPONENTS = st.lists(st.integers(1, 7), max_size=4)
+
+
+def schoolbook_product(p, exponents):
+    for a in exponents:
+        p = p * one_minus_q_to(a)
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=POLYS, ups=EXPONENTS, downs=EXPONENTS)
+@example(p=P(1, 2, 3), ups=[], downs=[2, 3])  # a stride past 1 on every run
+def test_over_factors_is_the_schoolbook_product_and_its_inverse(p, ups, downs):
+    product = schoolbook_product(p, ups)
+    assert IntPoly(over_factors(p.coeffs, ups, ())) == product
+    assert IntPoly(over_factors(schoolbook_product(p, downs).coeffs, (), downs)) == p
+    assert IntPoly(over_factors(schoolbook_product(product, downs).coeffs, ups, downs)) == schoolbook_product(
+        product, ups
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=POLYS, b=st.integers(1, 7))
+def test_over_factors_refuses_an_inexact_division(p, b):
+    # p (1 - q^b) + 1 leaves the remainder 1
+    with pytest.raises(InexactDivisionError):
+        over_factors((p * one_minus_q_to(b) + 1).coeffs, (), (b,))
+
+
+# q^shift prod (1 - q^(b c)) prod (1 - q^a) / prod (1 - q^b): every quotient exact
+FACTORS = st.builds(
+    lambda shift, pairs, extra: Factors(shift, tuple(b * c for b, c in pairs) + tuple(extra), tuple(b for b, _ in pairs)),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), max_size=3),
+    st.lists(st.integers(1, 5), max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=FACTORS, g=FACTORS, p=st.one_of(st.integers(-5, 5), POLYS))
+def test_factors_multiply_and_add_as_their_expansion(f, g, p):
+    # the forms contract_S_to_J and the path sweep use; each side's plain
+    # expansion multiplies by the schoolbook product
+    shift, ups, downs = f.factors
+    plain_f, plain_g = IntPoly(f.coeffs), IntPoly(g.coeffs)
+    assert plain_f == poly_exact_div(schoolbook_product(ONE, ups).shift(shift), schoolbook_product(ONE, downs))
+    assert f * p == plain_f * p
+    assert p * f == p * plain_f
+    assert f * g == plain_f * plain_g
+    assert f + g == plain_f + plain_g
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from genocchi.motzkin import (
     tilde_h,
     weighted_path_sum,
 )
-from genocchi.seidel import normalized_h
+from genocchi.seidel import h_sequence
 from reference import h_motzkin_rational_fraction, path_weight, step_weight
+
+H = list(h_sequence(8))  # h(0)..h(7)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511]
 
@@ -175,7 +177,7 @@ def test_integer_weights_give_h2():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_integer_weights_give_h(n):
-    assert weighted_path_sum(n, integer_weight_system()) == normalized_h(n)
+    assert weighted_path_sum(n, integer_weight_system()) == H[n]
 
 
 def test_dp_equals_explicit_enumeration():
@@ -233,7 +235,7 @@ def test_rational_golden(n, expected):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_rational_equals_triangle(n):
-    assert h_motzkin_rational(n) == normalized_h(n)
+    assert h_motzkin_rational(n) == H[n]
 
 
 @pytest.mark.parametrize("n", range(1, 11))

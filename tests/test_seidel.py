@@ -6,7 +6,6 @@ from genocchi.seidel import (
     genocchi_first_sequence,
     h_sequence,
     median_sequence,
-    normalized_h,
     seidel_columns,
 )
 
@@ -86,14 +85,15 @@ def test_median_golden():
 
 def test_normalized_golden():
     assert list(h_sequence(7)) == [1, 1, 2, 7, 38, 295, 3098]
-    assert normalized_h(0) == 1
+    assert list(h_sequence(1)) == [1]
 
 
 def test_divisibility_through_12():
     medians = list(median_sequence(13))  # H(2n + 1) at index n
+    h = list(h_sequence(13))
     for n in range(1, 13):
         assert medians[n] % (1 << n) == 0
-        assert normalized_h(n) * (1 << n) == medians[n]
+        assert h[n] * (1 << n) == medians[n]
 
 
 def test_domain_errors():
@@ -101,8 +101,7 @@ def test_domain_errors():
         seidel_columns(0)  # fires at the call, before anything is iterated
     assert list(genocchi_first_sequence(0)) == []
     assert list(median_sequence(0)) == []
-    with pytest.raises(ValueError):
-        normalized_h(-1)
+    assert list(h_sequence(0)) == []
 
 
 def test_sequences_yield_each_term_as_its_column_is_reached(monkeypatch):
