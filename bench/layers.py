@@ -123,6 +123,7 @@ def layer_calls() -> dict:
     from genocchi.exactalg import IntPoly
     from genocchi.hanzeng import hanzeng_barc
     from genocchi.limits import ENV_VAR
+    from genocchi.motzkin import h_poly_laurent
     from genocchi.oracles import count_dumont
     from genocchi.stream import write_lines
     from genocchi.verify import crosscheck
@@ -170,6 +171,9 @@ def layer_calls() -> dict:
         "h_poly_dellac(14)": capped(h_poly_dellac, 14),
         "count_closed_column_graded(14)": capped(count_closed_column_graded, 14),
         "hanzeng_barc(48)": lambda: hanzeng_barc(48),
+        # the hq-three-way Laurent side at verify's largest n, and at the cap
+        "h_poly_laurent(8)": lambda: h_poly_laurent(8),
+        "h_poly_laurent(14)": capped(h_poly_laurent, 14),
         "count_dumont(4)": lambda: count_dumont(4),
         "crosscheck(8)": lambda: crosscheck(8),
         # the verify workload's two forms, with the seeds perfbench/run.py

@@ -25,7 +25,6 @@ _HOMES = {
     "InexactDivisionError": "errors",
     "InternalInconsistencyError": "errors",
     "JFraction": "contfrac",
-    "LaurentPoly": "exactalg",
     "MotzkinPath": "motzkin",
     "PowerSeries": "exactalg",
     "ResourceLimitError": "errors",

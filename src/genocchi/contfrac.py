@@ -75,8 +75,8 @@ def path_sums(order: int, gamma: CoeffGen, lam: CoeffGen) -> list:
     rises to a height whose fall weighs zero, and heights of zero total are
     skipped, so a length with no path of nonzero weight sums to the int 0.
     Works for any exact coefficient kind closed under + and * (int, IntPoly,
-    LaurentPoly); the int 1 seeds the empty product, and a rise multiplies
-    nothing.
+    and verify's _Lanes); the int 1 seeds the empty product, and a rise
+    multiplies nothing.
     """
     if order < 0:
         raise ValueError("path length must be nonnegative")

@@ -6,13 +6,11 @@ precision), and no floating point appears anywhere.
 Types:
   IntPoly     dense polynomial in q, ascending coefficients, no trailing zeros
   Factors     IntPoly q^shift prod (1 - q^a) / prod (1 - q^b), multiplied by over_factors
-  LaurentPoly IntPoly shifted by an integer exponent offset (negative powers ok)
   PowerSeries truncated series in s with IntPoly coefficients
 
-LaurentPoly and PowerSeries are NamedTuples, canonical when built, so that
-tuple equality is value equality.  unpack_poly reads a polynomial of
-nonnegative coefficients carried as one int, for sweeps that only shift
-and add.
+PowerSeries is a NamedTuple, canonical when built, so that tuple equality
+is value equality.  unpack_poly reads a polynomial of nonnegative
+coefficients carried as one int, for sweeps that only shift and add.
 """
 
 from __future__ import annotations
@@ -245,53 +243,6 @@ def q_binomial(m: int, n: int) -> IntPoly:
         for i in range(1, n + 1):
             row[i] = row[i - 1] + row[i].shift(i)
     return row[n]
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials
-# ---------------------------------------------------------------------------
-
-
-class _LaurentFields(NamedTuple):
-    offset: int
-    body: IntPoly
-
-
-class LaurentPoly(_LaurentFields):
-    """q^offset * body, where the body has a nonzero constant term (or is
-    zero, in which case the offset is 0)."""
-
-    __slots__ = ()
-
-    def __new__(cls, offset: int, body: IntPoly):
-        coeffs = body.coeffs
-        if not coeffs:
-            return super().__new__(cls, 0, body)
-        lead = 0
-        while not coeffs[lead]:  # the last coefficient is nonzero
-            lead += 1
-        if lead:
-            offset, body = offset + lead, IntPoly(coeffs[lead:])
-        return super().__new__(cls, offset, body)
-
-    def shift(self, k: int) -> LaurentPoly:
-        """Multiply by q^k (k may be negative)."""
-        return LaurentPoly(self.offset + k, self.body)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        off = min(self.offset, other.offset)
-        return LaurentPoly(off, self.body.shift(self.offset - off) + other.body.shift(other.offset - off))
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return LaurentPoly(self.offset + other.offset, self.body * other.body)
-        if isinstance(other, int):
-            return LaurentPoly(self.offset, self.body * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Three independent routes live here:
   * a q-binomial product formula summed over paths by a transfer sweep of
     the walk's layers over pairs of consecutive heights (walk.layered_sweep),
     and
-  * the same sum rewritten through Laurent-polynomial step weights, where a
-    single power of q restores an ordinary polynomial.
+  * the q-fraction f1's path sum with its weights read at 1/q (the Laurent
+    weights), each step's times q^(n - 1) so that they stay polynomials.
 
 A path sum over level weights (weighted_path_sum) is the s^n coefficient
 of a J-fraction: a flat step at height m weighs gamma(m) and each rise-fall
@@ -172,16 +172,18 @@ def integer_weight_system() -> JFraction:
     return JFraction(gamma=lambda m: (m + 1) ** 2, lam=lambda k: (k * (k + 1) // 2) ** 2)
 
 
-def laurent_weight_system() -> JFraction:
-    """Laurent-polynomial weights whose path sum is q^(-n(n-1)/2) h_n(q):
-    fraction_f1's, gamma(m) times q^(-2m) and lam(k) times q^(2-4k)."""
+def laurent_weight_system(n: int) -> JFraction:
+    """fraction_f1's weights at 1/q, each step's times q^(n - 1): gamma(m)
+    q^(n-1-2m) and lam(k) q^(2n-4k), polynomials at every height a length-n
+    path reaches (flats at m <= (n-1)/2, falls from k <= n/2).  Each path
+    gains q^(n(n-1)), so the s^n sum is q^(n(n-1)/2) h_n(q).  A weight past
+    those heights raises ValueError; path_sums never asks for one."""
     from .contfrac import JFraction, fraction_f1
-    from .exactalg import LaurentPoly
 
     f1 = fraction_f1()
     return JFraction(
-        gamma=lambda m: LaurentPoly(-2 * m, f1.gamma(m)),
-        lam=lambda k: LaurentPoly(2 - 4 * k, f1.lam(k)),
+        gamma=lambda m: f1.gamma(m).shift(n - 1 - 2 * m),
+        lam=lambda k: f1.lam(k).shift(2 * n - 4 * k),
     )
 
 
@@ -250,15 +252,17 @@ def h_poly_fermionic(n: int) -> IntPoly:
 
 
 def h_poly_laurent(n: int) -> IntPoly:
-    """h_n(q) as the Laurent-weight path sum multiplied by q^(n(n-1)/2)."""
+    """h_n(q): the path sum over laurent_weight_system(n), q^(n(n-1)/2) h_n(q),
+    less its lowest n(n-1)/2 coefficients, each checked to be 0."""
+    from .exactalg import IntPoly
+
     if n < 1:
         raise ValueError("n must be positive")
-    shifted = weighted_path_sum(n, laurent_weight_system()).shift(n * (n - 1) // 2)
-    if shifted.offset < 0:
-        raise InternalInconsistencyError(
-            f"negative exponents survive the q^{n * (n - 1) // 2} shift at n={n}"
-        )
-    return shifted.body.shift(shifted.offset)
+    low = n * (n - 1) // 2
+    raw = weighted_path_sum(n, laurent_weight_system(n)).coeffs
+    if any(raw[:low]):
+        raise InternalInconsistencyError(f"negative exponents survive the q^{low} shift at n={n}")
+    return IntPoly(raw[low:])
 
 
 def tilde_h(n: int) -> IntPoly:

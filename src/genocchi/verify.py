@@ -35,8 +35,8 @@ walked sequences are shared substrate):
                     sums with two exactness checks, vs tilde_h's fermionic
                     pair-state sweep
   hq-three-way      Dellac used-row transfer sweep (h_poly_dellac) vs fermionic
-                    pair-state sweep (tilde_h's, reversed back) vs
-                    Laurent-weight sweep
+                    pair-state sweep (tilde_h's, reversed back) vs f1's
+                    path sweep at 1/q, each step's weight times q^(n-1)
   counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
                     transfer sweep and the integer-weight sweep vs Seidel,
                     each walked object validated through OBJECTS_MAX_N, an

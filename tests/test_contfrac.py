@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genocchi.contfrac import (
     AffineSFraction,
@@ -167,6 +168,20 @@ def test_expansion_matches_weighted_path_sums_random():
     series = expand(spec, 6)
     for n in range(7):
         assert series.coeffs[n] == enumerated_path_sum(n, spec)
+
+
+weight_lists = st.lists(st.lists(st.integers(-3, 3), max_size=3).map(IntPoly), min_size=5, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gammas=weight_lists, lams=weight_lists, c=st.integers(0, 3), order=st.integers(0, 8))
+def test_a_factor_on_every_step_is_carried_by_the_path_sums(gammas, lams, c, order):
+    # a flat is one step and a rise-fall pair two, so q^c on every flat
+    # weight and q^(2c) on every fall weight put q^(cn) on each length-n
+    # path: the gauge motzkin.laurent_weight_system puts on f1's weights
+    plain = path_sums(order, gammas.__getitem__, lambda k: lams[k - 1])
+    gauged = path_sums(order, lambda m: gammas[m].shift(c), lambda k: lams[k - 1].shift(2 * c))
+    assert [ONE * v for v in gauged] == [(ONE * v).shift(c * n) for n, v in enumerate(plain)]
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_FRACTIONS))

@@ -12,7 +12,6 @@ from genocchi.exactalg import (
     ZERO,
     Factors,
     IntPoly,
-    LaurentPoly,
     PowerSeries,
     over_factors,
     poly_reverse,
@@ -317,55 +316,6 @@ def test_factors_multiply_and_add_as_their_expansion(f, g, p):
     assert p * f == p * plain_f
     assert f * g == plain_f * plain_g
     assert f + g == plain_f + plain_g
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials
-# ---------------------------------------------------------------------------
-
-
-def test_laurent_canonicalization():
-    # the body's leading zeros move into the offset, and zero sits at offset
-    # 0, so that tuple equality is value equality
-    assert LaurentPoly(-2, P(0, 1, 1)) == LaurentPoly(-1, P(1, 1)) == (-1, P(1, 1))
-    assert LaurentPoly(3, P(0, 0, 5)) == (5, P(5))
-    assert LaurentPoly(5, ZERO) == (0, ZERO)
-    assert hash(LaurentPoly(-2, P(0, 1, 1))) == hash((-1, P(1, 1)))
-
-
-def test_a_laurent_poly_equals_no_poly_or_int():
-    assert LaurentPoly(0, P(1, 1)) != P(1, 1)
-    assert LaurentPoly(0, ONE) != 1
-
-
-def test_laurent_arithmetic():
-    a = LaurentPoly(-1, P(1, 1))  # q^-1 + 1
-    b = LaurentPoly(0, P(1))
-    assert a + b == LaurentPoly(-1, P(1, 2))
-    assert a * a == LaurentPoly(-2, P(1, 2, 1))
-    assert 3 * b == b * 3 == LaurentPoly(0, P(3))
-    assert 0 * a == (0, ZERO)
-    assert a + LaurentPoly(-1, P(-1, -1)) == (0, ZERO)
-    assert a.shift(-2) + LaurentPoly(2, ONE) == LaurentPoly(-3, P(1, 1, 0, 0, 0, 1))
-
-
-laurent_parts = st.tuples(st.integers(-6, 6), st.lists(st.integers(-4, 4), max_size=5).map(IntPoly))
-
-
-@settings(max_examples=200, deadline=None)
-@given(x=laurent_parts, y=laurent_parts, k=st.integers(-3, 3))
-def test_laurent_arithmetic_agrees_with_shifted_polynomials(x, y, k):
-    # q^12 clears every negative exponent the parts and their product reach
-    (a, p), (b, r) = x, y
-    u, v = LaurentPoly(a, p), LaurentPoly(b, r)
-
-    def times_q12(x: LaurentPoly) -> IntPoly:
-        return x.body.shift(x.offset + 12)
-
-    assert times_q12(u + v) == p.shift(a + 12) + r.shift(b + 12)
-    assert times_q12(u * v) == (p * r).shift(a + b + 12)
-    assert times_q12(k * u) == times_q12(u * k) == (k * p).shift(a + 12)
-    assert u.shift(k).shift(-k) == u
 
 
 # ---------------------------------------------------------------------------

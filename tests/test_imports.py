@@ -106,6 +106,17 @@ def test_every_public_name_is_its_home_modules_object(name):
     assert vars(genocchi)[name] is value  # bound on first use
 
 
+def test_the_laurent_type_is_gone():
+    # the Laurent-weight route runs on IntPoly weights, gauged to stay
+    # polynomials, and needs no type of its own
+    from genocchi import exactalg
+
+    assert "LaurentPoly" not in genocchi.__all__
+    with pytest.raises(AttributeError):
+        genocchi.LaurentPoly
+    assert not hasattr(exactalg, "LaurentPoly")
+
+
 @pytest.mark.parametrize(
     "name",
     ["q_int", "q_factorial", "TrianglePair", "genocchi_first", "hanzeng_C", "poly_exact_div", "is_closed_in_gamma"],

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from genocchi import motzkin
 from genocchi.cli import run
-from genocchi.contfrac import JFraction, path_sums
+from genocchi.contfrac import JFraction, fraction_f1, path_sums
 from genocchi.errors import InternalInconsistencyError, ResourceLimitError
-from genocchi.exactalg import IntPoly, LaurentPoly, ONE, q_binomial
+from genocchi.exactalg import IntPoly, ONE, poly_reverse, q_binomial
 from genocchi.dellac import h_poly_dellac
 from genocchi.motzkin import (
     MotzkinPath,
@@ -335,10 +335,24 @@ def test_unrestricted_sum_equals_path_sum(n):
 
 
 def test_laurent_weight_values():
-    spec = laurent_weight_system()
-    assert spec.lam(1) == LaurentPoly(-1, ONE)
-    assert spec.lam(2) == LaurentPoly(-5, IntPoly((1, 2, 3, 2, 1)))
-    assert spec.gamma(1) == LaurentPoly(-2, IntPoly((1, 2, 1)))
+    f1 = fraction_f1()
+    for n in range(1, 9):
+        spec = laurent_weight_system(n)
+        # f1's weights at 1/q, times q^(n - 1) a step, at every height a
+        # length-n path reaches: flats at m <= (n-1)/2, falls from k <= n/2
+        for m in range(0, (n - 1) // 2 + 1):
+            assert spec.gamma(m) == f1.gamma(m).shift(n - 1 - 2 * m)
+        for k in range(1, n // 2 + 1):
+            assert spec.lam(k) == f1.lam(k).shift(2 * n - 4 * k)
+        # one height past them the weight would need a negative power
+        with pytest.raises(ValueError):
+            spec.gamma((n - 1) // 2 + 1)
+        with pytest.raises(ValueError):
+            spec.lam(n // 2 + 1)
+    spec = laurent_weight_system(4)
+    assert spec.lam(1) == IntPoly((0, 0, 0, 0, 0, 1))
+    assert spec.lam(2) == IntPoly((0, 1, 2, 3, 2, 1))
+    assert spec.gamma(1) == IntPoly((0, 1, 2, 1))
     # the per-path reference's choice of weight for one step
     assert step_weight(spec, 1, 0) == spec.lam(1)
     assert step_weight(spec, 0, 1) == 1
@@ -359,9 +373,45 @@ def test_laurent_equals_fermionic(n):
 
 
 def test_laurent_raw_sum_sits_at_negative_offset():
-    raw = weighted_path_sum(4, laurent_weight_system())
-    assert isinstance(raw, LaurentPoly)
-    assert raw.offset == -(4 * 3 // 2)
+    # the Laurent sum starts at q^(-n(n-1)/2), and the gauge's q^(n(n-1))
+    # lifts it to q^(n(n-1)/2), where h_n(0) = 1 sits
+    for n in range(1, 9):
+        raw = weighted_path_sum(n, laurent_weight_system(n))
+        low = n * (n - 1) // 2
+        assert raw.coeffs[:low] == (0,) * low
+        assert raw.coeffs[low] == 1
+
+
+def test_laurent_weights_are_f1s_at_one_over_q():
+    # q^(n-1) gamma(m)(1/q) and q^(2(n-1)) lam(k)(1/q), read off the
+    # reversed coefficients: gamma(m) has degree 2m and lam(k) 4k - 3
+    f1 = fraction_f1()
+    for n in range(1, 9):
+        spec = laurent_weight_system(n)
+        for m in range(0, (n - 1) // 2 + 1):
+            assert spec.gamma(m) == poly_reverse(f1.gamma(m), 2 * m).shift(n - 1 - 2 * m)
+        for k in range(1, n // 2 + 1):
+            assert spec.lam(k) == poly_reverse(f1.lam(k), 4 * k - 3).shift(2 * n - 4 * k + 1)
+
+
+def test_laurent_raw_sum_is_the_enumerated_path_sum():
+    for n in range(1, 8):
+        spec = laurent_weight_system(n)
+        assert weighted_path_sum(n, spec) == sum((path_weight(p, spec) for p in paths(n)), IntPoly())
+
+
+def test_a_flat_weight_one_power_short_is_caught(monkeypatch):
+    f1 = fraction_f1()
+
+    def short(n):
+        return JFraction(
+            gamma=lambda m: f1.gamma(m).shift(n - 2 - 2 * m),
+            lam=lambda k: f1.lam(k).shift(2 * n - 4 * k),
+        )
+
+    monkeypatch.setattr(motzkin, "laurent_weight_system", short)
+    with pytest.raises(InternalInconsistencyError, match="negative exponents survive the q\\^6 shift at n=4"):
+        h_poly_laurent(4)
 
 
 # ---------------------------------------------------------------------------
