@@ -21,6 +21,10 @@ takes a few minutes on 2 vCPUs.  The file holds:
   by their blocks, and of the enumerate stream of each stream form written
   into a writer that drops its text, at fixed sizes, each call with the
   q-binomial cache emptied first;
+- "stream_peaks": the minimum over LAYER_RUNS fresh interpreters of the
+  tracemalloc peak of each of those enumerate stream calls, and of the
+  Dellac and admissible streams at n = 8 and the Motzkin stream at n = 14,
+  the default caps;
 - "tier1": the wall time and summary line of one run of the tier-1 suite;
 - "end_to_end": the metrics line of perfbench/run.py for each workload, run
   unchanged for PERFBENCH_SECONDS.
@@ -204,6 +208,32 @@ def layer_rows() -> dict:
     return rows
 
 
+# one stream in a fresh interpreter, so the peak does not hang on what this
+# process ran before: its lines written into a writer that drops them
+STREAM_PEAK = """import sys, tracemalloc
+from genocchi import {model} as model
+from genocchi.stream import write_lines
+tracemalloc.start()
+write_lines(lambda text: None, model, {n}, True, sys.maxsize)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def stream_peaks() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("GENOCCHI_MAX_N", None)
+    rows = {}
+    forms = ("dellac", 7), ("dellac", 8), ("admissible", 7), ("admissible", 8), ("motzkin", 12), ("motzkin", 14)
+    for model, n in forms:
+        argv = [sys.executable, "-c", STREAM_PEAK.format(model=model, n=n)]
+        runs = (subprocess.run(argv, env=env, capture_output=True, check=True) for _ in range(LAYER_RUNS))
+        peaks = [int(done.stdout) for done in runs]
+        name = f"stream.write_lines, {model} n = {n} --json"
+        rows[name] = {"runs": LAYER_RUNS, "peak_kb_min": min(peaks) / 1024}
+        print(f"stream peak {name}: {rows[name]}", file=sys.stderr)
+    return rows
+
+
 def tier1() -> dict:
     env = {k: v for k, v in os.environ.items() if k != "GENOCCHI_MAX_N"}
     env["PYTHONPATH"] = str(ROOT / "src")
@@ -235,6 +265,7 @@ def main(argv: list[str]) -> int:
     work = ROOT / perfbench.WORK_DIR  # the workloads' spec files go here, as perfbench/run.py puts them
     work.mkdir(exist_ok=True)
     report = {"env": environment(), "fresh": fresh_rows(work), "layers": layer_rows()}
+    report["stream_peaks"] = stream_peaks()
     report["tier1"] = tier1()
     report["end_to_end"] = end_to_end()
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -25,7 +25,7 @@ pool met three subsets from the end lists its heads, the choices of I_3,
 and each pool a head leads to lists its rests, one (I_2, I_1) per way to
 finish it.  At the cap n = 8 that is 490 heads over 70 pools and 762
 rests over 56 next pools, 6,880 tails in all: the walk's tracemalloc peak
-is about 0.06 MB, and the stream's about 0.65 MB, most of it a text for
+is about 0.06 MB, and the stream's about 0.8 MB, most of it a text for
 each rest of each next pool and two references per tail.
 """
 

@@ -95,14 +95,14 @@ def path_sums(order: int, gamma: CoeffGen, lam: CoeffGen) -> list:
             if not acc:
                 continue
             w = fall[h]
-            if w:
-                term = acc * w
+            if w:  # the weight on the left: IntPoly's product skips that side's zeros
+                term = w * acc
                 below = nxt[h - 1]
                 nxt[h - 1] = below + term if below else term
             if h <= top:
                 w = flat[h]
                 if w:
-                    term = acc * w
+                    term = w * acc
                     here = nxt[h]
                     nxt[h] = here + term if here else term
                 if h < top and fall[h + 1]:

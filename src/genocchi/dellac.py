@@ -27,7 +27,7 @@ lists its rests, one run of three columns per way to finish it.  At the
 cap n = 8 that is 490 heads over 70 masks and 762 rests over 56 next
 masks, 6,880 tails in all: the walk's tracemalloc peak is about 0.2 MB,
 and the stream's, which keeps each head's and rest's summary and text and
-two references per tail, about 0.5 MB.
+two references per tail, about 0.52 MB.
 """
 
 from __future__ import annotations

@@ -8,19 +8,14 @@ next state; a head's summary is joined to each distinct summary of its
 rests once per state, and a tail's text is the pair of its head's and its
 rest's texts.  How many of a state's tails join a prefix is decided once
 per pair of prefix summary and state, by one run of the join rule per
-distinct tail summary of the state; the lines are built a prefix at a
-time and written WRITE_BLOCK_LINES at a time.  Only the enumerate command
-loads this module.
+distinct tail summary of the state; each prefix's lines are written with
+one write as soon as the walk hands the prefix over.  Only the enumerate
+command loads this module.
 """
 
 from itertools import islice, repeat
 
 from .walk import layered_blocks
-
-# lines are written in blocks of this many (about 18 KB of Dellac JSON at
-# n = 7): one system call per block, not per line, where stdout is
-# unbuffered; larger blocks were no faster and hold more memory
-WRITE_BLOCK_LINES = 256
 
 
 def write_lines(write, model, n: int, as_json: bool, stop: int) -> tuple[int, bool]:
@@ -36,8 +31,7 @@ def write_lines(write, model, n: int, as_json: bool, stop: int) -> tuple[int, bo
     tails_of: dict = {}
     # per (prefix summary, state): how many of the state's tails join, from the first
     joins_of: dict = {}
-    block: list[str] = []
-    written = 0  # the lines in blocks already written
+    written = 0
     for prefix, state, tails in layered_blocks(*model.layers(n), model.SHARED_LEVELS):
         summary, text = _checked(prefix_piece, prefix)
         pieces = tails_of.get(state)
@@ -47,24 +41,17 @@ def write_lines(write, model, n: int, as_json: bool, stop: int) -> tuple[int, bo
         joins = joins_of.get((summary, state))
         if joins is None:
             joins = joins_of[summary, state] = _leading(joined, summary, kinds, len(heads))
-        room = stop - written - len(block)
-        if joins:  # a failed prefix joins nothing, and has no text
+        take = min(joins, stop - written)
+        if take:  # a failed prefix joins nothing, and has no text
             # each line: the prefix's and the rest's texts, the head's between them
             sides = zip(repeat(text), rests) if prefix_first else zip(rests, repeat(text))
-            block += islice(map(str.join, heads, sides), min(joins, room))
-        if len(block) >= WRITE_BLOCK_LINES:
-            full = len(block) - len(block) % WRITE_BLOCK_LINES
-            for start in range(0, full, WRITE_BLOCK_LINES):
-                write("".join(block[start : start + WRITE_BLOCK_LINES]))
-            written += full
-            del block[:full]
-        if joins < min(len(heads), room):
-            write("".join(block))  # the lines before the fault still go out
-            return written + len(block), True
-        if written + len(block) == stop:
+            write("".join(islice(map(str.join, heads, sides), take)))
+            written += take
+        if joins < len(heads) and written < stop:  # the lines before the fault went out
+            return written, True
+        if written == stop:
             break
-    write("".join(block))
-    return written + len(block), False
+    return written, False
 
 
 def _checked(piece, *args):

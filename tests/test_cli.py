@@ -37,7 +37,6 @@ from genocchi.cli import (
 from genocchi.dellac import DellacConfig
 from genocchi.errors import InternalInconsistencyError
 from genocchi.motzkin import MotzkinPath
-from genocchi.stream import WRITE_BLOCK_LINES
 from genocchi.walk import layered_blocks
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -664,7 +663,7 @@ MODEL_SIZES = st.one_of(
 @given(
     model_n=MODEL_SIZES,
     as_json=st.booleans(),
-    limit=st.one_of(st.none(), st.integers(0, WRITE_BLOCK_LINES + 64)),
+    limit=st.one_of(st.none(), st.integers(0, 320)),
 )
 def test_stream_is_byte_identical_to_the_per_object_reference(model_n, as_json, limit):
     model, n = model_n
@@ -695,11 +694,17 @@ def test_lines_before_an_invalid_walked_object_are_written(monkeypatch, capsys):
 class CountingStdout(io.StringIO):
     def __init__(self):
         super().__init__()
-        self.writes = 0
+        self.lines = []  # the lines each write ends, one entry per write
 
     def write(self, text):
-        self.writes += 1
+        self.lines.append(text.count("\n"))
         return super().write(text)
+
+
+def prefix_sizes(module, n):
+    """The objects of each walk prefix, in the order the walk hands them over."""
+    blocks = layered_blocks(*module.layers(n), module.SHARED_LEVELS)
+    return [sum(len(rests) for _, _, rests in tails) for _, _, tails in blocks]
 
 
 def test_enumerate_writes_blocks_of_lines():
@@ -708,8 +713,10 @@ def test_enumerate_writes_blocks_of_lines():
         assert run(["enumerate", "motzkin", "--n", "10", "--json"]) == 0
     objects = len(out.getvalue().splitlines()) - 1
     assert objects == 2188
-    # whole blocks, the last partial block, and print's text and newline for the total
-    assert out.writes == -(-objects // WRITE_BLOCK_LINES) + 2
+    sizes = prefix_sizes(motzkin, 10)
+    assert len(sizes) == 35 and sum(sizes) == objects
+    # one write per walk prefix with all its lines, then print's text and newline for the total
+    assert out.lines == sizes + [0, 1]
 
 
 def test_stream_checks_each_shared_piece_once(monkeypatch):
@@ -863,7 +870,11 @@ def test_admissible_stream_formats_each_distinct_subset_once(monkeypatch, as_jso
 
 
 def test_limit_across_a_block_boundary():
-    assert WRITE_BLOCK_LINES < 1500
+    # the limit cuts one walk prefix's lines: some before it go out, some after it do not
+    starts = [0]
+    for size in prefix_sizes(motzkin, 12):
+        starts.append(starts[-1] + size)
+    assert any(start < 1500 < end for start, end in zip(starts, starts[1:]))
     full = unlimited_json("motzkin", 12)
     limited = output_lines(["enumerate", "motzkin", "--n", "12", "--limit", "1500", "--json"])
     assert limited == list(full[:1500]) + [full[-1]]
@@ -914,7 +925,7 @@ def test_seq_and_series_write_a_piece_at_a_time():
         out = CountingStdout()
         with redirect_stdout(out):
             assert run(argv) == 0
-        assert out.writes == pieces + 2  # the head, one write per term, the end
+        assert len(out.lines) == pieces + 2  # the head, one write per term, the end
 
 
 # A launcher that imports nothing of its own, as perfbench/launch.py: Linux

@@ -230,6 +230,8 @@ def test_path_sums_multiply_once_per_fall_or_flat_edge_and_never_by_one(order):
     # each product is a total times one weight: no total is multiplied by the
     # int 1 or by another total, and a rise multiplies nothing
     assert all(pair.count("weight") == 1 for pair in log)
+    # and the weight is the left operand, whose zero coefficients IntPoly skips
+    assert all(left == "weight" for left, _ in log)
     # after k steps a path is at a height h <= min(k, order - k); it steps
     # flat while h < order - k and falls from any h > 0
     edges = sum(
