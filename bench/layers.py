@@ -14,7 +14,14 @@ takes a few minutes on 2 vCPUs.  The file holds:
   CPython's teardown), the
   minimum wall time and the maximum peak RSS over FRESH_RUNS fresh
   processes, each read with os.wait4 on the one child by perfbench/launch.py,
-  and whether every run's output passed its perfbench check;
+  and whether every run's output passed its perfbench check; then the
+  genocchi modules the form loads, their parser tokens (tokenize's, without
+  the encoding, comments and NL tokens: what a fresh command compiles
+  without a bytecode cache), and the minimum over FRESH_RUNS fresh interpreters of the time to
+  import those modules from source and from a bytecode cache kept in a
+  temporary directory, never in the checkout;
+- "verify_rss": the 50th and 90th percentiles and the maximum of the peak
+  RSS of each verify workload form over VERIFY_RSS_RUNS fresh processes;
 - "layers": the minimum and maximum seconds over LAYER_RUNS in-process calls
   of each route's core call, of the Dumont oracle at its cap, of the
   IntPoly multiply under them, of the Dellac and admissible walks counted
@@ -42,7 +49,9 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,6 +61,7 @@ import run as perfbench  # noqa: E402  (perfbench/run.py, found through sys.path
 
 SEED = 1
 FRESH_RUNS = 5
+VERIFY_RSS_RUNS = 30
 LAYER_RUNS = 3
 PERFBENCH_SECONDS = 10
 # the caps sized for desk-scale enumeration stop the sweeps below n = 14
@@ -97,25 +107,122 @@ def environment() -> dict:
     }
 
 
-def fresh_rows(work: Path) -> dict:
-    """Min wall time and max peak RSS per command form, over FRESH_RUNS runs."""
-    reference = perfbench.load_reference()
+# the genocchi modules a fresh interpreter holds after running the command
+# line in argv (none: only importing the CLI), in the order they were imported
+LOADED_MODULES = """import contextlib, io, sys
+import genocchi.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        genocchi.cli.run(sys.argv[1:])
+print(*(m for m in sys.modules if m.partition(".")[0] == "genocchi"))
+"""
+
+# the seconds a fresh interpreter takes to import the modules in argv, in order
+IMPORT_TIME = """import importlib, sys, time
+started = time.perf_counter()
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(time.perf_counter() - started)
+"""
+
+
+def child_env(**extra: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **extra)
+    env.pop("GENOCCHI_MAX_N", None)
+    return env
+
+
+def loaded_modules(argv: list[str]) -> list[str]:
+    """The genocchi modules the fresh form argv loads: a genocchi command
+    line, importing the CLI, or a floor form that loads none."""
+    if argv[1:3] == ["-m", "genocchi.cli"]:
+        cli_args = argv[3:]
+    elif argv == perfbench.SETUP_ARGV:
+        cli_args = []
+    else:
+        return []
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *cli_args], cwd=ROOT, env=child_env(), capture_output=True, text=True
+    )
+    return done.stdout.split()
+
+
+def parser_tokens(module: str) -> int:
+    """The tokens compile() reads from a module's source: tokenize's, without
+    the encoding, comments and the NL tokens of blank lines and of lines
+    inside brackets."""
+    path = ROOT / "src" / Path(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    with open(path, "rb") as fh:
+        tokens = tokenize.tokenize(fh.readline)
+        return sum(1 for t in tokens if t.type not in (tokenize.ENCODING, tokenize.COMMENT, tokenize.NL))
+
+
+def import_times(modules: list[str]) -> dict:
+    """Min seconds over FRESH_RUNS fresh interpreters to import modules from
+    source, and from a bytecode cache written once beforehand.  Both caches
+    are temporary directories (PYTHONPYCACHEPREFIX): the source runs find
+    none, and no run writes into the checkout."""
+    argv = [sys.executable, "-c", IMPORT_TIME, *modules]
+
+    def best(env: dict) -> float:
+        runs = (subprocess.run(argv, env=env, capture_output=True, text=True, check=True) for _ in range(FRESH_RUNS))
+        return min(float(done.stdout) for done in runs)
+
+    with tempfile.TemporaryDirectory() as empty, tempfile.TemporaryDirectory() as cached:
+        source = best(child_env(PYTHONPYCACHEPREFIX=empty, PYTHONDONTWRITEBYTECODE="1"))
+        env = child_env(PYTHONPYCACHEPREFIX=cached)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        subprocess.run(argv, env=env, capture_output=True, check=True)  # writes the cache
+        bytecode = best(child_env(PYTHONPYCACHEPREFIX=cached, PYTHONDONTWRITEBYTECODE="1"))
+    return {"import_s_source_min": source, "import_s_bytecode_min": bytecode}
+
+
+def fresh_forms(work: Path) -> dict:
+    """form -> (argv, check) for every form fresh_rows measures."""
     forms = {}
     for name, make in perfbench.WORKLOADS.items():
         for cmd in make(SEED, work).commands:
             forms[" ".join(cmd.argv)] = (perfbench.cli_argv(cmd.argv), cmd.check)
     for form, argv in EXTRA_FORMS.items():
         forms[form] = (argv, perfbench.expect_exit_zero)
+    return forms
+
+
+def fresh_rows(work: Path) -> dict:
+    """Min wall time and max peak RSS per command form, over FRESH_RUNS runs,
+    and what the form loads and compiles."""
+    reference = perfbench.load_reference()
     rows = {}
-    for form, (argv, check) in forms.items():
+    for form, (argv, check) in fresh_forms(work).items():
         results = [perfbench.run_process(argv, ROOT, work / "stderr.txt") for _ in range(FRESH_RUNS)]
+        modules = loaded_modules(argv)
         rows[form] = {
             "runs": FRESH_RUNS,
             "wall_s_min": min(r.wall_s for r in results),
             "peak_rss_mb_max": max(r.rss_mb for r in results),
             "correct": all(check(r, reference) is None for r in results),
+            "modules": modules,
+            "parser_tokens": sum(map(parser_tokens, modules)),
+            **(import_times(modules) if modules else {}),
         }
         print(f"fresh {form}: {rows[form]}", file=sys.stderr)
+    return rows
+
+
+def verify_rss(work: Path) -> dict:
+    """The spread of each verify workload form's fresh peak RSS."""
+    rows = {}
+    for cmd in perfbench.verify_workload(SEED, work).commands:
+        argv = perfbench.cli_argv(cmd.argv)
+        peaks = sorted(perfbench.run_process(argv, ROOT, work / "stderr.txt").rss_mb for _ in range(VERIFY_RSS_RUNS))
+        rows[" ".join(cmd.argv)] = {
+            "runs": VERIFY_RSS_RUNS,
+            "peak_rss_mb_p50": peaks[len(peaks) // 2],
+            "peak_rss_mb_p90": peaks[len(peaks) * 9 // 10],
+            "peak_rss_mb_max": peaks[-1],
+        }
+        print(f"verify rss {' '.join(cmd.argv)}: {rows[' '.join(cmd.argv)]}", file=sys.stderr)
     return rows
 
 
@@ -127,7 +234,7 @@ def layer_calls() -> dict:
     from genocchi.exactalg import IntPoly
     from genocchi.hanzeng import hanzeng_barc
     from genocchi.limits import ENV_VAR
-    from genocchi.motzkin import h_poly_laurent
+    from genocchi.motzkin import fermionic_sequence, h_poly_fermionic, h_poly_laurent
     from genocchi.oracles import count_dumont
     from genocchi.stream import write_lines
     from genocchi.verify import crosscheck
@@ -178,6 +285,11 @@ def layer_calls() -> dict:
         # the hq-three-way Laurent side at verify's largest n, and at the cap
         "h_poly_laurent(8)": lambda: h_poly_laurent(8),
         "h_poly_laurent(14)": capped(h_poly_laurent, 14),
+        # what verify's fermionic rows read at its two workload sizes: one
+        # sweep read at every level, against one sweep per n
+        "fermionic_sequence(7)": lambda: list(fermionic_sequence(7)),
+        "fermionic_sequence(6)": lambda: list(fermionic_sequence(6)),
+        "h_poly_fermionic(n), n = 1..7": lambda: [h_poly_fermionic(n) for n in range(1, 8)],
         "count_dumont(4)": lambda: count_dumont(4),
         "crosscheck(8)": lambda: crosscheck(8),
         # the verify workload's two forms, with the seeds perfbench/run.py
@@ -209,9 +321,11 @@ def layer_rows() -> dict:
 
 
 # one stream in a fresh interpreter, so the peak does not hang on what this
-# process ran before: its lines written into a writer that drops them
+# process ran before: its lines written into a writer that drops them, with
+# the model's stream rules imported first, so that compiling them is not
+# counted in the stream's peak
 STREAM_PEAK = """import sys, tracemalloc
-from genocchi import {model} as model
+from genocchi import {model} as model, stream_{model}
 from genocchi.stream import write_lines
 tracemalloc.start()
 write_lines(lambda text: None, model, {n}, True, sys.maxsize)
@@ -220,8 +334,7 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def stream_peaks() -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("GENOCCHI_MAX_N", None)
+    env = child_env()
     rows = {}
     forms = ("dellac", 7), ("dellac", 8), ("admissible", 7), ("admissible", 8), ("motzkin", 12), ("motzkin", 14)
     for model, n in forms:
@@ -264,7 +377,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     work = ROOT / perfbench.WORK_DIR  # the workloads' spec files go here, as perfbench/run.py puts them
     work.mkdir(exist_ok=True)
-    report = {"env": environment(), "fresh": fresh_rows(work), "layers": layer_rows()}
+    report = {"env": environment(), "fresh": fresh_rows(work), "verify_rss": verify_rss(work), "layers": layer_rows()}
     report["stream_peaks"] = stream_peaks()
     report["tier1"] = tier1()
     report["end_to_end"] = end_to_end()

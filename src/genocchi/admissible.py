@@ -11,14 +11,10 @@ by a layered sweep over column masks, visiting none of them.
 One rule checks a piece of a sequence, a run of consecutive subsets: every
 field an int, then each I_l inside 1..n with l elements, then I_{l-1}
 inside I_l plus l within the run, raising the constructor's message at the
-first fault.  Two pieces join when the containment holds across them, and
-they make a sequence when they hold n - 1 subsets in all.
-AdmissibleSequence checks the subset count and its subsets as one piece.
-The enumerate stream checks each prefix of the walk once, each head (a
-tail's first subset) once per state and each shared rest once per next
-pool; it joins a head's summary to each distinct summary of its rests and
-a prefix's summary to each distinct summary of a state's tails once, and
-formats each distinct subset once per stream.
+first fault.  AdmissibleSequence checks the subset count and its subsets as
+one piece; the enumerate stream's rules for joining pieces (the containment
+across them, n - 1 subsets in all) and writing them live in
+stream_admissible.py.
 
 The walk shares its last SHARED_LEVELS = 3 subsets, I_3, I_2 and I_1: each
 pool met three subsets from the end lists its heads, the choices of I_3,
@@ -31,7 +27,6 @@ each rest of each next pool and two references per tail.
 
 from __future__ import annotations
 
-from functools import cache, partial
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
@@ -93,65 +88,6 @@ def _piece(n: int, masks, start: int, whole: bool = False) -> tuple[int, int, in
         if lower & ~(upper | 1 << (l + 1)):
             raise ValueError(f"I_{l} exceeds I_{l + 1} plus {{{l + 1}}}")
     return (len(masks), masks[0], masks[-1]) if masks else (0, -1, 0)
-
-
-def _join(upper, lower) -> tuple[int, int, int] | None:
-    """The summary of two checked pieces as one, upper (I_{k+1}, ...) first,
-    as the walk meets it, and lower (I_1..I_k) second: None when either
-    failed its check or I_k is not inside I_{k+1} plus k + 1."""
-    if upper is None or lower is None or lower[2] & ~(upper[1] | 1 << (lower[0] + 1)):
-        return None
-    return lower[0] + upper[0], lower[1] if lower[0] else upper[1], upper[2] if upper[0] else lower[2]
-
-
-def _joined(n: int, upper, lower) -> bool:
-    """Whether two checked pieces, upper then lower, make a sequence: they
-    join, into n - 1 subsets."""
-    joint = _join(upper, lower)
-    return joint is not None and joint[0] == n - 1
-
-
-def _subset_text(mask: int, as_json: bool) -> str:
-    """One subset's text: a JSON list such as [1,3], or 1,3."""
-    text = ",".join(map(str, _elems(mask)))
-    return f"[{text}]" if as_json else text
-
-
-def _encode(texts, start: int, as_json: bool) -> str:
-    """The text of subsets I_start, I_start+1, ... from the text of each:
-    joined by "," in JSON, by " | " otherwise.  A piece that starts after
-    I_1 opens with the separator, so that pieces concatenate."""
-    sep = "," if as_json else " | "
-    text = sep.join(texts)
-    return sep + text if text and start > 1 else text
-
-
-def stream_pieces(n: int, as_json: bool):
-    """The rules above for the stream, as dellac.stream_pieces gives them.
-    The walk meets I_{n-1} first, so a prefix, reversed, is the upper piece
-    of a sequence and a tail, reversed, the lower one: a line is the rest
-    of the tail (I_1..I_{k-1}), then its head (I_k), then the prefix, and
-    prefix_first is False.  Each distinct subset is formatted once per
-    stream."""
-    head, foot = (f'{{"n":{n},"sets":[', "]}\n") if as_json else ("", "\n")
-    subset = cache(partial(_subset_text, as_json=as_json))
-
-    def prefix_piece(prefix):
-        upper, start = prefix[::-1], n - len(prefix)
-        return _piece(n, upper, start), _encode(map(subset, upper), start, as_json) + foot
-
-    def first(run, level):
-        # the run, reversed, ends at I_k, k = n - 1 - level
-        lower, start = run[::-1], n - level - len(run)
-        summary = _piece(n, lower, start)  # before any subset is formatted
-        # only n = 1 has an empty tail, and its prefix is empty too
-        return summary, _encode(map(subset, lower), start, as_json) if lower or as_json else "()"
-
-    def rest(run, level):
-        lower = run[::-1]
-        return _piece(n, lower, 1), head + _encode(map(subset, lower), 1, as_json)
-
-    return prefix_piece, first, rest, _join, partial(_joined, n), False
 
 
 # the pools multiply fast with depth: sharing a fourth subset lists more

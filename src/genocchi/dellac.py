@@ -12,14 +12,10 @@ mask's total packed into one int, a slot per power of q.
 One rule checks a piece of a configuration, a run of consecutive columns:
 every field an int, then per column the row order, and per row the band
 _row_window gives at that moment and a repeat, raising the constructor's
-message at the first fault.  The piece's used rows come back as a bitmask,
-two pieces join when their masks are disjoint, and they make a
-configuration when they hold n columns in all.  DellacConfig checks the
-column count and its columns as one piece.  The enumerate stream checks
-each prefix of the walk once, each head (a tail's first column) once per
-state and each shared rest once per next mask; it joins a head's mask to
-each distinct mask of its rests and a prefix's mask to each distinct mask
-of a state's tails once, and writes each piece's columns once.
+message at the first fault.  The piece's used rows come back as a bitmask.
+DellacConfig checks the column count and its columns as one piece; the
+enumerate stream's rules for joining pieces (disjoint masks, n columns in
+all) and writing them live in stream_dellac.py.
 
 The walk shares its last SHARED_LEVELS = 4 columns: each used-row mask met
 four columns from the end lists its heads, and each mask a head leads to
@@ -32,7 +28,6 @@ two references per tail, about 0.52 MB.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -85,60 +80,6 @@ def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
                 raise ValueError(f"row {j} marked twice")
             used |= 1 << j
     return len(columns), used
-
-
-def _join(first, second) -> tuple[int, int] | None:
-    """The summary of two checked pieces, first then second, as one piece:
-    None when either failed its check or a row is used in both."""
-    if first is None or second is None or first[1] & second[1]:
-        return None
-    return first[0] + second[0], first[1] | second[1]
-
-
-def _joined(n: int, first, second) -> bool:
-    """Whether two checked pieces, first then second, make a configuration:
-    they join, into n columns."""
-    joint = _join(first, second)
-    return joint is not None and joint[0] == n
-
-
-def _encode(columns, start: int, as_json: bool) -> str:
-    """The text of columns start, start + 1, ...: JSON row pairs, or one
-    "column: low high" line each.  A piece that starts after column 1 opens
-    with the separator, so that pieces concatenate."""
-    if as_json:
-        sep, parts = ",", [f"[{lo},{hi}]" for lo, hi in columns]
-    else:
-        sep, parts = "\n", [f"{col}: {lo} {hi}" for col, (lo, hi) in enumerate(columns, start)]
-    text = sep.join(parts)
-    return sep + text if text and start > 1 else text
-
-
-def stream_pieces(n: int, as_json: bool):
-    """The rules above, for a stream of walk blocks: (prefix_piece, first,
-    rest, join, joined, prefix_first).  prefix_piece(prefix) gives the
-    summary of the columns a prefix holds and the text that opens their
-    line; first(head, level) gives the summary and the text of a head, the
-    first column of a tail from that level, and rest(run, level) those of
-    the columns after it, which close the line (a blank line closes each
-    grid in text).  All three raise where the piece's check
-    does.  A line is the prefix's text, then the head's, then the rest's:
-    prefix_first is True.  join(first summary, second summary) gives the
-    summary of two adjacent pieces as one, or None, and joined(prefix
-    summary, tail summary) accepts exactly the objects the constructor
-    accepts."""
-    head, foot = (f'{{"n":{n},"columns":[', "]}\n") if as_json else ("", "\n\n")
-
-    def prefix_piece(prefix):
-        return _piece(n, prefix, 1), head + _encode(prefix, 1, as_json)
-
-    def first(run, level):
-        return _piece(n, run, level + 1), _encode(run, level + 1, as_json)
-
-    def rest(run, level):
-        return _piece(n, run, level + 2), _encode(run, level + 2, as_json) + foot
-
-    return prefix_piece, first, rest, _join, partial(_joined, n), True
 
 
 def _row_window(n: int, col: int) -> tuple[int, int]:

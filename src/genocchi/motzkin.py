@@ -4,7 +4,7 @@ Three independent routes live here:
   * an exact-rational weighted sum (squares of heights over powers of two)
     over the walked paths,
   * a q-binomial product formula summed over paths by a transfer sweep of
-    the walk's layers over pairs of consecutive heights (walk.layered_sweep),
+    the walk's layers over pairs of consecutive heights (walk.layered_levels),
     and
   * the q-fraction f1's path sum with its weights read at 1/q (the Laurent
     weights), each step's times q^(n - 1) so that they stay polynomials.
@@ -13,17 +13,14 @@ A path sum over level weights (weighted_path_sum) is the s^n coefficient
 of a J-fraction: a flat step at height m weighs gamma(m) and each rise-fall
 pair from m weighs lam(m + 1), and contfrac.path_sums expands it as it
 expands every continued fraction, asking each weight once per height.
-fermionic_exponent is the per-path reference the sweep is tested against.
+fermionic_exponent is the per-path reference the sweep is tested against;
+the sweep's weights do not depend on the length, so one sweep reads
+h_n(q) for every n up to its own (fermionic_sequence).
 One rule checks a piece of a path, a run of consecutive heights: integers,
 then nonnegative, then each step within 1, raising the constructor's
-message at the first fault.  Two pieces join when a step of at most 1
-leads across, and they make a path when it starts and ends at height 0.
-MotzkinPath checks its ends and its heights as one piece.  The enumerate
-stream checks each prefix of the walk once, each head (a tail's first
-height) once per state and each shared rest once per next height; it
-joins a head's summary to each distinct summary of its rests and a
-prefix's end height to each distinct summary of a state's tails once, and
-writes each piece's heights once.
+message at the first fault.  MotzkinPath checks its ends and its heights
+as one piece; the enumerate stream's rules for joining and writing pieces
+live in stream_motzkin.py.
 
 The walk shares its last SHARED_LEVELS = 6 steps.  A path six steps from
 its end is at most 6 high, so from n = 12 on, whatever the length, the
@@ -40,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import limits
 from .errors import InternalInconsistencyError
-from .walk import layered_sweep, layered_walk
+from .walk import layered_levels, layered_walk
 
 if TYPE_CHECKING:
     from .contfrac import JFraction
@@ -81,52 +78,6 @@ def _piece(heights, whole: bool = False) -> tuple[int, int] | tuple[()]:
     if not all(-1 <= b - a <= 1 for a, b in zip(heights, heights[1:])):
         raise ValueError("steps must change height by at most 1")
     return heights[0], heights[-1]
-
-
-def _join(first, second) -> tuple[int, int] | tuple[()] | None:
-    """The summary of two checked pieces, first then second, as one piece:
-    None when either failed its check or a step of more than 1 leads
-    across."""
-    if first is None or second is None:
-        return None
-    if not first or not second:  # no height on one side
-        return first or second
-    return (first[0], second[1]) if -1 <= second[0] - first[1] <= 1 else None
-
-
-def _joined(first, second) -> bool:
-    """Whether two checked pieces, first then second, make a path: they
-    join, into a piece with a height that starts and ends at 0."""
-    joint = _join(first, second)
-    return bool(joint) and joint[0] == 0 == joint[1]
-
-
-def _encode(heights, start: int, as_json: bool) -> str:
-    """The text of heights f_start, f_start+1, ...: numbers joined by "," or
-    " ".  A piece that starts after f_0 opens with the separator, so that
-    pieces concatenate."""
-    sep = "," if as_json else " "
-    text = sep.join(map(str, heights))
-    return sep + text if text and start > 0 else text
-
-
-def stream_pieces(n: int, as_json: bool):
-    """The rules above for the stream, as dellac.stream_pieces gives them.
-    A prefix piece starts with f_0 = 0, which the walk does not yield."""
-    length = layers(n)[0]  # of every path the walk yields
-    head, foot = (f'{{"n":{length},"heights":[', "]}\n") if as_json else ("", "\n")
-
-    def prefix_piece(prefix):
-        heights = (0,) + prefix
-        return _piece(heights), head + _encode(heights, 0, as_json)
-
-    def first(run, level):
-        return _piece(run), _encode(run, level + 1, as_json)
-
-    def rest(run, level):
-        return _piece(run), _encode(run, level + 2, as_json) + foot
-
-    return prefix_piece, first, rest, _join, _joined, True
 
 
 # the state is only the height, so six shared steps cost 267 runs at any
@@ -212,28 +163,32 @@ def fermionic_exponent(heights: tuple[int, ...]) -> int:
     return sum((k - heights[k]) * (1 - heights[k] + heights[k + 1]) for k in range(1, n))
 
 
-def h_poly_fermionic(n: int) -> IntPoly:
-    """h_n(q) as the sum over paths of q^exponent times two q-binomial
-    products (lower index neighbors the heights on either side).
+def fermionic_sequence(n_max: int) -> Iterator[IntPoly]:
+    """Yield h_n(q) for n = 0..n_max from one sweep: the sum over paths of
+    q^exponent times two q-binomial products (lower index neighbors the
+    heights on either side).
 
     The summand of index k couples (f_{k-1}, f_k, f_{k+1}), so the sum is a
-    sweep of the iter_motzkin layers over the height pair (f_{k-1}, f_k):
-    the edge to f_{k+1} multiplies by
+    sweep of the iter_motzkin layers for n_max steps over the height pair
+    (f_{k-1}, f_k): the edge to f_{k+1} multiplies by
     [1+f_{k-1} choose f_k]_q [1+f_{k+1} choose f_k]_q, formed once per
     height triple, and shifts by (k - f_k)(1 - f_k + f_{k+1}).  Index 0
-    carries no factor.
+    carries no factor.  No weight depends on the length, and the heights
+    open to n_max steps include those of every shorter path, so level n's
+    pairs that end at height 0 hold h_n(q), and level 0 holds h_0 = 1.
+    The arguments are checked here, before the first item is asked for.
     """
     from .exactalg import ONE, ZERO, q_binomial
 
-    if n < 1:
-        raise ValueError("n must be positive")
-    limits.check_cap("motzkin", n)
-    depth, _, step = layers(n)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    limits.check_cap("motzkin", n_max)
+    depth, _, step = layers(n_max)
 
     def choices(k: int, pair: tuple[int, int]):
         return ((f, (pair[1], f)) for f, _ in step(k, pair[1]))
 
-    @cache  # for this call: each height triple recurs on many edges
+    @cache  # for this sweep: each height triple recurs on many edges
     def factor(before: int, h: int, after: int) -> IntPoly:
         return q_binomial(1 + before, h) * q_binomial(1 + after, h)
 
@@ -248,7 +203,16 @@ def h_poly_fermionic(n: int) -> IntPoly:
             )
         return (total * factor(before, h, after)).shift(expo)
 
-    return sum(layered_sweep(depth, (0, 0), choices, extend, ONE).values(), ZERO)
+    levels = layered_levels(depth, (0, 0), choices, extend, ONE)
+    return (sum((total for (_, h), total in states.items() if h == 0), ZERO) for states in levels)
+
+
+def h_poly_fermionic(n: int) -> IntPoly:
+    """h_n(q), the last term of fermionic_sequence(n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    *_, last = fermionic_sequence(n)
+    return last
 
 
 def h_poly_laurent(n: int) -> IntPoly:

@@ -8,12 +8,17 @@ escaper json.dumps itself calls.
 
 The report lives apart from the checks in verify.py: a command run without
 a bytecode cache compiles each module it imports, and the largest compile
-sets the command's peak memory.
+sets the command's peak memory.  The verify command's handler, which runs
+the checks and writes their report, lives here too, so that cli.py need
+not compile it for the other commands.
 """
 
 from __future__ import annotations
 
+import time
 from typing import NamedTuple
+
+from .errors import complain
 
 try:  # the string escaper json.dumps calls, without loading json
     from _json import encode_basestring_ascii as _json_string
@@ -68,3 +73,16 @@ class CheckReport(NamedTuple):
         ]
         lines.append(f"{len(self.checks)} checks, {self.failures} failure(s), seed={self.seed}")
         return "\n".join(lines)
+
+
+def cmd_verify(args) -> int:
+    from .verify import crosscheck
+
+    started = time.monotonic()
+    report = crosscheck(args.n_max, seed=args.seed)
+    if args.json:
+        print(report.json_text())
+    else:
+        print(report.table())
+        complain(f"elapsed: {time.monotonic() - started:.2f}s")
+    return 1 if report.failures else 0

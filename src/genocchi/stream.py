@@ -2,17 +2,24 @@
 
 The walk comes in the blocks walk.layered_blocks shares at the model's own
 SHARED_LEVELS, each state's tails grouped by their first level.  The
-model's stream_pieces check and encode each prefix once, each head (a
+model's stream rules check and encode each prefix once, each head (a
 tail's first level) once per state and each shared list of rests once per
 next state; a head's summary is joined to each distinct summary of its
 rests once per state, and a tail's text is the pair of its head's and its
 rest's texts.  How many of a state's tails join a prefix is decided once
 per pair of prefix summary and state, by one run of the join rule per
 distinct tail summary of the state; each prefix's lines are written with
-one write as soon as the walk hands the prefix over.  Only the enumerate
-command loads this module.
+one write as soon as the walk hands the prefix over.
+
+Each model's stream rules (how two checked pieces join, when they make a
+whole object, and how a piece is written) live in its own module beside
+this one, stream_dellac.py, stream_admissible.py or stream_motzkin.py, so
+that a stream compiles only its own model's rules.  A piece's check is the
+model's own rule, _piece, which its constructor runs over the whole
+object.  Only the enumerate command loads these modules.
 """
 
+from importlib import import_module
 from itertools import islice, repeat
 
 from .walk import layered_blocks
@@ -21,10 +28,12 @@ from .walk import layered_blocks
 def write_lines(write, model, n: int, as_json: bool, stop: int) -> tuple[int, bool]:
     """Write through write the lines of the first stop objects of the walk
     of model (dellac, admissible or motzkin) for n, each closed by the
-    model's line end.
+    model's line end, by the rules of its module stream_<model>.py.
     Returns how many lines went out, and whether the stream stopped at an
     object that fails its checks: the walk's object after those lines."""
-    prefix_piece, first, rest, join, joined, prefix_first = model.stream_pieces(n, as_json)
+    name = model.__name__.rpartition(".")[2]  # dellac, admissible or motzkin
+    rules = import_module(f".stream_{name}", __package__)
+    prefix_piece, first, rest, join, joined, prefix_first = rules.stream_pieces(n, as_json)
     # per next state: its rests' distinct summaries and texts, checked and encoded once
     rests_of: dict = {}
     # per state: its tails' distinct summaries, and the texts of their heads and rests

@@ -5,10 +5,12 @@ the generating-function identities as one table of rows (name, range,
 detail on a pass, generator of problems); one loop turns each row into a
 pass/fail/skipped line.  Failures are reported, never raised; the CLI turns
 a nonzero failure count into a nonzero exit status.  The report and its
-renderings live in report.py.
+renderings live in report.py, and the lanes and draws of the seeded random
+trials in lanes.py.
 
-Each piece of route work runs once per call: one fermionic sweep per n
-(tilde_h's, which hq-three-way reverses back to h_n(q)), one expansion
+Each piece of route work runs once per call: one fermionic sweep to n_max
+(motzkin.fermionic_sequence, read at every level for h_n(q), which the
+series and Han-Zeng checks read reversed), one expansion
 per named fraction at CONTRACTION_ORDER, which the series, q = 1 and
 contraction checks all read, one Seidel sweep each for the shared h, for
 viennot-doubling's medians and for divisibility, and the closure of each
@@ -20,22 +22,23 @@ Each identity compares two code paths that share no route-specific code
 and the J-branch of contfrac.coefficients, IntPoly arithmetic,
 exactalg.q_binomial under the fermionic sweep, exactalg.over_factors
 under the f1/f2 and Laurent weights and the Han-Zeng steps,
-walk.layered_walk under the three walks, walk.layered_sweep under the
-Dellac, fermionic, closed-subset, Dumont and triangle-pair sweeps, and
+walk.layered_walk under the three walks, walk.layered_levels (whose last
+level is walk.layered_sweep) under the Dellac, fermionic, closed-subset,
+Dumont and triangle-pair sweeps, and
 GammaGraph.heads under the closed-subset sweep and the closure check of
 walked sequences are shared substrate):
   series-f1/f2      J-fraction Motzkin walk / S-fraction Dyck walk in the
-                    path sweep vs tilde_h's fermionic pair-state sweep
+                    path sweep vs the fermionic pair-state sweep, reversed
   contraction-*     Dyck walk of an S-fraction vs Motzkin walk of its
                     contraction (S-fractions never expand via contract_S_to_J);
                     the random instances expand together, one int lane each
   q1-hn-series      Motzkin walk of f1 at q=1 vs Dyck walk of the integer hn
   viennot-doubling  Dyck walk vs the Seidel triangle
   hanzeng-reversal  the Han-Zeng recurrence at the q-integers, in running
-                    sums with two exactness checks, vs tilde_h's fermionic
-                    pair-state sweep
+                    sums with two exactness checks, vs the fermionic
+                    pair-state sweep, reversed
   hq-three-way      Dellac used-row transfer sweep (h_poly_dellac) vs fermionic
-                    pair-state sweep (tilde_h's, reversed back) vs f1's
+                    pair-state sweep (one sweep, read at each n) vs f1's
                     path sweep at 1/q, each step's weight times q^(n-1)
   counts-agree      the Dellac, admissible and Motzkin walks, the closed-subset
                     transfer sweep and the integer-weight sweep vs Seidel,
@@ -50,10 +53,7 @@ walked sequences are shared substrate):
 
 from __future__ import annotations
 
-import random
 from functools import cache, partial
-from itertools import islice, repeat
-from operator import add, mul
 from typing import Iterable, Iterator
 
 from . import limits
@@ -75,14 +75,15 @@ from .dellac import SHARED_LEVELS as DELLAC_SHARED, layers as dellac_layers
 from .errors import ResourceLimitError
 from .exactalg import poly_reverse
 from .hanzeng import hanzeng_sequence
+from .lanes import Lanes, lane, random_draws
 from .limits import CROSSCHECK_MAX_N
 from .motzkin import (
     MotzkinPath,
+    fermionic_sequence,
     h_motzkin_rational,
     h_poly_laurent,
     integer_weight_system,
     iter_motzkin,
-    tilde_h,
     weighted_path_sum,
 )
 from .oracles import DUMONT_MAX_N, TRIANGLE_MAX_N, count_dumont, count_triangle_pairs
@@ -98,41 +99,6 @@ RANDOM_INSTANCES = 100
 DIVISIBILITY_MAX_N = 12
 # through this n counts-agree also validates every walked object
 OBJECTS_MAX_N = 5
-
-
-class _Lanes(tuple):
-    """Ints side by side, one lane per random trial, added and multiplied
-    lane by lane; a plain int factor is the same value in every lane, and
-    the lanes are false only when all are 0.  That is all contfrac.path_sums
-    asks of a coefficient, so one expansion serves every trial."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Lanes(map(add, self, other))
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return _Lanes([a * other for a in self])
-        return _Lanes(map(mul, self, other))
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return any(self)
-
-
-def _lane(values: list, trial: int) -> list[int]:
-    """One trial's coefficients from a list of lanes and plain ints."""
-    return [v[trial] if type(v) is _Lanes else v for v in values]
-
-
-def _draws(seed: int, size: int) -> list[int]:
-    """The first size values randint(1, 5) gives from random.Random(seed),
-    drawn as it draws them, with no Python frame per value: 3 random bits,
-    drawn again while they read 5 or more."""
-    bits = map(random.Random(seed).getrandbits, repeat(3))
-    return [r + 1 for r in islice(filter((5).__gt__, bits), size)]
 
 
 def _disagreements(ns: Iterable[int], lhs, rhs, label: str = "") -> Iterator[str]:
@@ -162,9 +128,13 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
     def h(n: int) -> int:
         return h_terms()[n]
 
-    tilde = cache(lambda n: tilde_h(n))
-    # h_n(q) from tilde_h's fermionic sweep, reversed back: one sweep per n
-    fermionic = cache(lambda n: poly_reverse(tilde(n), n * (n - 1) // 2))
+    # h_n(q) for n = 0..n_max from one fermionic sweep, and each reversed
+    hq_terms = cache(lambda: tuple(fermionic_sequence(n_max)))
+
+    def fermionic(n: int):
+        return hq_terms()[n]
+
+    tilde = cache(lambda n: poly_reverse(fermionic(n), n * (n - 1) // 2))
     # one expansion per fraction, read by every check that compares with it
     f1 = cache(lambda: expand(fraction_f1(), CONTRACTION_ORDER))
     f2 = cache(lambda: expand(fraction_f2(), CONTRACTION_ORDER))
@@ -266,17 +236,17 @@ def crosscheck(n_max: int, seed: int = 0) -> CheckReport:
         # each trial's numerators, drawn trial after trial, then expanded
         # together: one lane per trial
         width = 2 * CONTRACTION_ORDER + 2
-        draws = _draws(seed, RANDOM_INSTANCES * width)
-        cs = [_Lanes(draws[k::width]) for k in range(width)]
+        draws = random_draws(seed, RANDOM_INSTANCES * width)
+        cs = [Lanes(draws[k::width]) for k in range(width)]
         spec = SFraction(c=lambda k: cs[k - 1] if k <= len(cs) else 0)
         reference, pairwise, affine = (
             coefficients(s, CONTRACTION_ORDER) for s in (spec, contract_S_to_J(spec), contract_S_to_J_affine(spec))
         )
         for trial in range(RANDOM_INSTANCES):
-            expected = _lane(reference, trial)
-            if _lane(pairwise, trial) != expected:
+            expected = lane(reference, trial)
+            if lane(pairwise, trial) != expected:
                 yield f"pairwise contraction fails on trial {trial}"
-            if _lane(affine, trial) != expected:
+            if lane(affine, trial) != expected:
                 yield f"affine contraction fails on trial {trial}"
 
     try:

@@ -1,6 +1,7 @@
 """The walk under the Dellac, admissible and Motzkin enumerators, and the
 sweep that sums it for the q-polynomials, the closed-subset count, the
-Dumont count, the triangle census and the Motzkin enumerate total: one
+Dumont count, the triangle census and the Motzkin enumerate total, a level
+at a time (layered_levels) or to its last level (layered_sweep): one
 choice per level, from a small state (a mask, a pool, heights, coverage).
 The walk comes flat (layered_walk) or in the blocks it shares
 (layered_blocks), where each state's completions of the last `shared`
@@ -82,21 +83,25 @@ def layered_walk(
                 yield start + rest
 
 
-def layered_sweep(
+def layered_levels(
     depth: int,
     root: Hashable,
     choices: Callable[..., Iterable],
     extend: Callable[..., Any],
     unit: Any = 1,
-) -> dict:
-    """Fold the walk of layered_walk level by level into {state: total}.
+) -> Iterator[dict]:
+    """Fold the walk of layered_walk level by level, yielding {state: total}
+    after each level from 0 (the root alone) to depth.
 
     The root carries unit; extend(level, state, item, total) carries the
     total of a state along one edge, and totals that reach the same state
     add.  With extend returning total unchanged, the totals count the runs
-    of layered_walk that end in each state, without visiting one.
+    of layered_walk that end in each state, without visiting one.  Level k
+    is the sweep of the first k levels, so one sweep reads a total at every
+    level.
     """
     states = {root: unit}
+    yield states
     for level in range(depth):
         reached: dict = {}
         for state, total in states.items():
@@ -104,4 +109,17 @@ def layered_sweep(
                 term = extend(level, state, item, total)
                 reached[nxt] = reached[nxt] + term if nxt in reached else term
         states = reached
+        yield states
+
+
+def layered_sweep(
+    depth: int,
+    root: Hashable,
+    choices: Callable[..., Iterable],
+    extend: Callable[..., Any],
+    unit: Any = 1,
+) -> dict:
+    """The last level of layered_levels: {state: total} after depth levels."""
+    for states in layered_levels(depth, root, choices, extend, unit):
+        pass
     return states

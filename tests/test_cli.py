@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from genocchi import (
     admissible,
     cli,
-    contfrac,
     dellac,
     hanzeng,
     iter_admissible,
@@ -23,17 +22,15 @@ from genocchi import (
     iter_motzkin,
     motzkin,
     seidel,
+    specfile,
+    stream_admissible,
+    stream_dellac,
+    stream_motzkin,
 )
 from genocchi.admissible import AdmissibleSequence
-from genocchi.cli import (
-    COMMANDS,
-    SEQ_MAX_COUNT,
-    SERIES_MAX_ORDER,
-    _decimals,
-    _fast_parse,
-    build_parser,
-    run,
-)
+from genocchi.cli import COMMANDS, _fast_parse, run
+from genocchi.cli_print import SEQ_MAX_COUNT, SERIES_MAX_ORDER, _decimals
+from genocchi.cli_usage import build_parser
 from genocchi.dellac import DellacConfig
 from genocchi.errors import InternalInconsistencyError
 from genocchi.motzkin import MotzkinPath
@@ -364,14 +361,14 @@ def test_a_spec_path_that_is_not_a_regular_file_exits_2(tmp_path, capsys):
 def test_a_spec_file_past_its_byte_bound_exits_3(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     text = json.dumps({"preset": "hn"})
-    spec.write_text(text.ljust(contfrac.SPEC_MAX_BYTES), encoding="utf-8")
+    spec.write_text(text.ljust(specfile.SPEC_MAX_BYTES), encoding="utf-8")
     assert run(["series", "custom", "--order", "4", "--spec", str(spec)]) == 0
     assert lines_of(capsys) == ["1 1 2 7 38"]
-    spec.write_text(text.ljust(contfrac.SPEC_MAX_BYTES + 1), encoding="utf-8")
+    spec.write_text(text.ljust(specfile.SPEC_MAX_BYTES + 1), encoding="utf-8")
     assert run(["series", "custom", "--order", "4", "--spec", str(spec)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {spec}: spec files are capped at {contfrac.SPEC_MAX_BYTES} bytes\n"
+    assert captured.err == f"error: {spec}: spec files are capped at {specfile.SPEC_MAX_BYTES} bytes\n"
 
 
 def test_a_spec_literal_past_the_int_digit_limit_exits_3(tmp_path, capsys):
@@ -401,6 +398,8 @@ def test_spec_file_content_errors_name_the_file(tmp_path, capsys):
         '{"kind":': "Expecting value: line 1 column 9 (char 8)",
         '{"kind": "S", "c": [1.5]}': "spec field 'c' must be a list of integers",
         '{"preset": "f3"}': "unknown preset 'f3'",
+        # json.loads alone would keep the last "c", and the command print 1 2 4 8
+        '{"kind":"S","c":[1],"c":[2]}': "spec key 'c' appears more than once",
     }
     spec = tmp_path / "spec.json"
     for text, message in cases.items():
@@ -542,6 +541,12 @@ INVALID_WALKS = {
     "motzkin-across": (11, rewired(motzkin, 4, (0, 0), (0, 2)), "steps must change height by at most 1", 30),
 }
 MODULES = {"dellac": dellac, "admissible": admissible, "motzkin": motzkin}
+# each model's stream rules, by the model module's name
+RULES = {
+    dellac.__name__: stream_dellac,
+    admissible.__name__: stream_admissible,
+    motzkin.__name__: stream_motzkin,
+}
 
 
 @pytest.mark.parametrize(
@@ -584,7 +589,7 @@ def fault_side(module, n):
     fails the stream's checks: "prefix", "tail" when its head or its rest
     fails or the two do not join, or "across" when the prefix and the tail
     pass and only their join fails."""
-    prefix_piece, first, rest, join, joined, _ = module.stream_pieces(n, True)
+    prefix_piece, first, rest, join, joined, _ = RULES[module.__name__].stream_pieces(n, True)
     for prefix, _, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
         for head, _, rests in tails:
             for run in rests:
@@ -644,7 +649,7 @@ def test_the_split_case_fails_only_across_the_first_column_and_the_rest(monkeypa
     assert str(raised.value) == message
     lead = dellac._piece(n, head, len(prefix) + 1)  # the first column passes alone
     after = dellac._piece(n, rest, len(prefix) + 2)  # and so does the rest
-    assert dellac._join(lead, after) is None
+    assert stream_dellac._join(lead, after) is None
 
 
 @lru_cache(maxsize=None)
@@ -743,7 +748,8 @@ def test_stream_joins_once_per_distinct_tail_summary_of_each_prefix_summary_and_
     # tail's, so the join rule runs once per distinct tail summary of the
     # state, for each distinct pair of prefix summary and state
     module = MODULES[model]
-    prefix_piece, first, rest, join, _, _ = module.stream_pieces(n, True)
+    rules = RULES[module.__name__]
+    prefix_piece, first, rest, join, _, _ = rules.stream_pieces(n, True)
     kinds, tails_of, pairs = {}, {}, set()
     for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
         level = len(prefix)
@@ -752,8 +758,8 @@ def test_stream_joins_once_per_distinct_tail_summary_of_each_prefix_summary_and_
         tails_of[state] = sum(len(rests) for _, _, rests in tails)
         pairs.add((prefix_piece(prefix)[0], state))
     calls = []
-    joined = module._joined
-    monkeypatch.setattr(module, "_joined", lambda *args: calls.append(args) or joined(*args))
+    joined = rules._joined
+    monkeypatch.setattr(rules, "_joined", lambda *args: calls.append(args) or joined(*args))
     objects = len(output_lines(["enumerate", model, "--n", str(n), "--json"])) - 1
     assert len(calls) == sum(len(kinds[state]) for _, state in pairs)
     assert len(calls) < sum(tails_of[state] for _, state in pairs) < objects  # once per tail
@@ -774,24 +780,26 @@ def walk_pieces(model, n):
 
 def full_piece(model, n, prefix, tail, as_json):
     """A tail's summary and the line it makes with prefix, by the model's
-    rule over the flat tail: its _piece and _encode over the whole run, which
+    rule over the flat tail: its _piece and its stream encoding over the whole run, which
     a split tail must agree with.  Raises where that rule does."""
     level = len(prefix)
     if model == "dellac":
         head, foot = (f'{{"n":{n},"columns":[', "]}\n") if as_json else ("", "\n\n")
         summary = dellac._piece(n, tail, level + 1)
-        return summary, head + dellac._encode(prefix, 1, as_json) + dellac._encode(tail, level + 1, as_json) + foot
+        encode = stream_dellac._encode
+        return summary, head + encode(prefix, 1, as_json) + encode(tail, level + 1, as_json) + foot
     if model == "admissible":
         head, foot = (f'{{"n":{n},"sets":[', "]}\n") if as_json else ("", "\n")
         lower, upper = tail[::-1], prefix[::-1]
         summary = admissible._piece(n, lower, 1)
-        texts = [admissible._subset_text(mask, as_json) for mask in lower]
-        body = admissible._encode(texts, 1, as_json) if lower or as_json else "()"
-        upper_texts = [admissible._subset_text(mask, as_json) for mask in upper]
-        return summary, head + body + admissible._encode(upper_texts, n - level, as_json) + foot
+        texts = [stream_admissible._subset_text(mask, as_json) for mask in lower]
+        body = stream_admissible._encode(texts, 1, as_json) if lower or as_json else "()"
+        upper_texts = [stream_admissible._subset_text(mask, as_json) for mask in upper]
+        return summary, head + body + stream_admissible._encode(upper_texts, n - level, as_json) + foot
     head, foot = (f'{{"n":{level + len(tail)},"heights":[', "]}\n") if as_json else ("", "\n")
     summary = motzkin._piece(tail)
-    return summary, head + motzkin._encode((0,) + prefix, 0, as_json) + motzkin._encode(tail, level + 1, as_json) + foot
+    encode = stream_motzkin._encode
+    return summary, head + encode((0,) + prefix, 0, as_json) + encode(tail, level + 1, as_json) + foot
 
 
 def mutated(model, run, data):
@@ -832,7 +840,7 @@ def test_a_split_tail_piece_is_the_full_rule_over_the_flat_tail(model, data):
     n = data.draw(SPLIT_SIZES[model])
     as_json = data.draw(st.booleans())
     module = MODULES[model]
-    prefix_piece, first, rest, join, _, prefix_first = module.stream_pieces(n, as_json)
+    prefix_piece, first, rest, join, _, prefix_first = RULES[module.__name__].stream_pieces(n, as_json)
     pieces = walk_pieces(model, n)
     for index in data.draw(st.lists(st.integers(0, len(pieces) - 1), min_size=1, max_size=12)):
         prefix, head, after = pieces[index]
@@ -1168,7 +1176,7 @@ def test_usage_error_lines_are_unchanged(capsys, argv, status, err):
 
 @lru_cache(maxsize=None)
 def full_parser():
-    return build_parser()
+    return build_parser(COMMANDS)
 
 
 # every word of the grammar, and what only the full parser reads or refuses:

@@ -16,11 +16,11 @@ from genocchi.contfrac import (
     fraction_hn,
     fraction_viennot,
     path_sums,
-    spec_from_dict,
 )
 from genocchi.exactalg import IntPoly, ONE, q_binomial
 from genocchi.motzkin import MotzkinPath, iter_motzkin, tilde_h
 from genocchi.seidel import h_sequence, median_sequence
+from genocchi.specfile import read_spec, spec_from_dict
 from reference import path_weight
 
 
@@ -333,6 +333,34 @@ def test_spec_from_dict_is_strict():
     ):
         with pytest.raises(ValueError):
             spec_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"kind": "S", "c": [1], "c": [2]}', "c"),
+        ('{"kind": "J", "kind": "J", "gamma": [1]}', "kind"),
+        ('{"preset": "hn", "preset": "f1"}', "preset"),
+        ('{"kind": "S", "c": [1], "x": {"a": 1, "a": 2}}', "a"),
+        ('[{"b": 0, "b": 0}]', "b"),
+    ],
+)
+def test_read_spec_refuses_a_repeated_key_at_any_depth(tmp_path, text, key):
+    # json.loads alone keeps the last value of a repeated key
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        read_spec(str(path), 0)
+    assert str(raised.value) == f"{path}: spec key {key!r} appears more than once"
+
+
+def test_spec_from_dict_is_still_found_in_contfrac():
+    # the spec reader lives in specfile.py; contfrac finds it on first use
+    from genocchi import contfrac
+
+    assert contfrac.spec_from_dict is spec_from_dict
+    with pytest.raises(AttributeError, match="read_spec"):
+        contfrac.read_spec
 
 
 def test_affine_spec_direct_construction():

@@ -1,8 +1,10 @@
-"""What a command loads: each subcommand imports only its own route, no
-command imports dataclasses or fractions, a well-formed command line is
-read without argparse and written without json (save the spec files of
-series custom), and the package namespace loads a name's home module
-on first use.  The import sets are read in a fresh
+"""What a command loads: each subcommand imports only its own handler
+module and its own route, every module verify compiles stays at or under
+the token line past which compiling it takes a larger peak, no command
+imports dataclasses or fractions, a well-formed command line is read
+without argparse and written without json (save the spec files of series
+custom), and the package namespace loads a name's home module on first
+use.  The import sets are read in a fresh
 interpreter, since this process has loaded everything.
 What the commands reach: every function the package defines runs in some
 command, save a few listed with their reasons.  What each module imports,
@@ -18,6 +20,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -75,7 +78,8 @@ def test_importing_the_cli_loads_no_route():
 
 
 def test_seq_loads_only_seidel():
-    assert loaded("seq", "H", "--count", "5") == FRONT | {"seidel"}
+    # and the printing commands' handlers
+    assert loaded("seq", "H", "--count", "5") == FRONT | {"cli_print", "seidel"}
 
 
 def test_poly_barc_loads_only_han_zeng():
@@ -89,9 +93,11 @@ def test_series_loads_no_enumeration_or_matrix():
 
 
 def test_enumerate_loads_only_its_model():
-    # and the walk and the stream: no path sweep and no polynomial code
+    # and its handler, the walk, the stream and the model's own stream rules:
+    # no path sweep and no polynomial code
     for model in ("dellac", "admissible", "motzkin"):
-        assert loaded("enumerate", model, "--n", "4") == FRONT | {model, "walk", "stream"}
+        own = {"cli_enumerate", model, "walk", "stream", f"stream_{model}"}
+        assert loaded("enumerate", model, "--n", "4") == FRONT | own
 
 
 def test_a_public_name_loads_its_home_module_on_first_use():
@@ -164,8 +170,9 @@ def test_an_unknown_name_is_an_attribute_error():
 # These are the exceptions, each with its reason.
 UNREACHED = {
     "cli.main": "the console-script entry point; the runs below call cli.run",
-    "cli._internal_error": "exit 4: reached only when the program itself is at fault",
-    "cli._walk_fault": "exit 4 for a walked object its model's rules reject",
+    "cli._handler": "builds COMMANDS while cli.py is imported, before any run below",
+    "errors.internal_error": "exit 4: reached only when the program itself is at fault",
+    "cli_enumerate._walk_fault": "exit 4 for a walked object its model's rules reject",
     "dellac.dellac_length": "the acceptance criteria's per-configuration statistic",
     "motzkin.fermionic_exponent": "the acceptance criteria's per-path exponent",
     "exactalg.PowerSeries.inverse": "the perfbench tracer reads and patches it by name",
@@ -296,8 +303,61 @@ def test_a_well_formed_command_line_skips_argparse_and_json(argv, command_module
 
 @pytest.mark.parametrize("argv", [argv for _, argv in REACH_RUNS if argv[0] == "series"], ids=" ".join)
 def test_a_series_command_loads_only_the_path_sweep(argv, command_modules):
-    # contfrac expands by its own path_sums; neither motzkin.py nor the walk is compiled
-    assert package_modules(command_modules(argv)) == FRONT | {"contfrac", "exactalg"}
+    # contfrac expands by its own path_sums; neither motzkin.py nor the walk is
+    # compiled, and only series custom loads the spec file reader
+    spec = {"specfile"} if "custom" in argv else set()
+    assert package_modules(command_modules(argv)) == FRONT | {"cli_print", "contfrac", "exactalg"} | spec
+
+
+# what each command form loads besides FRONT: its handler module and its route
+ROUTES = {
+    "seq": {"cli_print", "seidel"},
+    "poly hq": {"cli_print", "motzkin", "walk", "exactalg"},
+    "poly tildehq": {"cli_print", "motzkin", "walk", "exactalg"},
+    "poly barc": {"cli_print", "hanzeng", "exactalg"},
+    "count": {"cli_print", "oracles", "walk"},
+    "series": {"cli_print", "contfrac", "exactalg"},
+    "enumerate": {"cli_enumerate", "walk", "stream"},  # its model and its rules, and seidel under --limit
+}
+HANDLERS = {"cli_print", "cli_enumerate", "cli_usage"}
+
+
+@pytest.mark.parametrize("argv", [argv for status, argv in REACH_RUNS if status == 0], ids=" ".join)
+def test_each_command_loads_only_its_handler_and_its_route(argv, command_modules):
+    modules = package_modules(command_modules(argv)) - FRONT
+    if argv[0] == "verify":
+        # no cli_* handler module, no stream and no spec file reader
+        assert not {m for m in modules if m in HANDLERS | {"specfile"} or m.startswith("stream")}
+        assert "verify" in modules
+        return
+    route = ROUTES.get(" ".join(argv[:2])) or ROUTES[argv[0]]
+    if argv[0] == "enumerate":
+        route = route | {argv[1], f"stream_{argv[1]}"}
+        if "--limit" in argv and argv[1] != "motzkin":
+            route = route | {"seidel"}
+    if "custom" in argv:
+        route = route | {"specfile"}
+    assert modules == route
+
+
+# a module's compile() peak jumps by about 120 KB once it passes this many
+# tokens (tokenize's, without the encoding, comments and the NL tokens of
+# blank lines and of lines inside brackets), and without a bytecode cache a
+# fresh command compiles every module it loads
+COMPILE_TOKEN_LINE = 2048
+
+
+def parser_tokens(module: str) -> int:
+    with open(PACKAGE / f"{module}.py", "rb") as fh:
+        tokens = tokenize.tokenize(fh.readline)
+        return sum(1 for t in tokens if t.type not in (tokenize.ENCODING, tokenize.COMMENT, tokenize.NL))
+
+
+def test_every_module_verify_compiles_is_under_the_token_line(command_modules):
+    modules = package_modules(command_modules(["verify", "--n-max", "5", "--json"]))
+    sizes = {module: parser_tokens(module) for module in modules}
+    assert {m: size for m, size in sizes.items() if size > COMPILE_TOKEN_LINE} == {}
+    assert len(modules) > len(FRONT)
 
 
 def test_the_commands_reach_every_member_the_package_defines(spec_dir):

@@ -17,6 +17,7 @@ from genocchi.dellac import h_poly_dellac
 from genocchi.motzkin import (
     MotzkinPath,
     fermionic_exponent,
+    fermionic_sequence,
     h_motzkin_rational,
     h_poly_fermionic,
     h_poly_laurent,
@@ -419,6 +420,17 @@ def test_a_flat_weight_one_power_short_is_caught(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def test_one_sweep_reads_h_n_at_every_level(monkeypatch):
+    # verify reads h_1(q)..h_{n_max}(q) from one sweep to n_max: the longer
+    # sweep's extra heights must leave each shorter length's readout alone
+    monkeypatch.setenv("GENOCCHI_MAX_N", "12")
+    terms = list(fermionic_sequence(12))
+    assert terms[0] == ONE and len(terms) == 13
+    assert terms[1:] == [h_poly_fermionic(n) for n in range(1, 13)]
+    assert terms[1:7] == [fermionic_by_paths(n) for n in range(1, 7)]
+    assert list(fermionic_sequence(0)) == [ONE]
+
+
 def test_tilde_golden_values():
     assert tilde_h(0) == ONE
     assert tilde_h(2) == IntPoly((1, 1))
@@ -438,5 +450,9 @@ def test_resource_limits():
         h_poly_fermionic(0)
     with pytest.raises(ResourceLimitError):
         h_poly_fermionic(15)
+    with pytest.raises(ResourceLimitError):
+        fermionic_sequence(15)
+    with pytest.raises(ValueError):
+        fermionic_sequence(-1)
     with pytest.raises(ValueError):
         h_motzkin_rational(0)

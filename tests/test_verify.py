@@ -10,6 +10,7 @@ from genocchi.contfrac import SFraction, contract_S_to_J, expand
 from genocchi.errors import InternalInconsistencyError, ResourceLimitError
 from genocchi.exactalg import IntPoly
 from genocchi.hanzeng import _over_q_power
+from genocchi.lanes import random_draws
 from genocchi.verify import CROSSCHECK_MAX_N, CheckReport, CheckResult, crosscheck
 
 EXPECTED_CHECKS = {
@@ -142,7 +143,7 @@ def test_a_failing_report_writes_what_json_dumps_writes(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 7, -3, 140892, 596854, 2**70])
 def test_the_trials_draw_what_randint_draws(seed):
     rng = random.Random(seed)
-    assert verify._draws(seed, 2_000) == [rng.randint(1, 5) for _ in range(2_000)]
+    assert random_draws(seed, 2_000) == [rng.randint(1, 5) for _ in range(2_000)]
 
 
 def test_corrupted_window_is_detected(monkeypatch):
@@ -207,6 +208,17 @@ def test_hanzeng_reversal_builds_one_table(monkeypatch):
     assert len(steps) == 8 * 7 // 2
 
 
+def test_the_fermionic_route_is_swept_once(monkeypatch):
+    # crosscheck(7) reads h_n(q), and tilde_h(n) reversed from it, for every
+    # n <= 7 from one sweep to 7, not one sweep per n
+    calls = []
+    sequence = verify.fermionic_sequence
+    monkeypatch.setattr(verify, "fermionic_sequence", lambda n_max: calls.append(n_max) or sequence(n_max))
+    report = crosscheck(7)
+    assert report.failures == 0
+    assert calls == [7]
+
+
 def shift_elements(walk):
     return (tuple(m << 1 for m in masks) for masks in walk)
 
@@ -257,6 +269,10 @@ def test_skipped_status_when_a_model_is_capped(monkeypatch):
     assert by_name["counts-agree"].status == "skipped"
     # checks that stay under the cap still run
     assert by_name["divisibility"].status == "pass"
+    # the one fermionic sweep checks the cap at n_max, before any row reads it
+    for name in ("hq-three-way", "series-f1", "series-f2", "hanzeng-reversal"):
+        assert by_name[name].status == "skipped"
+        assert by_name[name].detail == "motzkin enumeration capped at n=2, got n=3"
 
 
 def test_failures_property_counts_only_failures():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genocchi import admissible, dellac, iter_admissible, iter_dellac, iter_motzkin, motzkin
-from genocchi.walk import layered_blocks, layered_sweep, layered_walk
+from genocchi.walk import layered_blocks, layered_levels, layered_sweep, layered_walk
 
 STATES = range(3)
 MAX_DEPTH = 7
@@ -80,6 +80,20 @@ def test_sweep_sums_the_walk(table, root, salt):
             term *= weight(level, s, item)
         expected += term
     assert sum(weighted.values()) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables, root=st.sampled_from(STATES))
+def test_each_level_is_the_sweep_of_the_levels_before_it(table, root):
+    def choices(level, state):
+        return ((item, nxt) for s, item, nxt in table[level] if s == state)
+
+    def extend(level, state, item, total):
+        return total * (item + 1) + level
+
+    levels = list(layered_levels(len(table), root, choices, extend, 1))
+    assert len(levels) == len(table) + 1
+    assert levels == [layered_sweep(depth, root, choices, extend, 1) for depth in range(len(table) + 1)]
 
 
 @pytest.mark.parametrize(
