@@ -23,7 +23,7 @@ lists its rests, one run of three columns per way to finish it.  At the
 cap n = 8 that is 490 heads over 70 masks and 762 rests over 56 next
 masks, 6,880 tails in all: the walk's tracemalloc peak is about 0.2 MB,
 and the stream's, which keeps each head's and rest's summary and text and
-two references per tail, about 0.52 MB.
+one group per head, about 0.42 MB.
 """
 
 from __future__ import annotations
@@ -73,6 +73,12 @@ def _piece(n: int, columns, start: int, whole: bool = False) -> tuple[int, int]:
         if not lo < hi:
             raise ValueError(f"column {col} rows must be strictly increasing")
         win_lo, win_hi = _row_window(n, col)
+        if win_lo <= lo and hi <= win_hi:  # both rows in the band, tested before any shift
+            rows = 1 << lo | 1 << hi
+            if not used & rows:
+                used |= rows
+                continue
+        # a fault: the two rows one at a time, to raise at the first
         for j in (lo, hi):
             if not win_lo <= j <= win_hi:
                 raise ValueError(f"box ({col}, {j}) outside the allowed band")

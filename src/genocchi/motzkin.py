@@ -26,7 +26,7 @@ The walk shares its last SHARED_LEVELS = 6 steps.  A path six steps from
 its end is at most 6 high, so from n = 12 on, whatever the length, the
 walk lists 17 heads over 7 heights and 96 rests over 6 next heights, 267
 tails in all (fewer below): its tracemalloc peak is about 0.02 MB at
-n = 12 and 14, and the stream's about 0.05 MB.
+n = 12 and 14, and the stream's about 0.04 MB.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from genocchi import (
     motzkin,
     seidel,
     specfile,
+    stream,
     stream_admissible,
     stream_dellac,
     stream_motzkin,
@@ -696,6 +697,15 @@ def test_lines_before_an_invalid_walked_object_are_written(monkeypatch, capsys):
     assert captured.err == "internal error: ValueError: steps must change height by at most 1\n"
 
 
+def test_a_head_whose_next_state_has_no_completion_writes_nothing(monkeypatch, capsys):
+    # a walk may list a head that leads to a dead end, a next state with no
+    # rests: it makes no line, and the head after it still writes its own
+    choices = {0: {0: [(1, "dead"), (0, 0)]}, 1: {"dead": [], 0: [(0, 0)]}}
+    monkeypatch.setattr(motzkin, "layers", lambda n: (2, 0, lambda level, state: choices[level][state]))
+    assert run(["enumerate", "motzkin", "--n", "2", "--json"]) == 0
+    assert capsys.readouterr().out == '{"n":2,"heights":[0,0,0]}\n{"total":"1"}\n'
+
+
 class CountingStdout(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -886,6 +896,66 @@ def test_limit_across_a_block_boundary():
     full = unlimited_json("motzkin", 12)
     limited = output_lines(["enumerate", "motzkin", "--n", "12", "--limit", "1500", "--json"])
     assert limited == list(full[:1500]) + [full[-1]]
+
+
+def head_spans(module, n):
+    """Each head's lines in the unlimited stream, in walk order, as (index
+    of its walk prefix, first line, end line)."""
+    spans, start = [], 0
+    blocks = layered_blocks(*module.layers(n), module.SHARED_LEVELS)
+    for block, (_, _, tails) in enumerate(blocks):
+        for _, _, rests in tails:
+            spans.append((block, start, start + len(rests)))
+            start += len(rests)
+    return spans
+
+
+STREAM_SIZES = [("dellac", 6), ("admissible", 7), ("motzkin", 12)]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("cut", ["inside a head", "at a head boundary"])
+@pytest.mark.parametrize("model, n", STREAM_SIZES)
+def test_limit_inside_a_prefix_block(model, n, cut, as_json):
+    # a prefix's block is one join per head: a limit that ends inside one
+    # head's rests slices that head's list, and one that ends with a head's
+    # lines writes none of the next head's
+    spans = head_spans(MODULES[model], n)
+    if cut == "inside a head":  # past the first head of the prefix, so earlier heads go out whole
+        stops = [(s + e) // 2 for (b0, _, _), (b, s, e) in zip(spans, spans[1:]) if b0 == b and e - s >= 2]
+    else:  # another head of the same prefix, with lines, follows
+        stops = [e for (b, s, e), (b1, s1, e1) in zip(spans, spans[1:]) if b == b1 and s < e and s1 < e1]
+    assert stops
+    stop = stops[len(stops) // 2]
+    lines = reference_lines(model, n, as_json)
+    total = json.dumps({"total": str(len(lines))}, separators=(",", ":")) if as_json else f"total {len(lines)}"
+    argv = ["enumerate", model, "--n", str(n), "--limit", str(stop)] + ["--json"] * as_json
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(argv) == 0
+    assert out.getvalue() == "".join(lines[:stop]) + total + "\n"
+
+
+@pytest.mark.parametrize("model, n", STREAM_SIZES)
+def test_each_head_group_holds_its_next_states_own_rest_texts(model, n):
+    # no per-tail list: a state keeps, per head with rests, the head's text
+    # and the very list of rest texts its next state keeps in rests_of
+    module = MODULES[model]
+    _, first, rest, join, _, _ = RULES[module.__name__].stream_pieces(n, True)
+    rests_of, states = {}, set()
+    for prefix, state, tails in layered_blocks(*module.layers(n), module.SHARED_LEVELS):
+        if state in states:
+            continue
+        states.add(state)
+        level = len(prefix)
+        _, groups, count = stream._tail_pieces(first, rest, join, tails, level, rests_of)
+        live = [(head, nxt) for head, nxt, rests in tails if rests]
+        assert len(groups) == len(live)
+        for (text, texts), (head, nxt) in zip(groups, live):
+            assert text == first(head, level)[1]
+            assert texts is rests_of[nxt][1]
+        assert count == sum(len(rests) for _, _, rests in tails)
+    assert len(states) > 1
 
 
 def test_unbuffered_stdout_gives_the_same_bytes():
