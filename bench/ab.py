@@ -8,7 +8,8 @@ command's peak RSS moves with the length of its checkout's path; the
 worktree is removed at the end.  Each pair runs perfbench/run.py (unchanged,
 with the caller's environment) once in each tree, one after the other, the
 base first in even pairs and the change first in odd ones.  The file holds
-each pair's metrics, then per metric each side's median and quartiles, how
+the two trees' directory names and their shared path length, each pair's
+metrics, then per metric each side's median and quartiles, how
 many pairs each side won (ties count for neither), and the verdict: "better"
 when the change won at least nine tenths of at least MIN_PAIRS pairs and
 the medians differ by more than the base's interquartile range, "worse"
@@ -117,8 +118,9 @@ def main(argv: list[str]) -> int:
             "workload": args.workload,
             "seed": args.seed,
             "seconds": args.seconds,
-            "base": {"rev": args.base, "commit": git("rev-parse", args.base), "tree": str(base_tree)},
-            "change": {"commit": git("describe", "--always", "--dirty", "--abbrev=12"), "tree": str(ROOT)},
+            "base": {"rev": args.base, "commit": git("rev-parse", args.base), "dir": base_tree.name},
+            "change": {"commit": git("describe", "--always", "--dirty", "--abbrev=12"), "dir": ROOT.name},
+            "path_length": len(str(ROOT)),  # of both trees' paths
             "env": {k: os.environ.get(k) for k in ("PYTHONDONTWRITEBYTECODE", "PYTHONUNBUFFERED")},
             "cpus": os.cpu_count(),
             "date_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
