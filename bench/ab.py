@@ -5,7 +5,10 @@
 The base revision is checked out with `git worktree add` in a directory
 beside this checkout whose path has the same length, since a fresh
 command's peak RSS moves with the length of its checkout's path; the
-worktree is removed at the end.  Each pair runs perfbench/run.py (unchanged,
+worktree is locked with the reason LOCK_REASON and removed at the end,
+SIGTERM included.  A run killed harder leaves its worktree behind, so each
+run first removes every worktree locked with that reason: run one at a
+time per repository.  Each pair runs perfbench/run.py (unchanged,
 with the caller's environment) once in each tree, one after the other, the
 base first in even pairs and the change first in odd ones.  The file holds
 the two trees' directory names and their shared path length, each pair's
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -32,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
+LOCK_REASON = "bench/ab.py"
 
 
 def git(*args: str) -> str:
@@ -50,6 +55,21 @@ def sibling(checkout: Path) -> Path:
         if len(name) == width and not path.exists():
             return path
     raise SystemExit(f"error: no free directory name of {width} characters beside {checkout}")
+
+
+def locked_worktrees(porcelain: str) -> list[str]:
+    """The paths of the worktrees that `git worktree list --porcelain`
+    output shows locked with LOCK_REASON."""
+    paths = []
+    for record in porcelain.split("\n\n"):
+        lines = record.splitlines()
+        if lines and f"locked {LOCK_REASON}" in lines:
+            paths.append(lines[0].removeprefix("worktree "))
+    return paths
+
+
+def remove_worktree(path: str) -> None:
+    git("worktree", "remove", "--force", "--force", path)  # twice: it is locked
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,8 +131,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # so the finally runs
+    for path in locked_worktrees(git("worktree", "list", "--porcelain")):  # left by a killed run
+        remove_worktree(path)
+    git("worktree", "prune")
     base_tree = sibling(ROOT)
-    git("worktree", "add", "--detach", str(base_tree), args.base)
+    git("worktree", "add", "--detach", "--lock", "--reason", LOCK_REASON, str(base_tree), args.base)
     try:
         report = {
             "workload": args.workload,
@@ -136,7 +160,7 @@ def main(argv: list[str]) -> int:
             values = {side: {k: v["value"] for k, v in run[side]["metrics"].items()} for side in trees}
             print(f"pair {pair + 1}/{args.pairs}: {json.dumps(values)}", file=sys.stderr)
     finally:
-        git("worktree", "remove", "--force", str(base_tree))
+        remove_worktree(str(base_tree))
     report["metrics"] = summarize(report["runs"], metrics)
     report["failed"] = {side: sum(run[side]["failed"] for run in report["runs"]) for side in trees}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

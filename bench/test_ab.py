@@ -1,4 +1,5 @@
-"""Tests of bench/ab.py's statistics and directory choice on fixed inputs.
+"""Tests of bench/ab.py's statistics, directory choice and reading of its
+leftover worktrees, on fixed inputs.
 Run with
 
     python -m pytest -q bench/test_ab.py
@@ -89,3 +90,38 @@ def test_the_base_tree_sits_beside_the_checkout_with_a_path_of_the_same_length(t
     assert second != first and len(str(second)) == len(str(checkout)) and not second.exists()
     with pytest.raises(SystemExit):
         ab.sibling(tmp_path / "r")  # no free name of one character
+
+
+# `git worktree list --porcelain` with the main checkout, a worktree this tool
+# locked, one locked with no reason, one locked by something else and a
+# prunable one
+PORCELAIN = """worktree /work/repo
+HEAD 70e1eb0603bbfa61d2a82bf67e936c64af53b7fe
+branch refs/heads/main
+
+worktree /work/reab0
+HEAD 70e1eb0603bbfa61d2a82bf67e936c64af53b7fe
+detached
+locked bench/ab.py
+
+worktree /work/reab1
+HEAD 70e1eb0603bbfa61d2a82bf67e936c64af53b7fe
+detached
+locked added with --lock
+
+worktree /work/reab2
+HEAD 70e1eb0603bbfa61d2a82bf67e936c64af53b7fe
+detached
+locked other
+
+worktree /work/reab3
+HEAD 70e1eb0603bbfa61d2a82bf67e936c64af53b7fe
+detached
+prunable gitdir file points to non-existent location"""
+
+
+def test_only_the_worktrees_locked_with_the_tools_reason_are_stale():
+    assert ab.locked_worktrees(PORCELAIN) == ["/work/reab0"]
+    assert ab.locked_worktrees(PORCELAIN.replace("locked other", "locked bench/ab.py")) == ["/work/reab0", "/work/reab2"]
+    assert ab.locked_worktrees(PORCELAIN.split("\n\n")[0]) == []
+    assert ab.locked_worktrees("") == []

@@ -170,4 +170,4 @@ def count_closed_column_graded(n: int) -> int:
             mask = required | sum(extra)
             yield mask, mask
 
-    return sum(layered_sweep(n - 1, 0, choices, lambda level, prev, mask, count: count).values())
+    return sum(layered_sweep(n - 1, 0, choices).values())

@@ -6,9 +6,9 @@ Subcommands: seq (integer sequences), poly (q-polynomials), enumerate
 subcommand imports its handler and its route when it is called, so a
 command loads, and compiles, only the code it runs; importing this module
 loads none of the routes and none of the handlers.  The seq, poly, series
-and count handlers live in cli_print.py, the enumerate handler in
-cli_enumerate.py, the verify handler beside the report it writes, in
-report.py, and the argparse parser in cli_usage.py.
+and count handlers live in cli_print.py, the enumerate handler beside the
+stream it drives, in stream.py, the verify handler beside the report it
+writes, in report.py, and the argparse parser in cli_usage.py.
 
 The grammar is written once, in COMMANDS.  A well-formed command line
 (exact subcommand and option names, each at most once, decimal ints) is
@@ -69,7 +69,7 @@ COMMANDS = {
     ),
     "enumerate": (
         "stream combinatorial objects",
-        _handler("cli_enumerate", "cmd_enumerate"),
+        _handler("stream", "cmd_enumerate"),
         ("model", ("dellac", "admissible", "motzkin")),
         (
             ("--n", "n", int, ..., None),

@@ -231,7 +231,7 @@ NAMED_FRACTIONS: dict[str, Callable[[], CFSpec]] = {
 
 def __getattr__(name: str):
     # spec_from_dict lives with the spec file reader, which only series
-    # custom loads; it is still found here on first use
+    # custom loads; perfbench/test_perfbench.py imports it from here
     if name != "spec_from_dict":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .specfile import spec_from_dict

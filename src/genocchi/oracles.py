@@ -41,7 +41,7 @@ def count_dumont(n: int) -> int:
                 continue  # 2k must come before 2k+1
             yield v, placed | 1 << v
 
-    return sum(layered_sweep(size, 0, choices, lambda level, placed, v, count: count).values())
+    return sum(layered_sweep(size, 0, choices).values())
 
 
 def _coverage_census(n: int, left_anchored: bool) -> dict[int, int]:
@@ -70,7 +70,7 @@ def _coverage_census(n: int, left_anchored: bool) -> dict[int, int]:
         for placed, ones in marks[level]:
             yield placed, cov + ones
 
-    return layered_sweep(n, 0, choices, lambda level, cov, mark, count: count)
+    return layered_sweep(n, 0, choices)
 
 
 def count_triangle_pairs(n: int) -> int:

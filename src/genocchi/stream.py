@@ -18,12 +18,70 @@ whole object, and how a piece is written) live in its own module beside
 this one, stream_dellac.py, stream_admissible.py or stream_motzkin.py, so
 that a stream compiles only its own model's rules.  A piece's check is the
 model's own rule, _piece, which its constructor runs over the whole
-object.  Only the enumerate command loads these modules.
+object.  The enumerate command's handler, cmd_enumerate, lives here
+beside the stream it drives and imports only its own model; only that
+command loads these modules.
 """
 
+import sys
 from importlib import import_module
+from itertools import islice
 
-from .walk import layered_blocks
+from .errors import InternalInconsistencyError, internal_error
+from .walk import layered_blocks, layered_sweep
+
+
+def cmd_enumerate(args) -> int:
+    """The objects of one model's walk, one line each, then their total."""
+    if args.model == "dellac":
+        from . import dellac as model
+        from .dellac import DellacConfig as build, iter_dellac as walk
+    elif args.model == "admissible":
+        from . import admissible as model
+        from .admissible import AdmissibleSequence as build, iter_admissible as walk
+    else:
+        from . import motzkin as model
+        from .motzkin import MotzkinPath, iter_motzkin as walk
+
+        def build(n, heights):
+            return MotzkinPath(heights)
+
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be nonnegative")
+    items = walk(args.n)  # checks n, before anything is walked
+    stop = sys.maxsize if args.limit is None else args.limit
+    written, faulty = write_lines(sys.stdout.write, model, args.n, args.json, stop)
+    if faulty:
+        # n was checked above, so an object its walk yields and its rules
+        # reject is a fault of the walk
+        return _walk_fault(build, args.n, items, written)
+
+    if args.limit is None:
+        total = written
+    elif args.model == "motzkin":
+        # the walk's own layers, swept over heights: the total visits no path
+        total = sum(layered_sweep(*model.layers(args.n)).values())
+    else:
+        from .seidel import h_sequence
+
+        for total in h_sequence(args.n + 1):  # configurations and sequences both number h(n)
+            pass
+
+    if args.json:
+        print(f'{{"total":"{total}"}}')
+    else:
+        print(f"total {total}")
+    return 0
+
+
+def _walk_fault(build, n: int, items, index: int) -> int:
+    """Exit 4 with the constructor's message for the walk's object at index,
+    which failed its check in the stream."""
+    try:
+        build(n, next(islice(items, index, None)))
+    except (TypeError, ValueError) as exc:
+        return internal_error(exc)
+    raise InternalInconsistencyError(f"object {index} of the walk fails its stream check but builds")
 
 
 def write_lines(write, model, n: int, as_json: bool, stop: int) -> tuple[int, bool]:

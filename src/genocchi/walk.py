@@ -83,11 +83,16 @@ def layered_walk(
                 yield start + rest
 
 
+def carry(level: int, state: Hashable, item: Any, total: Any) -> Any:
+    """The sweeps' default extend: the total, unchanged along every edge."""
+    return total
+
+
 def layered_levels(
     depth: int,
     root: Hashable,
     choices: Callable[..., Iterable],
-    extend: Callable[..., Any],
+    extend: Callable[..., Any] = carry,
     unit: Any = 1,
 ) -> Iterator[dict]:
     """Fold the walk of layered_walk level by level, yielding {state: total}
@@ -95,8 +100,8 @@ def layered_levels(
 
     The root carries unit; extend(level, state, item, total) carries the
     total of a state along one edge, and totals that reach the same state
-    add.  With extend returning total unchanged, the totals count the runs
-    of layered_walk that end in each state, without visiting one.  Level k
+    add.  With the default extend, carry, the totals count the runs of
+    layered_walk that end in each state, without visiting one.  Level k
     is the sweep of the first k levels, so one sweep reads a total at every
     level.
     """
@@ -116,7 +121,7 @@ def layered_sweep(
     depth: int,
     root: Hashable,
     choices: Callable[..., Iterable],
-    extend: Callable[..., Any],
+    extend: Callable[..., Any] = carry,
     unit: Any = 1,
 ) -> dict:
     """The last level of layered_levels: {state: total} after depth levels."""

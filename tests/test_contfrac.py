@@ -355,7 +355,8 @@ def test_read_spec_refuses_a_repeated_key_at_any_depth(tmp_path, text, key):
 
 
 def test_spec_from_dict_is_still_found_in_contfrac():
-    # the spec reader lives in specfile.py; contfrac finds it on first use
+    # the spec reader lives in specfile.py; contfrac finds it on first use,
+    # since perfbench/test_perfbench.py imports spec_from_dict from contfrac
     from genocchi import contfrac
 
     assert contfrac.spec_from_dict is spec_from_dict

@@ -93,10 +93,10 @@ def test_series_loads_no_enumeration_or_matrix():
 
 
 def test_enumerate_loads_only_its_model():
-    # and its handler, the walk, the stream and the model's own stream rules:
-    # no path sweep and no polynomial code
+    # and the walk, the stream that holds its handler and the model's own
+    # stream rules: no path sweep and no polynomial code
     for model in ("dellac", "admissible", "motzkin"):
-        own = {"cli_enumerate", model, "walk", "stream", f"stream_{model}"}
+        own = {model, "walk", "stream", f"stream_{model}"}
         assert loaded("enumerate", model, "--n", "4") == FRONT | own
 
 
@@ -172,7 +172,7 @@ UNREACHED = {
     "cli.main": "the console-script entry point; the runs below call cli.run",
     "cli._handler": "builds COMMANDS while cli.py is imported, before any run below",
     "errors.internal_error": "exit 4: reached only when the program itself is at fault",
-    "cli_enumerate._walk_fault": "exit 4 for a walked object its model's rules reject",
+    "stream._walk_fault": "exit 4 for a walked object its model's rules reject",
     "dellac.dellac_length": "the acceptance criteria's per-configuration statistic",
     "motzkin.fermionic_exponent": "the acceptance criteria's per-path exponent",
     "exactalg.PowerSeries.inverse": "the perfbench tracer reads and patches it by name",
@@ -317,9 +317,9 @@ ROUTES = {
     "poly barc": {"cli_print", "hanzeng", "exactalg"},
     "count": {"cli_print", "oracles", "walk"},
     "series": {"cli_print", "contfrac", "exactalg"},
-    "enumerate": {"cli_enumerate", "walk", "stream"},  # its model and its rules, and seidel under --limit
+    "enumerate": {"walk", "stream"},  # its model and its rules, and seidel under --limit
 }
-HANDLERS = {"cli_print", "cli_enumerate", "cli_usage"}
+HANDLERS = {"cli_print", "cli_usage"}
 
 
 @pytest.mark.parametrize("argv", [argv for status, argv in REACH_RUNS if status == 0], ids=" ".join)

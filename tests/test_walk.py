@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -69,6 +70,10 @@ def test_sweep_sums_the_walk(table, root, salt):
     depth = len(table)
     counted = layered_sweep(depth, root, choices, lambda level, state, item, total: total)
     assert sum(counted.values()) == len(list(layered_walk(depth, root, choices, 3)))
+
+    # with no extend, the sweep counts the runs that end in each state
+    ends = Counter(edges[-1][2] if edges else root for edges in naive_chains(table, root))
+    assert layered_sweep(depth, root, choices) == dict(ends)
 
     weighted = layered_sweep(
         depth, root, choices, lambda level, state, item, total: total * weight(level, state, item)
