@@ -122,6 +122,7 @@ prunable gitdir file points to non-existent location"""
 
 def test_only_the_worktrees_locked_with_the_tools_reason_are_stale():
     assert ab.locked_worktrees(PORCELAIN) == ["/work/reab0"]
-    assert ab.locked_worktrees(PORCELAIN.replace("locked other", "locked bench/ab.py")) == ["/work/reab0", "/work/reab2"]
+    both = PORCELAIN.replace("locked other", "locked bench/ab.py")
+    assert ab.locked_worktrees(both) == ["/work/reab0", "/work/reab2"]
     assert ab.locked_worktrees(PORCELAIN.split("\n\n")[0]) == []
     assert ab.locked_worktrees("") == []
