@@ -8,18 +8,22 @@ command's peak RSS moves with the length of its checkout's path; the
 worktree is locked with the reason LOCK_REASON and removed at the end,
 SIGTERM included.  A run killed harder leaves its worktree behind, so each
 run first removes every worktree locked with that reason: run one at a
-time per repository.  Each pair runs perfbench/run.py (unchanged,
-with the caller's environment) once in each tree, one after the other, the
-base first in even pairs and the change first in odd ones.  The file holds
-the two trees' directory names and their shared path length, each pair's
-metrics, then per metric each side's median and quartiles, how
-many pairs each side won (ties count for neither), and the verdict: "better"
-when the change won at least nine tenths of at least MIN_PAIRS pairs and
-the medians differ by more than the base's interquartile range, "worse"
-when the base did, "unresolved" otherwise; and each side's count of failed
-operations.
+time per repository.  Both trees' src/ lose every __pycache__ directory
+first, and every process runs with PYTHONDONTWRITEBYTECODE=1, so both sides
+compile their source as a fresh checkout does and no run writes a cache
+back.  Each pair runs perfbench/run.py (unchanged, with the caller's
+environment) once in each tree, one after the other, the base first in even
+pairs and the change first in odd ones.  The file holds the two trees'
+directory names and their shared path length, how many cache directories
+were removed from each, each pair's metrics, then per metric each side's
+median and quartiles, how many pairs each side won (ties count for
+neither), and the verdict: "better" when the change won at least nine
+tenths of at least MIN_PAIRS pairs and the medians differ by more than the
+base's interquartile range, "worse" when the base did, "unresolved"
+otherwise; and each side's count of failed operations.
 
-Nothing here is a tier-1 test; bench/test_ab.py tests the statistics.
+Nothing here is a tier-1 test; bench/test_ab.py tests the statistics and
+the cache removal.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -70,6 +75,15 @@ def locked_worktrees(porcelain: str) -> list[str]:
 
 def remove_worktree(path: str) -> None:
     git("worktree", "remove", "--force", "--force", path)  # twice: it is locked
+
+
+def remove_bytecode(tree: Path) -> int:
+    """Remove every __pycache__ directory under tree's src/, so that a
+    command run there compiles its source; the number removed."""
+    caches = [path for path in (tree / "src").rglob("__pycache__") if path.is_dir()]
+    for path in caches:
+        shutil.rmtree(path)
+    return len(caches)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -132,6 +146,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # so the finally runs
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # for every process started below
     for path in locked_worktrees(git("worktree", "list", "--porcelain")):  # left by a killed run
         remove_worktree(path)
     git("worktree", "prune")
@@ -151,6 +166,7 @@ def main(argv: list[str]) -> int:
             "runs": [],
         }
         trees = {"base": base_tree, "change": ROOT}
+        report["bytecode_dirs_removed"] = {side: remove_bytecode(tree) for side, tree in trees.items()}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             run = {"first": order[0]}

@@ -3,10 +3,15 @@
     python3 bench/layers.py --out BENCH_<n>.json
 
 It measures the checkout it sits in, whatever the working directory, and
-takes a few minutes on 2 vCPUs.  The file holds:
+takes a few minutes on 2 vCPUs.  It first removes every __pycache__
+directory under the checkout's src/ (bench/ab.py's remove_bytecode), and
+it and every process it starts run with PYTHONDONTWRITEBYTECODE=1, so each
+fresh command compiles its source and no run writes a cache back.  The
+file holds:
 
-- "env": the interpreter, platform, CPU count, load, commit and seed, and
-  the environment variables that change what a fresh command costs;
+- "env": the interpreter, platform, CPU count, load, commit and seed, the
+  environment variables that change what a fresh command costs, and how
+  many cache directories were removed;
 - "fresh": for every command form of the three perfbench workloads (read from
   perfbench/run.py's WORKLOADS, which this imports and does not change), for
   the largest `seq` and `series` forms, `verify --n-max 8`, the smallest
@@ -58,6 +63,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 import run as perfbench  # noqa: E402  (perfbench/run.py, found through sys.path)
+from ab import remove_bytecode  # noqa: E402  (bench/ab.py, beside this file)
 
 SEED = 1
 FRESH_RUNS = 5
@@ -375,9 +381,17 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     args = parser.parse_args(argv)
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # for every process started below
+    sys.dont_write_bytecode = True  # and for the layer rows' imports in this one
+    removed = remove_bytecode(ROOT)
     work = ROOT / perfbench.WORK_DIR  # the workloads' spec files go here, as perfbench/run.py puts them
     work.mkdir(exist_ok=True)
-    report = {"env": environment(), "fresh": fresh_rows(work), "verify_rss": verify_rss(work), "layers": layer_rows()}
+    report = {
+        "env": {**environment(), "bytecode_dirs_removed": removed},
+        "fresh": fresh_rows(work),
+        "verify_rss": verify_rss(work),
+        "layers": layer_rows(),
+    }
     report["stream_peaks"] = stream_peaks()
     report["tier1"] = tier1()
     report["end_to_end"] = end_to_end()

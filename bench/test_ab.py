@@ -1,5 +1,5 @@
-"""Tests of bench/ab.py's statistics, directory choice and reading of its
-leftover worktrees, on fixed inputs.
+"""Tests of bench/ab.py's statistics, directory choice, reading of its
+leftover worktrees and removal of bytecode caches, on fixed inputs.
 Run with
 
     python -m pytest -q bench/test_ab.py
@@ -126,3 +126,15 @@ def test_only_the_worktrees_locked_with_the_tools_reason_are_stale():
     assert ab.locked_worktrees(both) == ["/work/reab0", "/work/reab2"]
     assert ab.locked_worktrees(PORCELAIN.split("\n\n")[0]) == []
     assert ab.locked_worktrees("") == []
+
+
+def test_only_the_bytecode_caches_under_src_are_removed(tmp_path):
+    caches = ["src/__pycache__", "src/genocchi/__pycache__", "src/genocchi/sub/__pycache__"]
+    kept = ["src/genocchi/sub", "src/genocchi/pycache", "tests/__pycache__", "bench/__pycache__"]
+    for directory in caches + kept:
+        (tmp_path / directory).mkdir(parents=True, exist_ok=True)
+        (tmp_path / directory / "module.cpython-311.pyc").write_bytes(b"")
+    assert ab.remove_bytecode(tmp_path) == 3
+    left = {str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_dir()}
+    assert left == {"src", "src/genocchi", "tests", "bench"} | set(kept)
+    assert ab.remove_bytecode(tmp_path) == 0

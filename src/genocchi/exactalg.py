@@ -59,8 +59,6 @@ class IntPoly:
             a, b = b, a
         return IntPoly([*map(operator.add, a, b), *a[len(b) :]])
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, int):
             # a scalar, as the path sweeps' int 1 weights and heads: no
@@ -71,8 +69,6 @@ class IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -92,8 +88,6 @@ class IntPoly:
         """Multiply by q^k (k >= 0)."""
         if k < 0:
             raise ValueError("shift exponent must be nonnegative")
-        if not self.coeffs:
-            return self
         return IntPoly((0,) * k + self.coeffs)
 
     def __eq__(self, other):

@@ -31,12 +31,6 @@ from .exactalg import IntPoly, over_factors
 HANZENG_MAX_N = 48  # the table grows as n^2 entries of degree up to n^2/4
 
 
-def _minus(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    return [*map(sub, a, b), *a[len(b) :]]
-
-
 def _over_q_power(p: list[int], j: int) -> list[int]:
     """p divided by q^j, the value of 1 + qx - x at x = [j]_q;
     InexactDivisionError when one of the j lowest coefficients is not 0."""
@@ -74,12 +68,12 @@ def _at_one(count: int) -> Iterator[list[int]]:
     row = [[1]] * count  # C_1([j]) for j = 1..count
     for m in range(1, count + 1):
         if m > 1:
-            # scaled[j - 1] = [j] C_{m-1}([j]): each serves entries j - 1 and j
+            # scaled[j - 1] = [j] C_{m-1}([j]) serves entries j - 1 and j; big is never the shorter
             scaled = [over_factors(c, (j,), (1,)) for j, c in enumerate(row, start=1)]
             try:
                 row = [
-                    over_factors(_over_q_power(_minus(scaled[j], scaled[j - 1]), j), (j + 1,), (1,))
-                    for j in range(1, len(row))
+                    over_factors(_over_q_power([*map(sub, big, small), *big[len(small) :]], j), (j + 1,), (1,))
+                    for j, (small, big) in enumerate(zip(scaled, scaled[1:]), start=1)
                 ]
             except InexactDivisionError as exc:
                 raise InternalInconsistencyError(

@@ -47,6 +47,7 @@ def test_arithmetic_small_cases():
     assert (ONE + Q) * (ONE + Q) * (ONE + Q) == P(1, 3, 3, 1)
     assert 2 * Q == P(0, 2)
     assert Q + Q * -1 == ZERO
+    assert ZERO * P(1, 2) == P(1, 2) * ZERO == ZERO * ZERO == ZERO
     assert P(1, 2, 3)(10) == 321
     assert P(1, 2, 3)(Fraction(1, 2)) == Fraction(11, 4)
 
